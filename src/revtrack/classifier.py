@@ -1,9 +1,9 @@
 """Boundary-pair classification: dataset assembly, splits, training, metrics.
 
 A labeled subgraph is reduced to the pair (sender set, receiver set) of its
-boundary; the classifier never sees the subgraph interior. Per-node feature
-vectors are fetched once and kept in a hash map so repeated scoring reuses
-them.
+boundary; the classifier never sees the subgraph interior. Node ids are
+dense row indices into the graph's (num_nodes, d) feature array, which
+every function here indexes directly.
 """
 
 import math
@@ -78,38 +78,11 @@ class TrainConfig:
     seed: int = 0
 
 
-class FeatureMap:
-    """Hash map of node id -> feature vector, filled lazily from the graph."""
-
-    def __init__(self, graph):
-        self._graph = graph
-        self._cache = {}
-
-    def get(self, node: int) -> np.ndarray:
-        vec = self._cache.get(node)
-        if vec is None:
-            vec = np.array(self._graph.features[node], dtype=np.float64)
-            self._cache[node] = vec
-        return vec
-
-    def matrix(self, nodes) -> np.ndarray:
-        return np.stack([self.get(n) for n in nodes])
-
-    @property
-    def dim(self) -> int:
-        return self._graph.feature_dim
-
-    def __len__(self):
-        return len(self._cache)
-
-
-def make_pairs(graph, subgraphs, feature_map=None):
+def make_pairs(graph, subgraphs):
     """Boundary pairs for every labeled subgraph with a nonempty boundary.
 
-    Returns (pairs, feature_map, stats); stats counts skipped subgraphs.
+    Returns (pairs, graph.features, stats); stats counts skipped subgraphs.
     """
-    if feature_map is None:
-        feature_map = FeatureMap(graph)
     pairs = []
     stats = {"empty_boundary": 0, "unlabeled": 0}
     for sg in subgraphs:
@@ -121,12 +94,10 @@ def make_pairs(graph, subgraphs, feature_map=None):
             stats["empty_boundary"] += 1
             continue
         sr = SRPair(senders=tuple(b.senders), receivers=tuple(b.receivers))
-        for node in sr.senders + sr.receivers:
-            feature_map.get(node)
         pairs.append(
             LabeledPair(sr=sr, label=int(sg.label == SUBGRAPH_SUSPICIOUS), origin=sg.id)
         )
-    return pairs, feature_map, stats
+    return pairs, graph.features, stats
 
 
 def _round_half_up(x: float) -> int:
@@ -228,14 +199,15 @@ def f1_at_threshold(scores, labels, threshold=0.5):
 class PairScorer:
     """Scores SRPairs against a fixed model, reusing per-node work.
 
+    ``features`` is the graph's feature array; node ids index its rows.
     For the set-encoder architecture the per-element encoding of each node
     is cached on first use, which makes large batches of small pairs (the
     filtering workloads) much cheaper.
     """
 
-    def __init__(self, model, feature_map: FeatureMap):
+    def __init__(self, model, features):
         self.model = model
-        self.features = feature_map
+        self.features = features
         self.calls = 0
         self._phi_cache = {}
 
@@ -245,7 +217,7 @@ class PairScorer:
             key = (id(params), n)
             row = self._phi_cache.get(key)
             if row is None:
-                row = nc.mlp_forward(params.phi, self.features.get(n))
+                row = nc.mlp_forward(params.phi, self.features[n])
                 self._phi_cache[key] = row
             rows.append(row)
         return np.stack(rows)
@@ -261,8 +233,8 @@ class PairScorer:
             h_pair = nc.mlp_forward(self.model.trunk, np.concatenate([h_s, h_r]))
             logit = nc.mlp_forward(self.model.logit, h_pair)[0]
             return float(nc.sigmoid(logit))
-        xs = self.features.matrix(sr.senders)
-        xr = self.features.matrix(sr.receivers)
+        xs = self.features[list(sr.senders)]
+        xr = self.features[list(sr.receivers)]
         return nc.score_pair(self.model, xs, xr)
 
     def score_many(self, srs) -> np.ndarray:
@@ -272,20 +244,20 @@ class PairScorer:
         return self.score(sr)
 
 
-def score(model, sr: SRPair, feature_map: FeatureMap) -> float:
+def score(model, sr: SRPair, features) -> float:
     """Probability that the pair bounds a suspicious flow."""
     if not sr.senders or not sr.receivers:
         raise ValueError("cannot score a pair with an empty side")
-    return PairScorer(model, feature_map).score(sr)
+    return PairScorer(model, features).score(sr)
 
 
 # ---------------------------------------------------------------------------
 # training
 
 
-def _as_batch(pairs, feature_map):
+def _as_batch(pairs, features):
     return [
-        (feature_map.matrix(p.sr.senders), feature_map.matrix(p.sr.receivers), p.label)
+        (features[list(p.sr.senders)], features[list(p.sr.receivers)], p.label)
         for p in pairs
     ]
 
@@ -303,7 +275,7 @@ def _validation_metric(model, valid_batch):
     return -loss / max(len(valid_batch), 1)
 
 
-def train_model(model, train_pairs, valid_pairs, feature_map, config: TrainConfig):
+def train_model(model, train_pairs, valid_pairs, features, config: TrainConfig):
     """Adam/BCE training with early stopping on the validation metric.
 
     Returns (best_model, history). Deterministic for a fixed config: batch
@@ -313,8 +285,8 @@ def train_model(model, train_pairs, valid_pairs, feature_map, config: TrainConfi
     if not train_pairs:
         raise ValueError("empty training set")
     rng = np.random.default_rng(config.seed + 1)
-    train_batchable = _as_batch(train_pairs, feature_map)
-    valid_batch = _as_batch(valid_pairs, feature_map)
+    train_batchable = _as_batch(train_pairs, features)
+    valid_batch = _as_batch(valid_pairs, features)
 
     state = nc.init_adam(nc.parameters(model), lr=config.lr)
     best_metric = -np.inf
@@ -361,7 +333,7 @@ def train_model(model, train_pairs, valid_pairs, feature_map, config: TrainConfi
     return best, history
 
 
-def train(arch, train_pairs, valid_pairs, feature_map, config: TrainConfig = None):
+def train(arch, train_pairs, valid_pairs, features, config: TrainConfig = None):
     """Train a fresh classifier of the given architecture ("ds" or "bp")."""
     config = config or TrainConfig()
     if not any(p.label == 1 for p in train_pairs) or not any(
@@ -370,24 +342,24 @@ def train(arch, train_pairs, valid_pairs, feature_map, config: TrainConfig = Non
         raise ValueError("training set must contain both classes")
     rng = np.random.default_rng(config.seed)
     if arch == "ds":
-        model = nc.build_ds_model(rng, feature_map.dim, config.hidden_dim, config.pool)
+        model = nc.build_ds_model(rng, features.shape[1], config.hidden_dim, config.pool)
     elif arch == "bp":
         model = nc.build_bp_model(
-            rng, feature_map.dim, config.hidden_dim, config.readout, config.epsilon
+            rng, features.shape[1], config.hidden_dim, config.readout, config.epsilon
         )
     else:
         raise ValueError(f"unknown architecture {arch!r}")
-    return train_model(model, train_pairs, valid_pairs, feature_map, config)
+    return train_model(model, train_pairs, valid_pairs, features, config)
 
 
-def evaluate(model, test_pairs, feature_map, threshold=0.5) -> ClassifierMetrics:
+def evaluate(model, test_pairs, features, threshold=0.5) -> ClassifierMetrics:
     """PR-AUC (average precision) and F1 at a fixed threshold on test pairs."""
     if not test_pairs:
         raise ValueError("empty test set")
     labels = [p.label for p in test_pairs]
     if len(set(labels)) < 2:
         raise ValueError("PR-AUC undefined on a single-class test set")
-    scorer = PairScorer(model, feature_map)
+    scorer = PairScorer(model, features)
     scores = scorer.score_many([p.sr for p in test_pairs])
     return ClassifierMetrics(
         pr_auc=average_precision(scores, labels),

@@ -16,7 +16,6 @@ import time
 
 from . import __version__
 from .classifier import (
-    FeatureMap,
     PairScorer,
     SplitSpec,
     SRPair,
@@ -29,6 +28,7 @@ from .classifier import (
 from . import classifier as classifier_mod
 from .graph_core import GraphLoadError, extract_boundary, graphlet_census
 from .io_utils import (
+    dense_node_ids,
     load_dataset,
     read_subgraphs_jsonl,
     save_dataset,
@@ -39,7 +39,6 @@ from .rec_eval import BenchmarkConfig, parse_setting, run_benchmark
 from .rev_filter import AugmentConfig, FilterConfig, finetune as finetune_model
 from .rev_filter import make_finetune_set, rev_filter
 from .synth_gen import GenerationError, SynthConfig, SynthDataset, generate
-from .utils import resolve_threads
 
 SPLIT_RULES = {"sorted": "sorted_id", "random": "seeded_random"}
 
@@ -126,12 +125,12 @@ def _train_config(args) -> TrainConfig:
 
 def _load_pairs(data_dir):
     graph, subgraphs = load_dataset(data_dir)
-    pairs, fmap, stats = make_pairs(graph, subgraphs)
+    pairs, features, stats = make_pairs(graph, subgraphs)
     dropped = stats["empty_boundary"] + stats["unlabeled"]
     if dropped:
         _log(f"skipped {stats['empty_boundary']} empty-boundary and "
              f"{stats['unlabeled']} unlabeled subgraphs")
-    return graph, pairs, fmap
+    return graph, pairs, features
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +177,11 @@ def cmd_graphlets(args):
 
 def cmd_train(args):
     started = time.time()
-    _, pairs, fmap = _load_pairs(args.data_dir)
+    _, pairs, features = _load_pairs(args.data_dir)
     spec = SplitSpec(seed=args.split_seed, few_shot_fraction=args.few_shot)
     train_pairs, valid_pairs, _ = split(pairs, spec)
     model, history = classifier_mod.train(
-        args.arch, train_pairs, valid_pairs, fmap, _train_config(args)
+        args.arch, train_pairs, valid_pairs, features, _train_config(args)
     )
     save_checkpoint(args.out, model)
     best = max(history, key=lambda h: h["valid_metric"]) if history else None
@@ -200,7 +199,7 @@ def cmd_train(args):
 def cmd_finetune(args):
     started = time.time()
     model = load_checkpoint(args.model)
-    _, pairs, fmap = _load_pairs(args.data_dir)
+    _, pairs, features = _load_pairs(args.data_dir)
     train_pairs, _, _ = split(pairs, SplitSpec(seed=args.split_seed))
     merged = make_finetune_set(
         train_pairs,
@@ -211,7 +210,7 @@ def cmd_finetune(args):
         ),
     )
     tuned, history = finetune_model(
-        model, merged, fmap,
+        model, merged, features,
         TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed,
                     batch_size=args.batch_size, patience=args.patience),
     )
@@ -229,8 +228,8 @@ def cmd_classify(args):
     started = time.time()
     model = load_checkpoint(args.model)
     graph, _ = load_dataset(args.data_dir, require_subgraphs=False)
-    subgraphs = read_subgraphs_jsonl(args.subgraphs, graph.id_remap)
-    scorer = PairScorer(model, FeatureMap(graph))
+    subgraphs = read_subgraphs_jsonl(args.subgraphs, graph.id_remap, graph.num_nodes)
+    scorer = PairScorer(model, graph.features)
     skipped = 0
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("subgraph_id,score,label_pred\n")
@@ -252,11 +251,11 @@ def cmd_classify(args):
 
 
 def cmd_eval_cls(args):
-    _, pairs, fmap = _load_pairs(args.data_dir)
+    _, pairs, features = _load_pairs(args.data_dir)
     model = load_checkpoint(args.model)
     spec = SplitSpec(seed=args.split_seed, few_shot_fraction=args.few_shot)
     _, _, test_pairs = split(pairs, spec)
-    metrics = evaluate(model, test_pairs, fmap, threshold=args.threshold)
+    metrics = evaluate(model, test_pairs, features, threshold=args.threshold)
     print(json.dumps({
         "pr_auc": metrics.pr_auc,
         "f1": metrics.f1,
@@ -267,27 +266,30 @@ def cmd_eval_cls(args):
     return 0
 
 
-def _read_id_file(path):
+def _read_id_file(path, graph):
+    """Dense ids of a one-id-per-line file; unknown or repeated ids fail."""
     with open(path, encoding="utf-8") as fh:
-        return [int(line.strip()) for line in fh if line.strip()]
+        ids = [int(line.strip()) for line in fh if line.strip()]
+    seen = set()
+    for n in ids:
+        if n in seen:
+            raise GraphLoadError(f"{path}: duplicate node id {n}")
+        seen.add(n)
+    return dense_node_ids(ids, path, graph.id_remap, graph.num_nodes)
 
 
 def cmd_filter(args):
     started = time.time()
     model = load_checkpoint(args.model)
     graph, _ = load_dataset(args.data_dir, require_subgraphs=False)
-    senders = _read_id_file(args.senders)
-    receivers = _read_id_file(args.receivers)
+    senders = _read_id_file(args.senders, graph)
+    receivers = _read_id_file(args.receivers, graph)
     remap = graph.id_remap or {}
     inverse = {dense: orig for orig, dense in remap.items()}
-    to_dense = (lambda n: remap[n]) if remap else (lambda n: n)
     to_orig = (lambda n: inverse[n]) if remap else (lambda n: n)
-    scorer = PairScorer(model, FeatureMap(graph))
+    scorer = PairScorer(model, graph.features)
     result = rev_filter(
-        SRPair(
-            senders=tuple(to_dense(s) for s in senders),
-            receivers=tuple(to_dense(r) for r in receivers),
-        ),
+        SRPair(senders=tuple(senders), receivers=tuple(receivers)),
         FilterConfig(
             k=args.k,
             alpha_keep=args.alpha_keep,
@@ -317,21 +319,19 @@ def cmd_bench_rec(args):
     started = time.time()
     model = load_checkpoint(args.model)
     graph, subgraphs = load_dataset(args.data_dir)
-    fmap = FeatureMap(graph)
     base_scorer = None
     if args.variant == "no-finetune":
         if not args.base_model:
             raise ValueError("--variant no-finetune requires --base-model")
-        base_scorer = PairScorer(load_checkpoint(args.base_model), fmap)
+        base_scorer = PairScorer(load_checkpoint(args.base_model), graph.features)
     settings = [parse_setting(s.strip()) for s in args.settings.split(",") if s.strip()]
     config = BenchmarkConfig(
-        scorer=PairScorer(model, fmap),
+        scorer=PairScorer(model, graph.features),
         base_scorer=base_scorer,
         variant=args.variant,
         alpha_keep=args.alpha_keep,
         split_rule=SPLIT_RULES[args.split],
         seed=args.seed,
-        threads=resolve_threads(args.threads),
     )
     table = run_benchmark(
         SynthDataset(graph=graph, subgraphs=subgraphs), settings,
@@ -453,7 +453,6 @@ def build_parser():
     p.add_argument("--alpha-keep", type=float, default=1.5)
     p.add_argument("--split", choices=("sorted", "random"), default="sorted")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", required=True)
 
     return parser

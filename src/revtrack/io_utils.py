@@ -103,7 +103,27 @@ def write_subgraphs_jsonl(path, subgraphs):
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
-def read_subgraphs_jsonl(path, id_remap=None):
+def dense_node_ids(ids, source, id_remap=None, num_nodes=None):
+    """Dense row indices of the original node ids ``ids``, in order.
+
+    With ``id_remap`` (original -> dense) an id must be one of its keys;
+    otherwise, given ``num_nodes``, it must lie in [0, num_nodes), so a
+    negative id cannot alias a row from the end. With neither, ids pass
+    through unchecked. Raises GraphLoadError naming ``source`` and the
+    first id that is not a node of the graph.
+    """
+    out = []
+    for n in ids:
+        n = int(n)
+        dense = id_remap.get(n) if id_remap else n
+        if dense is None or (num_nodes is not None and not 0 <= dense < num_nodes):
+            raise GraphLoadError(f"{source}: node id {n} is not a node of the graph")
+        out.append(dense)
+    return out
+
+
+def read_subgraphs_jsonl(path, id_remap=None, num_nodes=None):
+    """Subgraphs of a JSONL file, node ids mapped by ``dense_node_ids``."""
     subgraphs = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -114,12 +134,13 @@ def read_subgraphs_jsonl(path, id_remap=None):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise GraphLoadError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            remap = (lambda n: id_remap[n]) if id_remap else (lambda n: n)
+            where = f"{path}:{line_no}"
             subgraphs.append(
                 Subgraph(
                     id=str(record["id"]),
-                    nodes=tuple(remap(int(n)) for n in record["nodes"]),
-                    edges=tuple((remap(int(u)), remap(int(v))) for u, v in record["edges"]),
+                    nodes=dense_node_ids(record["nodes"], where, id_remap, num_nodes),
+                    edges=tuple(dense_node_ids(e, where, id_remap, num_nodes)
+                                for e in record["edges"]),
                     label=record.get("label"),
                 )
             )
@@ -148,7 +169,7 @@ def load_dataset(data_dir, require_subgraphs=True):
     sub_path = os.path.join(data_dir, SUBGRAPHS_FILE)
     subgraphs = []
     if os.path.exists(sub_path):
-        subgraphs = read_subgraphs_jsonl(sub_path, graph.id_remap)
+        subgraphs = read_subgraphs_jsonl(sub_path, graph.id_remap, graph.num_nodes)
     elif require_subgraphs:
         raise GraphLoadError(f"missing {sub_path}")
     return graph, subgraphs

@@ -14,7 +14,6 @@ import numpy as np
 from .classifier import SRPair
 from .graph_core import SUBGRAPH_LICIT, SUBGRAPH_SUSPICIOUS, extract_boundary
 from .rev_filter import FilterConfig, rev_filter
-from .utils import parallel_map
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,6 @@ class BenchmarkConfig:
     alpha_keep: float = 1.5
     split_rule: str = "sorted_id"
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.variant not in ("full", "no-iter", "no-finetune", "keep1"):
@@ -194,15 +192,16 @@ def run_benchmark(dataset, settings, n_instances, config: BenchmarkConfig):
     plus_pool, minus_pool = boundary_pools(dataset.subgraphs, dataset.graph)
     results = {}
     for n_plus, n_minus, k in settings:
-        def run_one(i):
+        rows = []
+        for i in range(n_instances):
             seed_i = config.seed + i
             instance = _instance_from_pools(
                 plus_pool, minus_pool, n_plus, n_minus, seed_i
             )
             links = recommend_links(instance, k, config, seed_i)
-            return score_recommendations(links, instance.truth_links, k), instance.density
-
-        rows = parallel_map(run_one, range(n_instances), config.threads)
+            rows.append(
+                (score_recommendations(links, instance.truth_links, k), instance.density)
+            )
         hrs = np.array([m.hr for m, _ in rows])
         ndcgs = np.array([m.ndcg for m, _ in rows])
         densities = np.array([d for _, d in rows])

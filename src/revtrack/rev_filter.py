@@ -44,21 +44,6 @@ class FilterConfig:
 
 
 @dataclass
-class CandidateList:
-    """Working state of the filter: product-disjoint candidates plus the
-    iteration index that produced them."""
-
-    entries: list  # (SRPair, score or None)
-    iteration: int = 0
-
-    def all_one_one(self) -> bool:
-        return all(sr.is_one_one for sr, _ in self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-
-@dataclass
 class FilterResult:
     links: list  # (SRPair, score), 1-1, ranked by score descending
     iterations: int
@@ -101,15 +86,16 @@ def split_pair(sr: SRPair, rule="sorted_id", rng=None):
     return s1, s2, r1, r2
 
 
-def expand(candidates: CandidateList, rule="sorted_id", rng=None) -> CandidateList:
+def expand(candidates, rule="sorted_id", rng=None):
     """Replace every non-1-1 pair with its nonempty quadrant children.
 
-    Children appear in (S1,R1), (S1,R2), (S2,R1), (S2,R2) order in place of
-    their parent; 1-1 pairs are carried through unchanged. The children's
+    ``candidates`` is a list of (SRPair, score or None). Children appear in
+    (S1,R1), (S1,R2), (S2,R1), (S2,R2) order in place of their parent, with
+    score None; 1-1 pairs are carried through unchanged. The children's
     products partition the parent's product.
     """
     out = []
-    for sr, score_val in candidates.entries:
+    for sr, score_val in candidates:
         if sr.is_one_one:
             out.append((sr, score_val))
             continue
@@ -121,7 +107,7 @@ def expand(candidates: CandidateList, rule="sorted_id", rng=None) -> CandidateLi
                 if not r_half:
                     continue
                 out.append((SRPair(senders=s_half, receivers=r_half), None))
-    return CandidateList(entries=out, iteration=candidates.iteration + 1)
+    return out
 
 
 def _score_all(entries, scorer):
@@ -137,25 +123,20 @@ def _score_all(entries, scorer):
     return scores, failures
 
 
-def filter_step(candidates: CandidateList, keep_count, scorer):
-    """Keep the top ``keep_count`` candidates by score (stable on ties).
+def filter_step(candidates, keep_count, scorer):
+    """Keep the top ``keep_count`` (SRPair, score) candidates (stable on ties).
 
     Lists already within budget pass through unscored. Returns
     (candidates, calls_made, failures).
     """
     if keep_count < 1:
         raise ValueError("keep_count must be >= 1")
-    entries = candidates.entries
-    if len(entries) <= keep_count:
+    if len(candidates) <= keep_count:
         return candidates, 0, 0
-    scores, failures = _score_all(entries, scorer)
+    scores, failures = _score_all(candidates, scorer)
     order = np.argsort(-np.asarray(scores), kind="stable")[:keep_count]
-    kept = [(entries[i][0], scores[i]) for i in order]
-    return (
-        CandidateList(entries=kept, iteration=candidates.iteration),
-        len(entries),
-        failures,
-    )
+    kept = [(candidates[i][0], scores[i]) for i in order]
+    return kept, len(candidates), failures
 
 
 def keep_schedule(config: FilterConfig, t: int, total: int) -> int:
@@ -171,18 +152,7 @@ def keep_schedule(config: FilterConfig, t: int, total: int) -> int:
     return int(round(config.k * (alpha - (alpha - 1.0) * frac)))
 
 
-def _assert_partition(entries, initial: SRPair):
-    all_s = set(initial.senders)
-    all_r = set(initial.receivers)
-    for i, (a, _) in enumerate(entries):
-        assert set(a.senders) <= all_s and set(a.receivers) <= all_r
-        for b, _ in entries[i + 1 :]:
-            if set(a.senders) & set(b.senders) and set(a.receivers) & set(b.receivers):
-                raise AssertionError(f"overlapping candidate products: {a} vs {b}")
-
-
-def rev_filter(initial: SRPair, config: FilterConfig, scorer,
-               check_invariants=False) -> FilterResult:
+def rev_filter(initial: SRPair, config: FilterConfig, scorer) -> FilterResult:
     """Iteratively bisect and prune until k ranked 1-1 links remain.
 
     ``scorer`` maps an SRPair to a suspiciousness probability. If the
@@ -199,29 +169,28 @@ def rev_filter(initial: SRPair, config: FilterConfig, scorer,
         + 1
     )
 
-    candidates = CandidateList(entries=[(initial, None)], iteration=0)
+    candidates = [(initial, None)]
+    iteration = 0
     calls = 0
     failures = 0
-    while not candidates.all_one_one():
-        if candidates.iteration >= max_iterations:
+    while not all(sr.is_one_one for sr, _ in candidates):
+        if iteration >= max_iterations:
             raise RuntimeError("bisection failed to terminate within its bound")
         candidates = expand(candidates, config.split_rule, rng)
-        keep = keep_schedule(config, candidates.iteration - 1, horizon)
+        keep = keep_schedule(config, iteration, horizon)
+        iteration += 1
         candidates, made, failed = filter_step(candidates, keep, scorer)
         calls += made
         failures += failed
-        if check_invariants:
-            _assert_partition(candidates.entries, initial)
 
-    entries = candidates.entries
-    final_scores, failed = _score_all(entries, scorer)
-    calls += len(entries)
+    final_scores, failed = _score_all(candidates, scorer)
+    calls += len(candidates)
     failures += failed
     order = np.argsort(-np.asarray(final_scores), kind="stable")[: config.k]
-    links = [(entries[i][0], final_scores[i]) for i in order]
+    links = [(candidates[i][0], final_scores[i]) for i in order]
     return FilterResult(
         links=links,
-        iterations=candidates.iteration,
+        iterations=iteration,
         classifier_calls=calls,
         scorer_failures=failures,
     )
@@ -296,7 +265,7 @@ def _holdout_split(pairs, valid_frac, seed):
     return train, valid
 
 
-def finetune(model, augmented_pairs, feature_map, config: TrainConfig = None):
+def finetune(model, augmented_pairs, features, config: TrainConfig = None):
     """Continue training on merged pairs; returns (model, history).
 
     A stratified tenth of the augmented set is held out for early
@@ -311,4 +280,4 @@ def finetune(model, augmented_pairs, feature_map, config: TrainConfig = None):
     train_p, valid_p = _holdout_split(augmented_pairs, 0.1, config.seed)
     if not train_p:
         raise ValueError("augmented set too small to fine-tune")
-    return train_model(start, train_p, valid_p, feature_map, config)
+    return train_model(start, train_p, valid_p, features, config)

@@ -58,8 +58,7 @@ def test_make_pairs_labels_and_cache():
         by_label[p.label] += 1
         assert p.sr.senders and p.sr.receivers
     assert by_label[1] == 30 and by_label[0] == 30
-    # every boundary node is in the hash map
-    assert len(fmap) == len({n for p in pairs for n in p.sr.senders + p.sr.receivers})
+    assert fmap is ds.graph.features
 
 
 def test_make_pairs_skips_empty_boundary():
@@ -230,8 +229,8 @@ def test_score_range_and_scorer_consistency():
     for p in test_p[:8]:
         s1 = scorer.score(p.sr)
         s2 = score(model, p.sr, fmap)
-        xs = fmap.matrix(p.sr.senders)
-        xr = fmap.matrix(p.sr.receivers)
+        xs = fmap[list(p.sr.senders)]
+        xr = fmap[list(p.sr.receivers)]
         s3 = nc.score_pair(model, xs, xr)
         assert 0.0 < s1 < 1.0
         assert s1 == pytest.approx(s2, abs=1e-12)

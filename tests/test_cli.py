@@ -74,6 +74,19 @@ def test_nodes_csv_rejects_bad_label(tmp_path):
         io_utils.read_nodes_csv(path)
 
 
+@pytest.mark.parametrize("node_ids, bad", [((10, 20, 30), 40), ((0, 1, 2), -1)],
+                         ids=["remapped-unknown", "dense-negative"])
+def test_load_dataset_rejects_subgraph_ids_outside_graph(tmp_path, node_ids, bad):
+    a, b, _ = node_ids
+    (tmp_path / "nodes.csv").write_text(
+        "id,f_0\n" + "".join(f"{n},1.0\n" for n in node_ids))
+    (tmp_path / "edges.csv").write_text(f"src,dst\n{a},{b}\n")
+    (tmp_path / "subgraphs.jsonl").write_text(
+        json.dumps({"id": "x", "label": "licit", "nodes": [a, bad], "edges": []}) + "\n")
+    with pytest.raises(io_utils.GraphLoadError, match=f"subgraphs.jsonl:1: node id {bad} "):
+        io_utils.load_dataset(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # CLI basics
 
@@ -217,6 +230,49 @@ def test_pipeline_classify_eval_filter_bench(pipeline, capsys, tmp_path):
     for row in table["settings"].values():
         assert 0.0 <= row["hr_mean"] <= 1.0
     assert os.path.exists(str(results) + ".manifest.json")
+
+
+def _boundary_ids(data):
+    graph, subgraphs = io_utils.load_dataset(data)
+    from revtrack.rec_eval import boundary_pools
+
+    plus_pool, minus_pool = boundary_pools(subgraphs, graph)
+    s_ids = sorted({s for ss, _ in plus_pool + minus_pool for s in ss})[:8]
+    r_ids = sorted({r for _, rr in plus_pool + minus_pool for r in rr})[:8]
+    return graph.num_nodes, s_ids, r_ids
+
+
+@pytest.mark.parametrize("defect", ["negative", "out-of-range", "duplicate"])
+def test_filter_rejects_bad_sender_ids(pipeline, tmp_path, capsys, defect):
+    _, data, _, tuned = pipeline
+    num_nodes, s_ids, r_ids = _boundary_ids(data)
+    bad = {"negative": -1, "out-of-range": num_nodes + 5, "duplicate": s_ids[0]}[defect]
+    senders = tmp_path / "senders.txt"
+    receivers = tmp_path / "receivers.txt"
+    senders.write_text("".join(f"{s}\n" for s in [bad] + s_ids))
+    receivers.write_text("".join(f"{r}\n" for r in r_ids))
+    rc = main([
+        "filter", "--model", str(tuned), "--data-dir", str(data),
+        "--senders", str(senders), "--receivers", str(receivers),
+        "--k", "3", "--out", str(tmp_path / "links.csv"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(senders) in err and f"node id {bad}" in err
+
+
+@pytest.mark.parametrize("bad", [99999, -3])
+def test_classify_rejects_subgraph_ids_outside_graph(pipeline, tmp_path, capsys, bad):
+    _, data, model, _ = pipeline
+    sub_path = tmp_path / "subgraphs.jsonl"
+    sub_path.write_text(
+        json.dumps({"id": "x", "label": None, "nodes": [0, 1, bad], "edges": []}) + "\n")
+    rc = main([
+        "classify", "--model", str(model), "--data-dir", str(data),
+        "--subgraphs", str(sub_path), "--out", str(tmp_path / "scores.csv"),
+    ])
+    assert rc == 1
+    assert f"subgraphs.jsonl:1: node id {bad} " in capsys.readouterr().err
 
 
 def test_bench_no_finetune_requires_base_model(pipeline, tmp_path, capsys):

@@ -2,9 +2,14 @@
 
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from revtrack import rev_filter as rf
 
 from revtrack import neural_core as nc
 from revtrack.classifier import (
@@ -18,7 +23,6 @@ from revtrack.classifier import (
 )
 from revtrack.rev_filter import (
     AugmentConfig,
-    CandidateList,
     FilterConfig,
     expand,
     filter_step,
@@ -79,21 +83,19 @@ def test_split_pair_odd_side():
 
 
 def test_expand_quadrants():
-    clist = CandidateList([(SRPair(senders=(1, 2), receivers=(3, 4)), None)])
-    out = expand(clist)
-    got = [(sr.senders, sr.receivers) for sr, _ in out.entries]
+    out = expand([(SRPair(senders=(1, 2), receivers=(3, 4)), None)])
+    got = [(sr.senders, sr.receivers) for sr, _ in out]
     assert got == [((1,), (3,)), ((1,), (4,)), ((2,), (3,)), ((2,), (4,))]
-    assert out.iteration == 1
 
 
 def test_expand_carries_one_one():
     entries = [(SRPair(senders=(1,), receivers=(3,)), 0.7)]
-    assert expand(CandidateList(entries)).entries == entries
+    assert expand(entries) == entries
 
 
 def test_expand_singleton_side_two_children():
-    out = expand(CandidateList([(SRPair(senders=(1,), receivers=(3, 4)), None)]))
-    got = [(sr.senders, sr.receivers) for sr, _ in out.entries]
+    out = expand([(SRPair(senders=(1,), receivers=(3, 4)), None)])
+    got = [(sr.senders, sr.receivers) for sr, _ in out]
     assert got == [((1,), (3,)), ((1,), (4,))]
 
 
@@ -103,9 +105,9 @@ def test_expand_children_partition_parent_exhaustive():
             if ns == 1 and nr == 1:
                 continue
             parent = SRPair(senders=tuple(range(ns)), receivers=tuple(range(100, 100 + nr)))
-            children = expand(CandidateList([(parent, None)]))
+            children = expand([(parent, None)])
             seen = set()
-            for sr, _ in children.entries:
+            for sr, _ in children:
                 prod = {(s, r) for s in sr.senders for r in sr.receivers}
                 assert not (prod & seen), "children products overlap"
                 seen |= prod
@@ -113,12 +115,10 @@ def test_expand_children_partition_parent_exhaustive():
 
 
 def test_expand_seeded_random_deterministic():
-    clist = CandidateList(
-        [(SRPair(senders=tuple(range(8)), receivers=tuple(range(20, 26))), None)]
-    )
+    clist = [(SRPair(senders=tuple(range(8)), receivers=tuple(range(20, 26))), None)]
     a = expand(clist, "seeded_random", np.random.default_rng(5))
     b = expand(clist, "seeded_random", np.random.default_rng(5))
-    assert a.entries == b.entries
+    assert a == b
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +128,15 @@ def test_expand_seeded_random_deterministic():
 def test_filter_step_stable_ties():
     pairs = [SRPair(senders=(i,), receivers=(100 + i,)) for i in range(3)]
     table = {pairs[0]: 0.9, pairs[1]: 0.2, pairs[2]: 0.9}
-    clist = CandidateList([(p, None) for p in pairs])
+    clist = [(p, None) for p in pairs]
     kept, calls, failures = filter_step(clist, 2, lambda sr: table[sr])
-    assert [e[0] for e in kept.entries] == [pairs[0], pairs[2]]
-    assert [e[1] for e in kept.entries] == [0.9, 0.9]
+    assert [e[0] for e in kept] == [pairs[0], pairs[2]]
+    assert [e[1] for e in kept] == [0.9, 0.9]
     assert calls == 3 and failures == 0
 
 
 def test_filter_step_within_budget_unchanged():
-    clist = CandidateList([(SRPair(senders=(1,), receivers=(2,)), None)])
+    clist = [(SRPair(senders=(1,), receivers=(2,)), None)]
     calls = []
     kept, made, _ = filter_step(clist, 5, lambda sr: calls.append(sr) or 1.0)
     assert kept is clist
@@ -151,9 +151,9 @@ def test_filter_step_scorer_failure_scores_zero():
             raise RuntimeError("boom")
         return 0.5
 
-    kept, _, failures = filter_step(CandidateList([(p, None) for p in pairs]), 2, flaky)
+    kept, _, failures = filter_step([(p, None) for p in pairs], 2, flaky)
     assert failures == 1
-    assert pairs[1] not in [e[0] for e in kept.entries]
+    assert pairs[1] not in [e[0] for e in kept]
 
 
 def test_keep_schedule_examples():
@@ -175,6 +175,34 @@ def test_keep_schedule_k1():
 
 # ---------------------------------------------------------------------------
 # rev_filter
+
+
+def _assert_partition(entries, initial: SRPair):
+    all_s = set(initial.senders)
+    all_r = set(initial.receivers)
+    for i, (a, _) in enumerate(entries):
+        assert set(a.senders) <= all_s and set(a.receivers) <= all_r
+        for b, _ in entries[i + 1 :]:
+            if set(a.senders) & set(b.senders) and set(a.receivers) & set(b.receivers):
+                raise AssertionError(f"overlapping candidate products: {a} vs {b}")
+
+
+@contextmanager
+def partition_checked(initial):
+    """Check every round's kept candidates against ``initial`` while
+    rev_filter runs; yields the list of per-round kept counts."""
+    rounds = []
+    original = rf.filter_step
+
+    def checked(candidates, keep_count, scorer):
+        out = original(candidates, keep_count, scorer)
+        _assert_partition(out[0], initial)
+        rounds.append(len(out[0]))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rf, "filter_step", checked)
+        yield rounds
 
 
 def test_rev_filter_bruteforce_two_by_two():
@@ -217,14 +245,46 @@ def test_rev_filter_oracle_completeness():
         k = n_plus + int(rng.integers(0, 4))
         alpha = float(rng.choice([1.0, 1.5, 2.0]))
         rule = str(rng.choice(["sorted_id", "seeded_random"]))
-        res = rev_filter(
-            SRPair(senders=senders, receivers=receivers),
-            FilterConfig(k=k, alpha_keep=alpha, split_rule=rule, seed=trial),
-            OracleScorer(links),
-            check_invariants=True,
-        )
+        initial = SRPair(senders=senders, receivers=receivers)
+        with partition_checked(initial) as rounds:
+            res = rev_filter(
+                initial,
+                FilterConfig(k=k, alpha_keep=alpha, split_rule=rule, seed=trial),
+                OracleScorer(links),
+            )
+        assert len(rounds) == res.iterations
         found = {(sr.senders[0], sr.receivers[0]) for sr, s in res.links if s == 1.0}
         assert found == links, f"trial {trial}: missed true links"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ns=st.integers(1, 40),
+    nr=st.integers(1, 40),
+    k=st.integers(1, 25),
+    alpha=st.floats(1.0, 3.0),
+    rule=st.sampled_from(["sorted_id", "seeded_random"]),
+    seed=st.integers(0, 2**16),
+)
+def test_rev_filter_property_partition_termination_links(ns, nr, k, alpha, rule, seed):
+    initial = SRPair(senders=tuple(range(ns)), receivers=tuple(range(100, 100 + nr)))
+    rng = np.random.default_rng(seed)
+    table = {}
+
+    def scorer(sr):
+        return table.setdefault(sr, float(rng.random()))
+
+    with partition_checked(initial) as rounds:
+        res = rev_filter(
+            initial, FilterConfig(k=k, alpha_keep=alpha, split_rule=rule, seed=seed), scorer
+        )
+    assert len(rounds) == res.iterations
+    assert res.iterations <= math.ceil(math.log2(max(ns, nr)))
+    links = [(sr.senders, sr.receivers) for sr, _ in res.links]
+    assert all(len(s) == 1 and len(r) == 1 for s, r in links)
+    assert len(set(links)) == len(links) == min(k, ns * nr)
+    scores = [score_val for _, score_val in res.links]
+    assert scores == sorted(scores, reverse=True)
 
 
 def test_rev_filter_termination_and_call_budget():
