@@ -196,58 +196,48 @@ def f1_at_threshold(scores, labels, threshold=0.5):
 # scoring
 
 
+# Pairs per kernel call. One call holds ~10 kB of activations per 1-1 pair
+# (hidden_dim 64), so a one-pass ranking of |S|*|R| links or a large
+# classify file must not go to the kernel whole.
+SCORE_CHUNK = 1024
+
+
 class PairScorer:
-    """Scores SRPairs against a fixed model, reusing per-node work.
+    """Scores lists of SRPairs against a fixed model.
 
     ``features`` is the graph's feature array; node ids index its rows.
-    For the set-encoder architecture the per-element encoding of each node
-    is cached on first use, which makes large batches of small pairs (the
-    filtering workloads) much cheaper.
+    Calling the scorer on a list of pairs stacks their feature rows and
+    scores them with one ``neural_core.batch_logits`` call per
+    ``SCORE_CHUNK`` pairs.
     """
 
     def __init__(self, model, features):
         self.model = model
         self.features = features
-        self.calls = 0
-        self._phi_cache = {}
 
-    def _phi_rows(self, nodes, params):
-        rows = []
-        for n in nodes:
-            key = (id(params), n)
-            row = self._phi_cache.get(key)
-            if row is None:
-                row = nc.mlp_forward(params.phi, self.features[n])
-                self._phi_cache[key] = row
-            rows.append(row)
-        return np.stack(rows)
+    def __call__(self, srs) -> list:
+        """Suspiciousness probabilities of the pairs ``srs``, in order."""
+        return [p for i in range(0, len(srs), SCORE_CHUNK)
+                for p in self._probabilities(srs[i:i + SCORE_CHUNK])]
+
+    def _probabilities(self, srs):
+        senders = [n for sr in srs for n in sr.senders]
+        receivers = [n for sr in srs for n in sr.receivers]
+        logits = nc.batch_logits(
+            self.model,
+            self.features[np.array(senders, dtype=np.intp)],
+            self.features[np.array(receivers, dtype=np.intp)],
+            [len(sr.senders) for sr in srs],
+            [len(sr.receivers) for sr in srs],
+        )
+        return nc.sigmoid(logits).tolist()
 
     def score(self, sr: SRPair) -> float:
-        self.calls += 1
-        if self.model.arch == "ds":
-            enc_s, enc_r = self.model.sender_enc, self.model.receiver_enc
-            pooled_s = nc._pool(enc_s.pool, self._phi_rows(sr.senders, enc_s))
-            pooled_r = nc._pool(enc_r.pool, self._phi_rows(sr.receivers, enc_r))
-            h_s = nc.mlp_forward(enc_s.rho, pooled_s)
-            h_r = nc.mlp_forward(enc_r.rho, pooled_r)
-            h_pair = nc.mlp_forward(self.model.trunk, np.concatenate([h_s, h_r]))
-            logit = nc.mlp_forward(self.model.logit, h_pair)[0]
-            return float(nc.sigmoid(logit))
-        xs = self.features[list(sr.senders)]
-        xr = self.features[list(sr.receivers)]
-        return nc.score_pair(self.model, xs, xr)
-
-    def score_many(self, srs) -> np.ndarray:
-        return np.array([self.score(sr) for sr in srs])
-
-    def __call__(self, sr: SRPair) -> float:
-        return self.score(sr)
+        return self([sr])[0]
 
 
 def score(model, sr: SRPair, features) -> float:
     """Probability that the pair bounds a suspicious flow."""
-    if not sr.senders or not sr.receivers:
-        raise ValueError("cannot score a pair with an empty side")
     return PairScorer(model, features).score(sr)
 
 
@@ -262,17 +252,13 @@ def _as_batch(pairs, features):
     ]
 
 
-def _validation_metric(model, valid_batch):
+def _validation_metric(model, valid_pairs, features):
     """Validation PR-AUC when defined, otherwise negative mean loss."""
-    labels = [y for _, _, y in valid_batch]
-    scores, loss = [], 0.0
-    for xs, xr, y in valid_batch:
-        p = nc.sigmoid(nc.forward_logit(model, xs, xr))
-        scores.append(p)
-        loss += nc.bce_loss(p, y)
+    labels = [p.label for p in valid_pairs]
+    scores = PairScorer(model, features)([p.sr for p in valid_pairs])
     if 0 < sum(labels) < len(labels):
         return average_precision(scores, labels)
-    return -loss / max(len(valid_batch), 1)
+    return -float(np.sum(nc.bce_loss(scores, labels))) / max(len(valid_pairs), 1)
 
 
 def train_model(model, train_pairs, valid_pairs, features, config: TrainConfig):
@@ -286,7 +272,6 @@ def train_model(model, train_pairs, valid_pairs, features, config: TrainConfig):
         raise ValueError("empty training set")
     rng = np.random.default_rng(config.seed + 1)
     train_batchable = _as_batch(train_pairs, features)
-    valid_batch = _as_batch(valid_pairs, features)
 
     state = nc.init_adam(nc.parameters(model), lr=config.lr)
     best_metric = -np.inf
@@ -308,8 +293,8 @@ def train_model(model, train_pairs, valid_pairs, features, config: TrainConfig):
             epoch_loss += loss * len(batch)
             nc.set_parameters(model, nc.adam_step(state, nc.parameters(model), grads))
         metric = (
-            _validation_metric(model, valid_batch)
-            if valid_batch
+            _validation_metric(model, valid_pairs, features)
+            if valid_pairs
             else -epoch_loss / len(train_batchable)
         )
         history.append(
@@ -359,8 +344,7 @@ def evaluate(model, test_pairs, features, threshold=0.5) -> ClassifierMetrics:
     labels = [p.label for p in test_pairs]
     if len(set(labels)) < 2:
         raise ValueError("PR-AUC undefined on a single-class test set")
-    scorer = PairScorer(model, features)
-    scores = scorer.score_many([p.sr for p in test_pairs])
+    scores = PairScorer(model, features)([p.sr for p in test_pairs])
     return ClassifierMetrics(
         pr_auc=average_precision(scores, labels),
         f1=f1_at_threshold(scores, labels, threshold),

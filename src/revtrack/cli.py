@@ -2,10 +2,10 @@
 
 Subcommands: generate, graphlets, train, finetune, classify, eval-cls,
 filter, bench-rec. Exit codes: 0 success, 1 validation/usage error,
-2 runtime error. Diagnostics go to stderr; data goes only to the output
-path (or stdout for eval-cls). Every mutating command writes a run
-manifest next to its output recording config hash, seeds, and input
-digests.
+2 runtime error (for filter, also when the scorer failed on any pair).
+Diagnostics go to stderr; data goes only to the output path (or stdout
+for eval-cls). Every mutating command writes a run manifest next to its
+output recording config hash, seeds, and input digests.
 """
 
 import argparse
@@ -229,17 +229,18 @@ def cmd_classify(args):
     model = load_checkpoint(args.model)
     graph, _ = load_dataset(args.data_dir, require_subgraphs=False)
     subgraphs = read_subgraphs_jsonl(args.subgraphs, graph.id_remap, graph.num_nodes)
-    scorer = PairScorer(model, graph.features)
-    skipped = 0
+    ids, srs = [], []
+    for sg in subgraphs:
+        b = extract_boundary(graph, sg)
+        if not b.has_empty_boundary:
+            ids.append(sg.id)
+            srs.append(SRPair(senders=tuple(b.senders), receivers=tuple(b.receivers)))
+    skipped = len(subgraphs) - len(srs)
+    scores = PairScorer(model, graph.features)(srs)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("subgraph_id,score,label_pred\n")
-        for sg in subgraphs:
-            b = extract_boundary(graph, sg)
-            if b.has_empty_boundary:
-                skipped += 1
-                continue
-            s = scorer(SRPair(senders=tuple(b.senders), receivers=tuple(b.receivers)))
-            fh.write(f"{sg.id},{repr(s)},{int(s >= args.threshold)}\n")
+        for sg_id, s in zip(ids, scores):
+            fh.write(f"{sg_id},{repr(s)},{int(s >= args.threshold)}\n")
     if skipped:
         _log(f"skipped {skipped} subgraphs with empty boundary")
     _emit_manifest(
@@ -268,8 +269,17 @@ def cmd_eval_cls(args):
 
 def _read_id_file(path, graph):
     """Dense ids of a one-id-per-line file; unknown or repeated ids fail."""
+    ids = []
     with open(path, encoding="utf-8") as fh:
-        ids = [int(line.strip()) for line in fh if line.strip()]
+        for line_no, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                ids.append(int(text))
+            except ValueError:
+                raise GraphLoadError(
+                    f"{path}:{line_no}: node id {text} is not an integer") from None
     seen = set()
     for n in ids:
         if n in seen:
@@ -312,7 +322,7 @@ def cmd_filter(args):
         + [args.model, args.senders, args.receivers],
         started,
     )
-    return 0
+    return 2 if result.scorer_failures else 0
 
 
 def cmd_bench_rec(args):

@@ -7,7 +7,6 @@ receivers) is derived from those.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -460,54 +459,3 @@ def graphlet_census(subgraphs, node_cap: int = 200) -> GraphletHistogram:
                 adj[v].add(u)
         _count_graphlets_one(sg.nodes, adj, hist.counts)
     return hist
-
-
-def graphlet_census_bruteforce(subgraphs) -> GraphletHistogram:
-    """Exhaustive subset-enumeration census; independent check for small inputs."""
-    hist = GraphletHistogram()
-    for sg in subgraphs:
-        adj = {v: set() for v in sg.nodes}
-        for u, v in sg.edges:
-            if u != v:
-                adj[u].add(v)
-                adj[v].add(u)
-        for k in (2, 3, 4):
-            for subset in combinations(sg.nodes, k):
-                if not _is_connected_subset(subset, adj):
-                    continue
-                deg = [sum(1 for w in subset if w in adj[u] and w != u) for u in subset]
-                edge_count = sum(deg) // 2
-                hist.counts[_classify_graphlet(k, edge_count, deg)] += 1
-    return hist
-
-
-def _is_connected_subset(subset, adj):
-    subset_set = set(subset)
-    seen = {subset[0]}
-    frontier = [subset[0]]
-    while frontier:
-        u = frontier.pop()
-        for w in adj[u]:
-            if w in subset_set and w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == len(subset)
-
-
-def topological_order(nodes, edges):
-    """Kahn topological sort; returns None if the edge set has a cycle."""
-    indeg = {v: 0 for v in nodes}
-    adj = {v: [] for v in nodes}
-    for u, v in edges:
-        adj[u].append(v)
-        indeg[v] += 1
-    ready = sorted(v for v in nodes if indeg[v] == 0)
-    order = []
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for w in adj[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    return order if len(order) == len(nodes) else None

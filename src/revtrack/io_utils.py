@@ -110,11 +110,12 @@ def dense_node_ids(ids, source, id_remap=None, num_nodes=None):
     otherwise, given ``num_nodes``, it must lie in [0, num_nodes), so a
     negative id cannot alias a row from the end. With neither, ids pass
     through unchecked. Raises GraphLoadError naming ``source`` and the
-    first id that is not a node of the graph.
+    first id that is not an integer or not a node of the graph.
     """
     out = []
     for n in ids:
-        n = int(n)
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise GraphLoadError(f"{source}: node id {n!r} is not an integer")
         dense = id_remap.get(n) if id_remap else n
         if dense is None or (num_nodes is not None and not 0 <= dense < num_nodes):
             raise GraphLoadError(f"{source}: node id {n} is not a node of the graph")
@@ -135,12 +136,20 @@ def read_subgraphs_jsonl(path, id_remap=None, num_nodes=None):
             except json.JSONDecodeError as exc:
                 raise GraphLoadError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
             where = f"{path}:{line_no}"
+            if not isinstance(record, dict) or not {"id", "nodes", "edges"} <= record.keys():
+                raise GraphLoadError(f"{where}: record needs keys 'id', 'nodes' and 'edges'")
+            nodes, edges = record["nodes"], record["edges"]
+            if not isinstance(nodes, list) or not isinstance(edges, list):
+                raise GraphLoadError(f"{where}: 'nodes' and 'edges' must be lists")
+            for e in edges:
+                if not isinstance(e, list) or len(e) != 2:
+                    raise GraphLoadError(f"{where}: edge {e!r} is not a [src, dst] pair")
             subgraphs.append(
                 Subgraph(
                     id=str(record["id"]),
-                    nodes=dense_node_ids(record["nodes"], where, id_remap, num_nodes),
+                    nodes=dense_node_ids(nodes, where, id_remap, num_nodes),
                     edges=tuple(dense_node_ids(e, where, id_remap, num_nodes)
-                                for e in record["edges"]),
+                                for e in edges),
                     label=record.get("label"),
                 )
             )

@@ -4,8 +4,13 @@ Everything runs on float64 numpy arrays. Two binary classifiers are built
 from these pieces: a Deep Sets model (one permutation-invariant encoder per
 side, concatenated, then an MLP head) and a bipartite model (one GIN-style
 message round on the fully connected sender->receiver digraph, pooled).
-Gradients are computed by hand-written reverse passes and are exact up to
-floating point; see the finite-difference tests.
+
+Both run through one batched kernel: ``batch_logits`` takes the stacked
+sender rows and receiver rows of many pairs plus per-pair set sizes, and
+pools each set with a segment reduction, so training, validation and
+scoring evaluate many pairs per pass instead of one. ``batch_backward``
+is its hand-written reverse pass; gradients are exact up to floating point
+(see the finite-difference tests).
 """
 
 import json
@@ -110,41 +115,6 @@ class DeepSetsParams:
     rho: MlpParams
 
 
-def _pool(kind, rows):
-    if kind == "sum":
-        return rows.sum(axis=0)
-    if kind == "mean":
-        return rows.mean(axis=0)
-    raise ValueError(f"unknown pool {kind!r}")
-
-
-def deepsets_embed(params: DeepSetsParams, elements, cache=None):
-    """rho(pool(phi(e) for e in elements)); invariant to element order."""
-    x = np.atleast_2d(np.asarray(elements, dtype=np.float64))
-    if x.shape[0] == 0:
-        raise ValueError("deepsets_embed requires a nonempty element set")
-    phi_cache = [] if cache is not None else None
-    u = mlp_forward(params.phi, x, phi_cache)
-    pooled = _pool(params.pool, u)
-    rho_cache = [] if cache is not None else None
-    out = mlp_forward(params.rho, pooled, rho_cache)
-    if cache is not None:
-        cache["phi"] = phi_cache
-        cache["rho"] = rho_cache
-        cache["n"] = x.shape[0]
-    return out
-
-
-def deepsets_backward(params: DeepSetsParams, cache, d_out):
-    rho_grads, d_pooled = mlp_backward(params.rho, cache["rho"], d_out)
-    n = cache["n"]
-    d_u = np.repeat(np.atleast_2d(d_pooled), n, axis=0)
-    if params.pool == "mean":
-        d_u = d_u / n
-    phi_grads, _ = mlp_backward(params.phi, cache["phi"], d_u)
-    return phi_grads, rho_grads
-
-
 @dataclass
 class BipartiteParams:
     """One message round on the fully connected sender->receiver digraph.
@@ -160,48 +130,32 @@ class BipartiteParams:
     head: MlpParams
 
 
-def bipartite_embed(params: BipartiteParams, senders, receivers, cache=None):
-    xs = np.atleast_2d(np.asarray(senders, dtype=np.float64))
-    xr = np.atleast_2d(np.asarray(receivers, dtype=np.float64))
-    if xs.shape[0] == 0 or xr.shape[0] == 0:
-        raise ValueError("bipartite_embed requires nonempty sender and receiver sets")
-    s_sum = xs.sum(axis=0)
-    z_in = np.vstack([(1.0 + params.epsilon) * xs, (1.0 + params.epsilon) * xr + s_sum])
-    mlp_cache = [] if cache is not None else None
-    states = mlp_forward(params.node_mlp, z_in, mlp_cache)
-    if params.readout == "sum":
-        pooled = states.sum(axis=0)
-    elif params.readout == "mean":
-        pooled = states.mean(axis=0)
-    elif params.readout == "max":
-        pooled = states.max(axis=0)
-    else:
-        raise ValueError(f"unknown readout {params.readout!r}")
-    head_cache = [] if cache is not None else None
-    out = mlp_forward(params.head, pooled, head_cache)
-    if cache is not None:
-        cache["node_mlp"] = mlp_cache
-        cache["head"] = head_cache
-        cache["states"] = states
-        cache["counts"] = (xs.shape[0], xr.shape[0])
-    return out
+def _segment_pool(kind, rows, lengths):
+    """Pool each run of ``lengths[i]`` consecutive rows into one row."""
+    starts = np.cumsum(lengths) - lengths
+    if kind == "max":
+        return np.maximum.reduceat(rows, starts, axis=0)
+    if kind not in ("sum", "mean"):
+        raise ValueError(f"unknown pool {kind!r}")
+    pooled = np.add.reduceat(rows, starts, axis=0)
+    return pooled / lengths[:, None] if kind == "mean" else pooled
 
 
-def bipartite_backward(params: BipartiteParams, cache, d_out):
-    head_grads, d_pooled = mlp_backward(params.head, cache["head"], d_out)
-    states = cache["states"]
-    n_total = states.shape[0]
-    d_pooled = np.atleast_2d(d_pooled)
-    if params.readout == "sum":
-        d_states = np.repeat(d_pooled, n_total, axis=0)
-    elif params.readout == "mean":
-        d_states = np.repeat(d_pooled, n_total, axis=0) / n_total
-    else:  # max: route each component to its argmax row
-        d_states = np.zeros_like(states)
-        winners = states.argmax(axis=0)
-        d_states[winners, np.arange(states.shape[1])] = d_pooled[0]
-    mlp_grads, _ = mlp_backward(params.node_mlp, cache["node_mlp"], d_states)
-    return mlp_grads, head_grads
+def _segment_pool_backward(kind, rows, lengths, pooled, d_pooled):
+    """Gradient w.r.t. ``rows`` of ``_segment_pool``; max feeds its argmax row."""
+    if kind == "max":
+        # first row of each segment that attains the max, per column; a NaN
+        # counts as the max, as in argmax, so diverged weights still reach
+        # the caller's non-finite-loss check
+        hit = (rows == np.repeat(pooled, lengths, axis=0)) | np.isnan(rows)
+        row_ids = np.where(hit, np.arange(len(rows))[:, None], len(rows))
+        winners = np.minimum.reduceat(row_ids, np.cumsum(lengths) - lengths, axis=0)
+        d_rows = np.zeros_like(rows)
+        np.put_along_axis(d_rows, winners, d_pooled, axis=0)
+        return d_rows
+    if kind == "mean":
+        d_pooled = d_pooled / lengths[:, None]
+    return np.repeat(d_pooled, lengths, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,66 +264,97 @@ def build_bp_model(rng, feature_dim, hidden_dim=64, readout="sum", epsilon=0.0):
     return BpClassifier(core, logit, config)
 
 
-def forward_logit(model, sender_feats, receiver_feats, cache=None):
-    """Raw classifier output before the sigmoid."""
+def batch_logits(model, xs, xr, ns, nr, cache=None):
+    """Raw classifier outputs, before the sigmoid, for a batch of pairs.
+
+    ``xs`` stacks the sender feature rows of every pair in batch order, pair
+    i owning ``ns[i]`` consecutive rows; ``xr`` and ``nr`` do the same for
+    the receivers. Every layer runs once over all rows (phi, node_mlp) or
+    all pairs (rho, head, trunk, logit), and each set pool is a segment
+    reduction, so a pair's logit does not depend on the rest of the batch
+    up to floating-point summation order. A dict ``cache`` receives what
+    ``batch_backward`` needs. Raises ValueError if a pair has an empty side.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    nr = np.asarray(nr, dtype=np.int64)
+    if (ns < 1).any() or (nr < 1).any():
+        raise ValueError("every pair needs nonempty sender and receiver sets")
+    saved = {"mlps": {name: [] for name, _ in model.named_mlps()}}
+    run = lambda name, mlp, x: mlp_forward(mlp, x, saved["mlps"][name])
     if model.arch == "ds":
-        c_s = {} if cache is not None else None
-        c_r = {} if cache is not None else None
-        h_s = deepsets_embed(model.sender_enc, sender_feats, c_s)
-        h_r = deepsets_embed(model.receiver_enc, receiver_feats, c_r)
-        joint = np.concatenate([h_s, h_r])
-        trunk_cache = [] if cache is not None else None
-        h_pair = mlp_forward(model.trunk, joint, trunk_cache)
-        logit_cache = [] if cache is not None else None
-        out = mlp_forward(model.logit, h_pair, logit_cache)
-        if cache is not None:
-            cache.update(
-                sender=c_s, receiver=c_r, trunk=trunk_cache, logit=logit_cache,
-                split=h_s.shape[0],
-            )
-        return float(out[0])
-    c_core = {} if cache is not None else None
-    emb = bipartite_embed(model.core, sender_feats, receiver_feats, c_core)
-    logit_cache = [] if cache is not None else None
-    out = mlp_forward(model.logit, emb, logit_cache)
-    if cache is not None:
-        cache.update(core=c_core, logit=logit_cache)
-    return float(out[0])
-
-
-def score_pair(model, sender_feats, receiver_feats):
-    return float(sigmoid(forward_logit(model, sender_feats, receiver_feats)))
-
-
-def _backward_one(model, cache, d_logit):
-    """Gradient lists in parameters() order for one pair."""
-    if model.arch == "ds":
-        grads = {}
-        (d_ws, d_bs), d_hpair = mlp_backward(model.logit, cache["logit"], np.array([d_logit]))
-        grads["logit"] = (d_ws, d_bs)
-        trunk_grads, d_joint = mlp_backward(model.trunk, cache["trunk"], d_hpair)
-        grads["trunk"] = trunk_grads
-        k = cache["split"]
-        d_hs, d_hr = d_joint[0, :k], d_joint[0, k:]
-        s_phi, s_rho = deepsets_backward(model.sender_enc, cache["sender"], d_hs)
-        r_phi, r_rho = deepsets_backward(model.receiver_enc, cache["receiver"], d_hr)
-        grads["sender_phi"] = s_phi
-        grads["sender_rho"] = s_rho
-        grads["receiver_phi"] = r_phi
-        grads["receiver_rho"] = r_rho
+        sides = []
+        for side, enc, x, lengths in (("sender", model.sender_enc, xs, ns),
+                                      ("receiver", model.receiver_enc, xr, nr)):
+            if enc.pool not in ("sum", "mean"):
+                raise ValueError(f"unknown pool {enc.pool!r}")
+            u = run(f"{side}_phi", enc.phi, x)
+            pooled = _segment_pool(enc.pool, u, lengths)
+            saved[side] = (u, lengths, pooled)
+            sides.append(run(f"{side}_rho", enc.rho, pooled))
+        emb = run("trunk", model.trunk, np.hstack(sides))
     else:
-        grads = {}
-        (d_ws, d_bs), d_emb = mlp_backward(model.logit, cache["logit"], np.array([d_logit]))
-        grads["logit"] = (d_ws, d_bs)
-        mlp_grads, head_grads = bipartite_backward(model.core, cache["core"], d_emb)
-        grads["node_mlp"] = mlp_grads
-        grads["head"] = head_grads
+        core = model.core
+        s_sum = _segment_pool("sum", xs, ns)
+        z_in = np.vstack([(1.0 + core.epsilon) * xs,
+                          (1.0 + core.epsilon) * xr + np.repeat(s_sum, nr, axis=0)])
+        states = run("node_mlp", core.node_mlp, z_in)
+        # regroup the rows pair by pair, each pair's senders before its receivers
+        order = np.argsort(np.concatenate([np.repeat(np.arange(len(ns)), ns),
+                                           np.repeat(np.arange(len(nr)), nr)]),
+                           kind="stable")
+        grouped = states[order]
+        pooled = _segment_pool(core.readout, grouped, ns + nr)
+        saved["core"] = (order, grouped, ns + nr, pooled)
+        emb = run("head", core.head, pooled)
+    out = run("logit", model.logit, emb)[:, 0]
+    if cache is not None:
+        cache.update(saved)
+    return out
+
+
+def batch_backward(model, cache, d_logits):
+    """Gradients, in parameters() order, of sum_i d_logits[i] * logit_i.
+
+    ``cache`` comes from ``batch_logits`` on the same batch.
+    """
+    caches = cache["mlps"]
+    grads = {}
+
+    def back(name, mlp, d_out):
+        grads[name], d_in = mlp_backward(mlp, caches[name], d_out)
+        return d_in
+
+    d_emb = back("logit", model.logit, np.asarray(d_logits, dtype=np.float64)[:, None])
+    if model.arch == "ds":
+        d_joint = back("trunk", model.trunk, d_emb)
+        k = model.sender_enc.rho.weights[-1].shape[0]
+        for side, enc, d_h in (("sender", model.sender_enc, d_joint[:, :k]),
+                               ("receiver", model.receiver_enc, d_joint[:, k:])):
+            u, lengths, pooled = cache[side]
+            d_pooled = back(f"{side}_rho", enc.rho, d_h)
+            back(f"{side}_phi", enc.phi,
+                 _segment_pool_backward(enc.pool, u, lengths, pooled, d_pooled))
+    else:
+        order, grouped, lengths, pooled = cache["core"]
+        d_pooled = back("head", model.core.head, d_emb)
+        d_grouped = _segment_pool_backward(model.core.readout, grouped, lengths,
+                                           pooled, d_pooled)
+        d_states = np.empty_like(d_grouped)
+        d_states[order] = d_grouped
+        back("node_mlp", model.core.node_mlp, d_states)
     flat = []
-    for name, mlp in model.named_mlps():
+    for name, _ in model.named_mlps():
         d_ws, d_bs = grads[name]
         for dw, db in zip(d_ws, d_bs):
             flat.extend([dw, db])
     return flat
+
+
+def forward_logit(model, sender_feats, receiver_feats):
+    """Raw classifier output for one pair of feature-row sets."""
+    xs = np.atleast_2d(np.asarray(sender_feats, dtype=np.float64))
+    xr = np.atleast_2d(np.asarray(receiver_feats, dtype=np.float64))
+    return float(batch_logits(model, xs, xr, [len(xs)], [len(xr)])[0])
 
 
 def parameters(model):
@@ -393,24 +378,27 @@ def set_parameters(model, arrays):
 def backward(model, batch, pos_weight=1.0):
     """Mean-BCE loss and its exact gradients over a batch.
 
-    ``batch`` is a list of (sender_feats, receiver_feats, label) triples.
-    Gradients are accumulated in batch-index order so results are bitwise
-    reproducible. Returns (loss, grads) with grads in parameters() order.
+    ``batch`` is a list of (sender_feats, receiver_feats, label) triples;
+    one ``batch_logits``/``batch_backward`` pass covers all of them, so
+    results are bitwise reproducible. Returns (loss, grads) with grads in
+    parameters() order.
     """
     n = len(batch)
-    totals = [np.zeros_like(p) for p in parameters(model)]
-    loss = 0.0
-    for xs, xr, y in batch:
-        cache = {}
-        z = forward_logit(model, xs, xr, cache)
-        p = sigmoid(z)
-        w = pos_weight if y == 1 else 1.0
-        loss += w * bce_loss(p, y)
-        pc = min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
-        d_logit = w * (pc - y) / n
-        for acc, g in zip(totals, _backward_one(model, cache, d_logit)):
-            acc += g
-    return loss / n, totals
+    y = np.array([label for _, _, label in batch], dtype=np.float64)
+    cache = {}
+    z = batch_logits(
+        model,
+        np.concatenate([xs for xs, _, _ in batch]),
+        np.concatenate([xr for _, xr, _ in batch]),
+        [len(xs) for xs, _, _ in batch],
+        [len(xr) for _, xr, _ in batch],
+        cache,
+    )
+    p = sigmoid(z)
+    w = np.where(y == 1, pos_weight, 1.0)
+    loss = float(np.sum(w * bce_loss(p, y)))
+    d_logits = w * (np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP) - y) / n
+    return loss / n, batch_backward(model, cache, d_logits)
 
 
 # ---------------------------------------------------------------------------

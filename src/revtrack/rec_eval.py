@@ -144,7 +144,7 @@ def score_recommendations(recommended, truth, k) -> RecMetrics:
 
 @dataclass
 class BenchmarkConfig:
-    scorer: object                 # callable SRPair -> probability
+    scorer: object                 # callable [SRPair] -> [probability]
     base_scorer: object = None     # pre-fine-tuning scorer (no-finetune variant)
     variant: str = "full"          # full | no-iter | no-finetune | keep1
     alpha_keep: float = 1.5
@@ -159,11 +159,11 @@ class BenchmarkConfig:
 
 
 def one_pass_topk(instance: RecTestInstance, k, scorer):
-    """Score every 1-1 link directly and keep the top k (no iterations)."""
+    """Score every 1-1 link in one scorer call and keep the top k (no iterations)."""
     links = [
         (s, r) for s in instance.senders for r in instance.receivers
     ]
-    scores = [scorer(SRPair(senders=(s,), receivers=(r,))) for s, r in links]
+    scores = scorer([SRPair(senders=(s,), receivers=(r,)) for s, r in links])
     order = np.argsort(-np.asarray(scores), kind="stable")[:k]
     return [links[i] for i in order]
 

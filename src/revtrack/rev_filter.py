@@ -2,11 +2,11 @@
 
 Starting from one (sender set, receiver set) pair, each round bisects both
 sides of every candidate pair, replaces the pair by its nonempty quadrant
-children, scores all candidates with a pretrained pair classifier, and
-keeps only the best. Candidate products stay pairwise disjoint subsets of
-the initial product, so every concrete (sender, receiver) link is
-represented by exactly one candidate at all times. The process ends when
-all survivors are 1-1 links.
+children, scores all candidates with a pretrained pair classifier in one
+scorer call, and keeps only the best. Candidate products stay pairwise
+disjoint subsets of the initial product, so every concrete (sender,
+receiver) link is represented by exactly one candidate at all times. The
+process ends when all survivors are 1-1 links.
 
 Two robustness enhancements for sparse instances:
 
@@ -111,12 +111,24 @@ def expand(candidates, rule="sorted_id", rng=None):
 
 
 def _score_all(entries, scorer):
+    """(scores, failures) of the entries' pairs from one scorer call.
+
+    If that call fails, each pair is scored alone, and a pair that still
+    fails scores 0 (fail closed for that pair only).
+    """
+    srs = [sr for sr, _ in entries]
+    try:
+        return [float(s) for s in scorer(srs)], 0
+    except Exception as exc:
+        logger.warning("scorer failed on %d pairs: %s; scoring them one by one",
+                       len(srs), exc)
     scores = []
     failures = 0
-    for sr, _ in entries:
+    for sr in srs:
         try:
-            scores.append(float(scorer(sr)))
-        except Exception as exc:  # fail closed for this pair only
+            (score_val,) = scorer([sr])
+            scores.append(float(score_val))
+        except Exception as exc:
             logger.warning("scorer failed on pair %s: %s", sr, exc)
             scores.append(0.0)
             failures += 1
@@ -127,7 +139,8 @@ def filter_step(candidates, keep_count, scorer):
     """Keep the top ``keep_count`` (SRPair, score) candidates (stable on ties).
 
     Lists already within budget pass through unscored. Returns
-    (candidates, calls_made, failures).
+    (candidates, pairs_scored, failures); all candidates are scored in one
+    scorer call.
     """
     if keep_count < 1:
         raise ValueError("keep_count must be >= 1")
@@ -155,9 +168,12 @@ def keep_schedule(config: FilterConfig, t: int, total: int) -> int:
 def rev_filter(initial: SRPair, config: FilterConfig, scorer) -> FilterResult:
     """Iteratively bisect and prune until k ranked 1-1 links remain.
 
-    ``scorer`` maps an SRPair to a suspiciousness probability. If the
+    ``scorer`` maps a list of SRPairs to a list of suspiciousness
+    probabilities; each round and the final ranking make one call. If the
     initial product holds fewer than k links, all of them are returned.
-    A scorer failure on a pair scores that pair 0 (fail closed).
+    ``classifier_calls`` counts the pairs scored. A pair the scorer fails
+    on, even when called alone, scores 0 (fail closed) and counts in
+    ``scorer_failures``.
     """
     if not initial.senders or not initial.receivers:
         raise ValueError("initial pair must have nonempty sender and receiver sets")

@@ -41,7 +41,7 @@ from .graph_core import (
     BackgroundGraph,
     Subgraph,
     build_graph,
-    extract_boundary,
+    extract_boundary,  # noqa: F401  (the benchmark's tracer wraps synth_gen.extract_boundary)
 )
 
 SCHEME_NAMES = ("peeling_chain", "nested_service", "random_path")
@@ -294,32 +294,3 @@ def generate(config: SynthConfig) -> SynthDataset:
 
     graph = build_graph(config.num_entities, all_edges, features, label_arr)
     return SynthDataset(graph=graph, subgraphs=subgraphs, config=config)
-
-
-def infer_label(graph: BackgroundGraph, subgraph: Subgraph):
-    """Label a subgraph from its boundary node labels.
-
-    Suspicious when all senders are illicit and all receivers licit; licit
-    when both sides are entirely licit; None otherwise (mixed, unknown, or
-    empty boundary).
-    """
-    if graph.node_labels is None:
-        return None
-    b = extract_boundary(graph, subgraph)
-    if b.has_empty_boundary:
-        return None
-    sender_labels = {int(graph.node_labels[s]) for s in b.senders}
-    receiver_labels = {int(graph.node_labels[r]) for r in b.receivers}
-    if receiver_labels == {LICIT}:
-        if sender_labels == {ILLICIT}:
-            return SUBGRAPH_SUSPICIOUS
-        if sender_labels == {LICIT}:
-            return SUBGRAPH_LICIT
-    return None
-
-
-def plant_rec_instance(dataset: SynthDataset, n_plus, n_minus, seed):
-    """Build one link-recommendation test instance from the dataset."""
-    from .rec_eval import build_rec_instance
-
-    return build_rec_instance(dataset.subgraphs, n_plus, n_minus, seed, dataset.graph)

@@ -31,8 +31,6 @@ from revtrack.graph_core import (
     build_graph,
     extract_boundary,
     graphlet_census,
-    graphlet_census_bruteforce,
-    topological_order,
 )
 from revtrack.rec_eval import (
     BenchmarkConfig,
@@ -48,7 +46,8 @@ from revtrack.rev_filter import (
     rev_filter,
     truncated_exp_pmf,
 )
-from revtrack.synth_gen import SynthConfig, generate, plant_rec_instance
+from revtrack.synth_gen import SynthConfig, generate
+from oracles import graphlet_census_bruteforce, plant_rec_instance, topological_order
 
 
 def report(criterion, passed, detail):
@@ -337,10 +336,10 @@ class ContainsTruthScorer:
     def __init__(self, truth):
         self.truth = set(truth)
 
-    def __call__(self, sr):
-        return 1.0 if any(
+    def __call__(self, srs):
+        return [1.0 if any(
             (s, r) in self.truth for s in sr.senders for r in sr.receivers
-        ) else 0.0
+        ) else 0.0 for sr in srs]
 
 
 @pytest.fixture(scope="session")

@@ -231,7 +231,7 @@ def test_score_range_and_scorer_consistency():
         s2 = score(model, p.sr, fmap)
         xs = fmap[list(p.sr.senders)]
         xr = fmap[list(p.sr.receivers)]
-        s3 = nc.score_pair(model, xs, xr)
+        s3 = nc.sigmoid(nc.forward_logit(model, xs, xr))
         assert 0.0 < s1 < 1.0
         assert s1 == pytest.approx(s2, abs=1e-12)
         assert s1 == pytest.approx(s3, abs=1e-9)

@@ -242,11 +242,12 @@ def _boundary_ids(data):
     return graph.num_nodes, s_ids, r_ids
 
 
-@pytest.mark.parametrize("defect", ["negative", "out-of-range", "duplicate"])
+@pytest.mark.parametrize("defect", ["negative", "out-of-range", "duplicate", "non-integer"])
 def test_filter_rejects_bad_sender_ids(pipeline, tmp_path, capsys, defect):
     _, data, _, tuned = pipeline
     num_nodes, s_ids, r_ids = _boundary_ids(data)
-    bad = {"negative": -1, "out-of-range": num_nodes + 5, "duplicate": s_ids[0]}[defect]
+    bad = {"negative": -1, "out-of-range": num_nodes + 5, "duplicate": s_ids[0],
+           "non-integer": "abc"}[defect]
     senders = tmp_path / "senders.txt"
     receivers = tmp_path / "receivers.txt"
     senders.write_text("".join(f"{s}\n" for s in [bad] + s_ids))
@@ -273,6 +274,56 @@ def test_classify_rejects_subgraph_ids_outside_graph(pipeline, tmp_path, capsys,
     ])
     assert rc == 1
     assert f"subgraphs.jsonl:1: node id {bad} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record, shown", [
+    ({"id": "x", "label": None, "edges": []}, "'nodes'"),
+    ({"id": "x", "label": None, "nodes": [0, 3.7], "edges": []}, "node id 3.7 "),
+    ({"id": "x", "label": None, "nodes": [0, True], "edges": []}, "node id True "),
+    ({"id": "x", "label": None, "nodes": [0, 1], "edges": [[0, 1.0]]}, "node id 1.0 "),
+], ids=["missing-key", "float-node", "bool-node", "float-edge-end"])
+def test_classify_rejects_malformed_subgraph_records(pipeline, tmp_path, capsys, record, shown):
+    _, data, model, _ = pipeline
+    sub_path = tmp_path / "subgraphs.jsonl"
+    good = {"id": "ok", "label": None, "nodes": [0, 1], "edges": [[0, 1]]}
+    sub_path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+    rc = main([
+        "classify", "--model", str(model), "--data-dir", str(data),
+        "--subgraphs", str(sub_path), "--out", str(tmp_path / "scores.csv"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "subgraphs.jsonl:2: " in err and shown in err
+
+
+def test_filter_exits_2_when_scorer_fails_on_a_pair(pipeline, tmp_path, capsys, monkeypatch):
+    from revtrack import cli
+
+    _, data, _, tuned = pipeline
+    _, s_ids, r_ids = _boundary_ids(data)
+
+    class FlakyScorer(cli.PairScorer):
+        """Fails on every pair whose product holds the link (s_ids[0], r_ids[0])."""
+
+        def __call__(self, srs):
+            if any(s_ids[0] in sr.senders and r_ids[0] in sr.receivers for sr in srs):
+                raise RuntimeError("boom")
+            return super().__call__(srs)
+
+    monkeypatch.setattr(cli, "PairScorer", FlakyScorer)
+    senders, receivers = tmp_path / "s.txt", tmp_path / "r.txt"
+    senders.write_text("".join(f"{s}\n" for s in s_ids))
+    receivers.write_text("".join(f"{r}\n" for r in r_ids))
+    links_csv = tmp_path / "links.csv"
+    rc = main([
+        "filter", "--model", str(tuned), "--data-dir", str(data),
+        "--senders", str(senders), "--receivers", str(receivers),
+        "--k", "3", "--out", str(links_csv),
+    ])
+    assert rc == 2
+    assert "warning: scorer failed on" in capsys.readouterr().err
+    assert len(links_csv.read_text().strip().splitlines()) == 4
+    assert os.path.exists(str(links_csv) + ".manifest.json")
 
 
 def test_bench_no_finetune_requires_base_model(pipeline, tmp_path, capsys):

@@ -12,10 +12,9 @@ from revtrack.graph_core import (
     build_graph,
     extract_boundary,
     graphlet_census,
-    graphlet_census_bruteforce,
     load_graph,
-    topological_order,
 )
+from oracles import graphlet_census_bruteforce, topological_order
 
 
 # ---------------------------------------------------------------------------

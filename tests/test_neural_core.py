@@ -4,8 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pairwise_reference as ref
+from revtrack import classifier
 from revtrack import neural_core as nc
+from revtrack.classifier import PairScorer, SRPair
 
 
 def identity_mlp(dim):
@@ -40,82 +45,100 @@ def test_mlp_wrong_dim():
 
 
 # ---------------------------------------------------------------------------
-# deepsets_embed
+# batch_logits: hand values, invariance, empty sets
+
+
+def readout_ds(pool):
+    """ds model with identity phi/rho/trunk and a logit that reads the
+    pooled sender and receiver vectors (2-d each) as digits 1, 10, 100, 1000."""
+    enc = lambda: nc.DeepSetsParams(phi=identity_mlp(2), pool=pool, rho=identity_mlp(2))
+    logit = nc.MlpParams(weights=[np.array([[1.0, 10.0, 100.0, 1000.0]])],
+                         biases=[np.zeros(1)], activations=["identity"])
+    return nc.DsClassifier(enc(), enc(), identity_mlp(4), logit)
+
+
+def plain_bipartite(eps=0.0, readout="sum"):
+    core = nc.BipartiteParams(
+        epsilon=eps, node_mlp=identity_mlp(1), readout=readout, head=identity_mlp(1)
+    )
+    return nc.BpClassifier(core, identity_mlp(1))
 
 
 def test_deepsets_sum_identity():
-    p = nc.DeepSetsParams(phi=identity_mlp(2), pool="sum", rho=identity_mlp(2))
-    out = nc.deepsets_embed(p, [[1.0, 0.0], [0.0, 2.0]])
-    assert np.allclose(out, [1.0, 2.0])
+    # pooled senders [1, 2], pooled receivers [3, 0]
+    out = nc.forward_logit(readout_ds("sum"), [[1.0, 0.0], [0.0, 2.0]], [[3.0, 0.0]])
+    assert out == pytest.approx(1.0 + 20.0 + 300.0)
 
 
 def test_deepsets_mean_identity():
-    p = nc.DeepSetsParams(phi=identity_mlp(2), pool="mean", rho=identity_mlp(2))
-    out = nc.deepsets_embed(p, [[1.0, 0.0], [0.0, 2.0]])
-    assert np.allclose(out, [0.5, 1.0])
+    # pooled senders [0.5, 1], pooled receivers [1, 2]
+    out = nc.forward_logit(readout_ds("mean"), [[1.0, 0.0], [0.0, 2.0]],
+                           [[0.0, 4.0], [2.0, 0.0]])
+    assert out == pytest.approx(0.5 + 10.0 + 100.0 + 2000.0)
+
+
+def test_batch_segments_pool_each_pair_alone():
+    # one call, three pairs of different sizes: rows never leak across pairs
+    xs = np.array([[1.0, 0.0], [0.0, 2.0], [5.0, 5.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+    xr = np.array([[3.0, 0.0], [0.0, 1.0], [0.0, 1.0], [2.0, 2.0]])
+    out = nc.batch_logits(readout_ds("sum"), xs, xr, [2, 1, 3], [1, 2, 1])
+    assert out.tolist() == pytest.approx([321.0, 2055.0, 2233.0])
 
 
 def test_deepsets_permutation_invariant():
     rng = np.random.default_rng(3)
-    p = nc.DeepSetsParams(
-        phi=nc.init_mlp(rng, [3, 5, 5], ["relu", "relu"]),
-        pool="sum",
-        rho=nc.init_mlp(rng, [5, 4], ["relu"]),
-    )
+    model = nc.build_ds_model(rng, feature_dim=3, hidden_dim=5)
     elems = rng.normal(size=(6, 3))
-    base = nc.deepsets_embed(p, elems)
+    other = rng.normal(size=(2, 3))
+    base = nc.forward_logit(model, elems, other)
     for _ in range(5):
         perm = rng.permutation(6)
-        assert np.max(np.abs(nc.deepsets_embed(p, elems[perm]) - base)) < 1e-6
+        assert abs(nc.forward_logit(model, elems[perm], other) - base) < 1e-6
 
 
 def test_deepsets_empty_set_errors():
-    p = nc.DeepSetsParams(phi=identity_mlp(2), pool="sum", rho=identity_mlp(2))
     with pytest.raises(ValueError):
-        nc.deepsets_embed(p, np.zeros((0, 2)))
-
-
-# ---------------------------------------------------------------------------
-# bipartite_embed
-
-
-def plain_bipartite(eps=0.0, readout="sum"):
-    return nc.BipartiteParams(
-        epsilon=eps, node_mlp=identity_mlp(1), readout=readout, head=identity_mlp(1)
-    )
+        nc.forward_logit(readout_ds("sum"), np.zeros((0, 2)), [[1.0, 0.0]])
+    with pytest.raises(ValueError):
+        nc.batch_logits(readout_ds("sum"), np.ones((2, 2)), np.ones((2, 2)), [2, 0], [1, 1])
 
 
 def test_bipartite_hand_computed():
-    out = nc.bipartite_embed(plain_bipartite(), [[1.0]], [[2.0]])
+    out = nc.forward_logit(plain_bipartite(), [[1.0]], [[2.0]])
     # sender state 1, receiver state 2 + 1 = 3, sum readout = 4
-    assert np.allclose(out, [4.0])
+    assert out == pytest.approx(4.0)
 
 
 def test_bipartite_two_senders():
-    out = nc.bipartite_embed(plain_bipartite(), [[1.0], [1.0]], [[0.0]])
+    out = nc.forward_logit(plain_bipartite(), [[1.0], [1.0]], [[0.0]])
     # receiver 0 + 2 = 2, senders 1 and 1, sum = 4
-    assert np.allclose(out, [4.0])
+    assert out == pytest.approx(4.0)
+
+
+def test_bipartite_batch_hand_computed():
+    # pair 0 as in test_bipartite_hand_computed; pair 1: senders 1, 1 and
+    # receiver 0 + 2 = 2, so max readout 2 and sum readout 4
+    xs, xr = np.array([[1.0], [1.0], [1.0]]), np.array([[2.0], [0.0]])
+    assert nc.batch_logits(plain_bipartite(readout="max"), xs, xr, [1, 2], [1, 1]).tolist() \
+        == pytest.approx([3.0, 2.0])
+    assert nc.batch_logits(plain_bipartite(), xs, xr, [1, 2], [1, 1]).tolist() \
+        == pytest.approx([4.0, 4.0])
 
 
 def test_bipartite_permutation_invariant():
     rng = np.random.default_rng(5)
-    p = nc.BipartiteParams(
-        epsilon=0.25,
-        node_mlp=nc.init_mlp(rng, [3, 6, 6], ["relu", "relu"]),
-        readout="sum",
-        head=nc.init_mlp(rng, [6, 4], ["relu"]),
-    )
+    model = nc.build_bp_model(rng, feature_dim=3, hidden_dim=6, epsilon=0.25)
     xs = rng.normal(size=(4, 3))
     xr = rng.normal(size=(3, 3))
-    base = nc.bipartite_embed(p, xs, xr)
+    base = nc.forward_logit(model, xs, xr)
     for _ in range(5):
-        out = nc.bipartite_embed(p, xs[rng.permutation(4)], xr[rng.permutation(3)])
-        assert np.max(np.abs(out - base)) < 1e-6
+        out = nc.forward_logit(model, xs[rng.permutation(4)], xr[rng.permutation(3)])
+        assert abs(out - base) < 1e-6
 
 
 def test_bipartite_empty_side_errors():
     with pytest.raises(ValueError):
-        nc.bipartite_embed(plain_bipartite(), np.zeros((0, 1)), [[1.0]])
+        nc.forward_logit(plain_bipartite(), np.zeros((0, 1)), [[1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -303,5 +326,78 @@ def test_scores_stay_in_unit_interval():
     rng = np.random.default_rng(37)
     model = nc.build_ds_model(rng, 3, 5)
     for _ in range(10):
-        s = nc.score_pair(model, rng.normal(size=(2, 3)), rng.normal(size=(1, 3)))
+        s = nc.sigmoid(nc.forward_logit(model, rng.normal(size=(2, 3)), rng.normal(size=(1, 3))))
         assert 0.0 < s < 1.0
+
+
+# ---------------------------------------------------------------------------
+# batched kernel against the per-pair reference
+
+POOLS = [("ds", "sum"), ("ds", "mean"), ("bp", "sum"), ("bp", "mean"), ("bp", "max")]
+
+
+def jiggled_model(rng, arch, pool, dim=3, hidden=8):
+    if arch == "ds":
+        model = nc.build_ds_model(rng, dim, hidden, pool=pool)
+    else:
+        model = nc.build_bp_model(rng, dim, hidden, readout=pool, epsilon=0.3)
+    jiggle_biases(model, rng)
+    return model
+
+
+def assert_close(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    assert a.shape == b.shape
+    assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b)))
+
+
+@pytest.mark.parametrize("arch, pool", POOLS)
+def test_kernel_matches_pairwise_reference(arch, pool, monkeypatch):
+    rng = np.random.default_rng(61)
+    model = jiggled_model(rng, arch, pool)
+    features = rng.normal(size=(60, 3))
+    srs = [SRPair(senders=tuple(rng.choice(60, int(rng.integers(1, 13)), replace=False)),
+                  receivers=tuple(rng.choice(60, int(rng.integers(1, 13)), replace=False)))
+           for _ in range(48)]
+    batch = [(features[list(sr.senders)], features[list(sr.receivers)], i % 3 == 0)
+             for i, sr in enumerate(srs)]
+    loss, grads = nc.backward(model, batch, pos_weight=2.5)
+    ref_loss, ref_grads = ref.backward(model, batch, pos_weight=2.5)
+    assert_close(loss, ref_loss)
+    assert len(grads) == len(ref_grads) == len(nc.parameters(model))
+    for g, rg in zip(grads, ref_grads):
+        assert_close(g, rg)
+    expected = [ref.score_pair(model, xs, xr) for xs, xr, _ in batch]
+    assert_close(PairScorer(model, features)(srs), expected)
+    monkeypatch.setattr(classifier, "SCORE_CHUNK", 7)  # 48 pairs, 7 kernel calls
+    assert_close(PairScorer(model, features)(srs), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arch_pool=st.sampled_from(POOLS),
+    sizes=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), min_size=1, max_size=64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_property_invariance(arch_pool, sizes, seed):
+    rng = np.random.default_rng(seed)
+    model = jiggled_model(rng, *arch_pool)
+    ns, nr = (np.array(side) for side in zip(*sizes))
+    xs, xr = rng.normal(size=(ns.sum(), 3)), rng.normal(size=(nr.sum(), 3))
+    logits = nc.batch_logits(model, xs, xr, ns, nr)
+
+    def segments(n):  # row indices of each pair's rows
+        return np.split(np.arange(n.sum()), np.cumsum(n)[:-1])
+
+    s_rows, r_rows = segments(ns), segments(nr)
+    shuffled = nc.batch_logits(model, xs[np.concatenate([rng.permutation(i) for i in s_rows])],
+                               xr[np.concatenate([rng.permutation(i) for i in r_rows])], ns, nr)
+    assert_close(shuffled, logits)
+    order = rng.permutation(len(sizes))
+    reordered = nc.batch_logits(model, xs[np.concatenate([s_rows[i] for i in order])],
+                                xr[np.concatenate([r_rows[i] for i in order])],
+                                ns[order], nr[order])
+    assert_close(reordered, logits[order])
+    alone = [nc.forward_logit(model, xs[i], xr[j]) for i, j in zip(s_rows, r_rows)]
+    assert_close(alone, logits)
+

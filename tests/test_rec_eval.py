@@ -14,17 +14,18 @@ from revtrack.rec_eval import (
     parse_setting,
     run_benchmark,
 )
-from revtrack.synth_gen import SynthConfig, generate, plant_rec_instance
+from revtrack.synth_gen import SynthConfig, generate
+from oracles import plant_rec_instance
 
 
 class OracleScorer:
     def __init__(self, truth):
         self.truth = set(truth)
 
-    def __call__(self, sr):
-        return 1.0 if any(
+    def __call__(self, srs):
+        return [1.0 if any(
             (s, r) in self.truth for s in sr.senders for r in sr.receivers
-        ) else 0.0
+        ) else 0.0 for sr in srs]
 
 
 def rec_dataset(seed=5, n_sus=40, n_lic=40):
@@ -174,10 +175,10 @@ def test_run_benchmark_oracle_perfect_and_deterministic():
         def __init__(self):
             self.truth = set()
 
-        def __call__(self, sr):
-            return 1.0 if any(
+        def __call__(self, srs):
+            return [1.0 if any(
                 (s, r) in self.truth for s in sr.senders for r in sr.receivers
-            ) else 0.0
+            ) else 0.0 for sr in srs]
 
     # the harness builds instances internally, so wire the oracle per call
     from revtrack import rec_eval as re_mod
@@ -205,9 +206,9 @@ def test_run_benchmark_oracle_perfect_and_deterministic():
 
 def test_benchmark_variant_validation():
     with pytest.raises(ValueError):
-        BenchmarkConfig(scorer=lambda sr: 0.5, variant="bogus")
+        BenchmarkConfig(scorer=lambda srs: [0.5] * len(srs), variant="bogus")
     with pytest.raises(ValueError):
-        BenchmarkConfig(scorer=lambda sr: 0.5, variant="no-finetune")
+        BenchmarkConfig(scorer=lambda srs: [0.5] * len(srs), variant="no-finetune")
 
 
 def test_parse_setting():

@@ -37,17 +37,18 @@ from revtrack.synth_gen import SynthConfig, generate
 
 
 class OracleScorer:
-    """1.0 iff the pair's product contains a true link, else 0.0."""
+    """1.0 iff the pair's product contains a true link, else 0.0; ``calls``
+    counts the pairs scored."""
 
     def __init__(self, truth):
         self.truth = set(truth)
         self.calls = 0
 
-    def __call__(self, sr):
-        self.calls += 1
-        return 1.0 if any(
+    def __call__(self, srs):
+        self.calls += len(srs)
+        return [1.0 if any(
             (s, r) in self.truth for s in sr.senders for r in sr.receivers
-        ) else 0.0
+        ) else 0.0 for sr in srs]
 
 
 class MaxScorer:
@@ -56,8 +57,9 @@ class MaxScorer:
     def __init__(self, base):
         self.base = base
 
-    def __call__(self, sr):
-        return max(self.base[(s, r)] for s in sr.senders for r in sr.receivers)
+    def __call__(self, srs):
+        return [max(self.base[(s, r)] for s in sr.senders for r in sr.receivers)
+                for sr in srs]
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +131,7 @@ def test_filter_step_stable_ties():
     pairs = [SRPair(senders=(i,), receivers=(100 + i,)) for i in range(3)]
     table = {pairs[0]: 0.9, pairs[1]: 0.2, pairs[2]: 0.9}
     clist = [(p, None) for p in pairs]
-    kept, calls, failures = filter_step(clist, 2, lambda sr: table[sr])
+    kept, calls, failures = filter_step(clist, 2, lambda srs: [table[sr] for sr in srs])
     assert [e[0] for e in kept] == [pairs[0], pairs[2]]
     assert [e[1] for e in kept] == [0.9, 0.9]
     assert calls == 3 and failures == 0
@@ -138,7 +140,7 @@ def test_filter_step_stable_ties():
 def test_filter_step_within_budget_unchanged():
     clist = [(SRPair(senders=(1,), receivers=(2,)), None)]
     calls = []
-    kept, made, _ = filter_step(clist, 5, lambda sr: calls.append(sr) or 1.0)
+    kept, made, _ = filter_step(clist, 5, lambda srs: calls.extend(srs) or [1.0] * len(srs))
     assert kept is clist
     assert made == 0 and calls == []
 
@@ -146,10 +148,10 @@ def test_filter_step_within_budget_unchanged():
 def test_filter_step_scorer_failure_scores_zero():
     pairs = [SRPair(senders=(i,), receivers=(100 + i,)) for i in range(3)]
 
-    def flaky(sr):
-        if sr == pairs[1]:
+    def flaky(srs):
+        if pairs[1] in srs:
             raise RuntimeError("boom")
-        return 0.5
+        return [0.5] * len(srs)
 
     kept, _, failures = filter_step([(p, None) for p in pairs], 2, flaky)
     assert failures == 1
@@ -271,8 +273,8 @@ def test_rev_filter_property_partition_termination_links(ns, nr, k, alpha, rule,
     rng = np.random.default_rng(seed)
     table = {}
 
-    def scorer(sr):
-        return table.setdefault(sr, float(rng.random()))
+    def scorer(srs):
+        return [table.setdefault(sr, float(rng.random())) for sr in srs]
 
     with partition_checked(initial) as rounds:
         res = rev_filter(

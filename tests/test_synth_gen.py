@@ -15,8 +15,8 @@ from revtrack.synth_gen import (
     SynthConfig,
     default_class_means,
     generate,
-    infer_label,
 )
+from oracles import infer_label
 
 
 def one_scheme_config(scheme, **overrides):
