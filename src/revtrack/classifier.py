@@ -67,9 +67,7 @@ class ClassifierMetrics:
 @dataclass
 class TrainConfig:
     hidden_dim: int = 64
-    pool: str = "sum"          # ds
-    readout: str = "sum"       # bp
-    epsilon: float = 0.0       # bp
+    pool: str = "sum"  # ds pool or bp readout
     lr: float = 1e-3
     batch_size: int = 256
     epochs: int = 150
@@ -233,12 +231,8 @@ class PairScorer:
         return nc.sigmoid(logits).tolist()
 
     def score(self, sr: SRPair) -> float:
+        """Probability that the pair bounds a suspicious flow."""
         return self([sr])[0]
-
-
-def score(model, sr: SRPair, features) -> float:
-    """Probability that the pair bounds a suspicious flow."""
-    return PairScorer(model, features).score(sr)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +258,10 @@ def _validation_metric(model, valid_pairs, features):
 def train_model(model, train_pairs, valid_pairs, features, config: TrainConfig):
     """Adam/BCE training with early stopping on the validation metric.
 
-    Returns (best_model, history). Deterministic for a fixed config: batch
-    order comes from a seeded shuffle and gradients accumulate in batch
-    index order.
+    Trains ``model`` in place and returns (model, history), the model holding
+    the weights of its best epoch, which are kept as in-memory copies.
+    Deterministic for a fixed config: batch order comes from a seeded
+    shuffle and gradients accumulate in batch index order.
     """
     if not train_pairs:
         raise ValueError("empty training set")
@@ -275,7 +270,7 @@ def train_model(model, train_pairs, valid_pairs, features, config: TrainConfig):
 
     state = nc.init_adam(nc.parameters(model), lr=config.lr)
     best_metric = -np.inf
-    best_ckpt = nc.model_to_checkpoint(model)
+    best_params = [p.copy() for p in nc.parameters(model)]
     best_epoch = -1
     history = []
 
@@ -301,21 +296,19 @@ def train_model(model, train_pairs, valid_pairs, features, config: TrainConfig):
             {"epoch": epoch, "train_loss": epoch_loss / len(train_batchable),
              "valid_metric": metric}
         )
+        # ties favor the longer-trained weights: the validation metric
+        # saturates early on separable data while margins (and the
+        # rarely-exercised feature channels) keep improving
+        if metric >= best_metric:
+            best_params = [p.copy() for p in nc.parameters(model)]
         if metric > best_metric:
             best_metric = metric
-            best_ckpt = nc.model_to_checkpoint(model)
             best_epoch = epoch
-        else:
-            if metric == best_metric:
-                # ties favor the longer-trained weights: the validation
-                # metric saturates early on separable data while margins
-                # (and the rarely-exercised feature channels) keep improving
-                best_ckpt = nc.model_to_checkpoint(model)
-            if epoch - best_epoch >= config.patience:
-                break
-    best = nc.checkpoint_to_model(best_ckpt)
-    nc.assert_finite(best)
-    return best, history
+        elif epoch - best_epoch >= config.patience:
+            break
+    nc.set_parameters(model, best_params)
+    nc.assert_finite(model)
+    return model, history
 
 
 def train(arch, train_pairs, valid_pairs, features, config: TrainConfig = None):
@@ -329,9 +322,7 @@ def train(arch, train_pairs, valid_pairs, features, config: TrainConfig = None):
     if arch == "ds":
         model = nc.build_ds_model(rng, features.shape[1], config.hidden_dim, config.pool)
     elif arch == "bp":
-        model = nc.build_bp_model(
-            rng, features.shape[1], config.hidden_dim, config.readout, config.epsilon
-        )
+        model = nc.build_bp_model(rng, features.shape[1], config.hidden_dim, config.pool)
     else:
         raise ValueError(f"unknown architecture {arch!r}")
     return train_model(model, train_pairs, valid_pairs, features, config)

@@ -113,7 +113,6 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(
         hidden_dim=args.hidden_dim,
         pool=args.pool,
-        readout=args.pool if args.pool in ("sum", "mean", "max") else "sum",
         lr=args.lr,
         batch_size=args.batch_size,
         epochs=args.epochs,
@@ -177,6 +176,8 @@ def cmd_graphlets(args):
 
 def cmd_train(args):
     started = time.time()
+    if args.arch == "ds" and args.pool == "max":
+        raise ValueError("--pool max is a bp-only readout; ds pools are sum and mean")
     _, pairs, features = _load_pairs(args.data_dir)
     spec = SplitSpec(seed=args.split_seed, few_shot_fraction=args.few_shot)
     train_pairs, valid_pairs, _ = split(pairs, spec)

@@ -11,10 +11,16 @@ pools each set with a segment reduction, so training, validation and
 scoring evaluate many pairs per pass instead of one. ``batch_backward``
 is its hand-written reverse pass; gradients are exact up to floating point
 (see the finite-difference tests).
+
+A ``Model`` is its config (the dict a checkpoint records) plus its named
+layer stacks, which ``layer_table`` lists once per architecture. Training
+snapshots the best epoch's weights in memory (``parameters`` /
+``set_parameters``); JSON appears only in ``save_checkpoint`` and
+``load_checkpoint``.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +43,6 @@ class MlpParams:
     weights: list
     biases: list
     activations: list  # "relu" | "identity", one per layer
-
-    def dims(self):
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
 
 def init_mlp(rng, dims, activations):
@@ -103,31 +106,7 @@ def mlp_backward(params: MlpParams, cache, d_out):
 
 
 # ---------------------------------------------------------------------------
-# set encoders
-
-
-@dataclass
-class DeepSetsParams:
-    """Per-element encoder, permutation-invariant pool, post-pool map."""
-
-    phi: MlpParams
-    pool: str  # "sum" | "mean"
-    rho: MlpParams
-
-
-@dataclass
-class BipartiteParams:
-    """One message round on the fully connected sender->receiver digraph.
-
-    Receivers aggregate the sum of sender features; senders have empty
-    in-neighborhoods. Both sides pass through a shared GIN-style update MLP,
-    are pooled by ``readout``, and mapped by ``head`` to the embedding.
-    """
-
-    epsilon: float
-    node_mlp: MlpParams
-    readout: str  # "sum" | "mean" | "max"
-    head: MlpParams
+# set pooling
 
 
 def _segment_pool(kind, rows, lengths):
@@ -184,84 +163,64 @@ def bce_loss(p, y):
 # classifier models
 
 
-@dataclass
-class DsClassifier:
-    """Two Deep Sets encoders, MLP trunk on their concatenation, logit layer."""
-
-    sender_enc: DeepSetsParams
-    receiver_enc: DeepSetsParams
-    trunk: MlpParams
-    logit: MlpParams
-    config: dict = field(default_factory=dict)
-
-    arch = "ds"
-
-    def named_mlps(self):
-        return [
-            ("sender_phi", self.sender_enc.phi),
-            ("sender_rho", self.sender_enc.rho),
-            ("receiver_phi", self.receiver_enc.phi),
-            ("receiver_rho", self.receiver_enc.rho),
-            ("trunk", self.trunk),
-            ("logit", self.logit),
-        ]
+# config entries a checkpoint may omit, and what they default to
+CONFIG_DEFAULTS = {"ds": {"pool": "sum"}, "bp": {"readout": "sum", "epsilon": 0.0}}
 
 
 @dataclass
-class BpClassifier:
-    """Bipartite message-round encoder plus a logit layer."""
+class Model:
+    """A classifier: its config and its layer stacks, named as in ``layer_table``.
 
-    core: BipartiteParams
-    logit: MlpParams
-    config: dict = field(default_factory=dict)
+    ``config`` holds arch, feature_dim and hidden_dim, then pool (ds) or
+    readout and epsilon (bp); ``mlps`` maps names to ``MlpParams`` in
+    parameter order.
+    """
 
-    arch = "bp"
+    config: dict
+    mlps: dict
 
-    def named_mlps(self):
-        return [
-            ("node_mlp", self.core.node_mlp),
-            ("head", self.core.head),
-            ("logit", self.logit),
-        ]
+    @property
+    def arch(self):
+        return self.config["arch"]
+
+
+def layer_table(config):
+    """(name, widths, activations) of each layer stack of the config's arch.
+
+    The one list of every architecture's layers, in parameter order, which
+    is also the order in which their initial weights are drawn.
+    """
+    d, h = config["feature_dim"], config["hidden_dim"]
+    tables = {
+        "ds": [("sender_phi", [d, h, h], ["relu", "relu"]),
+               ("sender_rho", [h, h], ["relu"]),
+               ("receiver_phi", [d, h, h], ["relu", "relu"]),
+               ("receiver_rho", [h, h], ["relu"]),
+               ("trunk", [2 * h, h, h], ["relu", "relu"]),
+               ("logit", [h, 1], ["identity"])],
+        "bp": [("node_mlp", [d, h, h], ["relu", "relu"]),
+               ("head", [h, h], ["relu"]),
+               ("logit", [h, 1], ["identity"])],
+    }
+    if config["arch"] not in tables:
+        raise ValueError(f"unknown arch {config['arch']!r}")
+    return tables[config["arch"]]
+
+
+def _build(rng, config):
+    return Model(config, {name: init_mlp(rng, dims, acts)
+                          for name, dims, acts in layer_table(config)})
 
 
 def build_ds_model(rng, feature_dim, hidden_dim=64, pool="sum"):
-    h = hidden_dim
-    enc = lambda: DeepSetsParams(
-        phi=init_mlp(rng, [feature_dim, h, h], ["relu", "relu"]),
-        pool=pool,
-        rho=init_mlp(rng, [h, h], ["relu"]),
-    )
-    sender_enc = enc()
-    receiver_enc = enc()
-    trunk = init_mlp(rng, [2 * h, h, h], ["relu", "relu"])
-    logit = init_mlp(rng, [h, 1], ["identity"])
-    config = {
-        "arch": "ds",
-        "feature_dim": feature_dim,
-        "hidden_dim": hidden_dim,
-        "pool": pool,
-    }
-    return DsClassifier(sender_enc, receiver_enc, trunk, logit, config)
+    return _build(rng, {"arch": "ds", "feature_dim": feature_dim,
+                        "hidden_dim": hidden_dim, "pool": pool})
 
 
 def build_bp_model(rng, feature_dim, hidden_dim=64, readout="sum", epsilon=0.0):
-    h = hidden_dim
-    core = BipartiteParams(
-        epsilon=epsilon,
-        node_mlp=init_mlp(rng, [feature_dim, h, h], ["relu", "relu"]),
-        readout=readout,
-        head=init_mlp(rng, [h, h], ["relu"]),
-    )
-    logit = init_mlp(rng, [h, 1], ["identity"])
-    config = {
-        "arch": "bp",
-        "feature_dim": feature_dim,
-        "hidden_dim": hidden_dim,
-        "readout": readout,
-        "epsilon": epsilon,
-    }
-    return BpClassifier(core, logit, config)
+    return _build(rng, {"arch": "bp", "feature_dim": feature_dim,
+                        "hidden_dim": hidden_dim, "readout": readout,
+                        "epsilon": epsilon})
 
 
 def batch_logits(model, xs, xr, ns, nr, cache=None):
@@ -279,34 +238,34 @@ def batch_logits(model, xs, xr, ns, nr, cache=None):
     nr = np.asarray(nr, dtype=np.int64)
     if (ns < 1).any() or (nr < 1).any():
         raise ValueError("every pair needs nonempty sender and receiver sets")
-    saved = {"mlps": {name: [] for name, _ in model.named_mlps()}}
-    run = lambda name, mlp, x: mlp_forward(mlp, x, saved["mlps"][name])
+    cfg = model.config
+    saved = {"mlps": {name: [] for name in model.mlps}}
+    run = lambda name, x: mlp_forward(model.mlps[name], x, saved["mlps"][name])
     if model.arch == "ds":
+        if cfg["pool"] not in ("sum", "mean"):
+            raise ValueError(f"unknown pool {cfg['pool']!r}")
         sides = []
-        for side, enc, x, lengths in (("sender", model.sender_enc, xs, ns),
-                                      ("receiver", model.receiver_enc, xr, nr)):
-            if enc.pool not in ("sum", "mean"):
-                raise ValueError(f"unknown pool {enc.pool!r}")
-            u = run(f"{side}_phi", enc.phi, x)
-            pooled = _segment_pool(enc.pool, u, lengths)
+        for side, x, lengths in (("sender", xs, ns), ("receiver", xr, nr)):
+            u = run(f"{side}_phi", x)
+            pooled = _segment_pool(cfg["pool"], u, lengths)
             saved[side] = (u, lengths, pooled)
-            sides.append(run(f"{side}_rho", enc.rho, pooled))
-        emb = run("trunk", model.trunk, np.hstack(sides))
+            sides.append(run(f"{side}_rho", pooled))
+        emb = run("trunk", np.hstack(sides))
     else:
-        core = model.core
+        # one GIN-style round: each receiver adds its pair's sender sum
+        scale = 1.0 + cfg["epsilon"]
         s_sum = _segment_pool("sum", xs, ns)
-        z_in = np.vstack([(1.0 + core.epsilon) * xs,
-                          (1.0 + core.epsilon) * xr + np.repeat(s_sum, nr, axis=0)])
-        states = run("node_mlp", core.node_mlp, z_in)
+        z_in = np.vstack([scale * xs, scale * xr + np.repeat(s_sum, nr, axis=0)])
+        states = run("node_mlp", z_in)
         # regroup the rows pair by pair, each pair's senders before its receivers
         order = np.argsort(np.concatenate([np.repeat(np.arange(len(ns)), ns),
                                            np.repeat(np.arange(len(nr)), nr)]),
                            kind="stable")
         grouped = states[order]
-        pooled = _segment_pool(core.readout, grouped, ns + nr)
+        pooled = _segment_pool(cfg["readout"], grouped, ns + nr)
         saved["core"] = (order, grouped, ns + nr, pooled)
-        emb = run("head", core.head, pooled)
-    out = run("logit", model.logit, emb)[:, 0]
+        emb = run("head", pooled)
+    out = run("logit", emb)[:, 0]
     if cache is not None:
         cache.update(saved)
     return out
@@ -320,30 +279,29 @@ def batch_backward(model, cache, d_logits):
     caches = cache["mlps"]
     grads = {}
 
-    def back(name, mlp, d_out):
-        grads[name], d_in = mlp_backward(mlp, caches[name], d_out)
+    def back(name, d_out):
+        grads[name], d_in = mlp_backward(model.mlps[name], caches[name], d_out)
         return d_in
 
-    d_emb = back("logit", model.logit, np.asarray(d_logits, dtype=np.float64)[:, None])
+    d_emb = back("logit", np.asarray(d_logits, dtype=np.float64)[:, None])
     if model.arch == "ds":
-        d_joint = back("trunk", model.trunk, d_emb)
-        k = model.sender_enc.rho.weights[-1].shape[0]
-        for side, enc, d_h in (("sender", model.sender_enc, d_joint[:, :k]),
-                               ("receiver", model.receiver_enc, d_joint[:, k:])):
+        d_joint = back("trunk", d_emb)
+        k = model.mlps["sender_rho"].weights[-1].shape[0]
+        for side, d_h in (("sender", d_joint[:, :k]), ("receiver", d_joint[:, k:])):
             u, lengths, pooled = cache[side]
-            d_pooled = back(f"{side}_rho", enc.rho, d_h)
-            back(f"{side}_phi", enc.phi,
-                 _segment_pool_backward(enc.pool, u, lengths, pooled, d_pooled))
+            d_pooled = back(f"{side}_rho", d_h)
+            back(f"{side}_phi", _segment_pool_backward(model.config["pool"], u, lengths,
+                                                       pooled, d_pooled))
     else:
         order, grouped, lengths, pooled = cache["core"]
-        d_pooled = back("head", model.core.head, d_emb)
-        d_grouped = _segment_pool_backward(model.core.readout, grouped, lengths,
+        d_pooled = back("head", d_emb)
+        d_grouped = _segment_pool_backward(model.config["readout"], grouped, lengths,
                                            pooled, d_pooled)
         d_states = np.empty_like(d_grouped)
         d_states[order] = d_grouped
-        back("node_mlp", model.core.node_mlp, d_states)
+        back("node_mlp", d_states)
     flat = []
-    for name, _ in model.named_mlps():
+    for name in model.mlps:
         d_ws, d_bs = grads[name]
         for dw, db in zip(d_ws, d_bs):
             flat.extend([dw, db])
@@ -360,7 +318,7 @@ def forward_logit(model, sender_feats, receiver_feats):
 def parameters(model):
     """Live parameter arrays in canonical order."""
     out = []
-    for _, mlp in model.named_mlps():
+    for mlp in model.mlps.values():
         for w, b in zip(mlp.weights, mlp.biases):
             out.extend([w, b])
     return out
@@ -368,7 +326,7 @@ def parameters(model):
 
 def set_parameters(model, arrays):
     i = 0
-    for _, mlp in model.named_mlps():
+    for mlp in model.mlps.values():
         for j in range(len(mlp.weights)):
             mlp.weights[j] = arrays[i]
             mlp.biases[j] = arrays[i + 1]
@@ -448,7 +406,7 @@ def adam_step(state: AdamState, params, grads):
 
 def model_to_checkpoint(model) -> dict:
     weights = {}
-    for name, mlp in model.named_mlps():
+    for name, mlp in model.mlps.items():
         for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
             weights[f"{name}.w{i}"] = w.ravel().tolist()
             weights[f"{name}.b{i}"] = b.ravel().tolist()
@@ -463,31 +421,21 @@ def model_to_checkpoint(model) -> dict:
 def checkpoint_to_model(ckpt: dict):
     if ckpt.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {ckpt.get('version')!r}")
-    cfg = ckpt["config"]
-    rng = np.random.default_rng(0)  # shapes only; weights are overwritten
-    if ckpt["arch"] == "ds":
-        model = build_ds_model(
-            rng, cfg["feature_dim"], cfg["hidden_dim"], cfg.get("pool", "sum")
+    config = {**ckpt["config"], "arch": ckpt["arch"]}
+    weights = ckpt["weights"]
+    mlps = {}
+    for name, dims, acts in layer_table(config):
+        mlps[name] = MlpParams(
+            weights=[np.asarray(weights[f"{name}.w{i}"], dtype=np.float64)
+                     .reshape(fan_out, fan_in)
+                     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:]))],
+            biases=[np.asarray(weights[f"{name}.b{i}"], dtype=np.float64)
+                    .reshape(fan_out) for i, fan_out in enumerate(dims[1:])],
+            activations=acts,
         )
-    elif ckpt["arch"] == "bp":
-        model = build_bp_model(
-            rng,
-            cfg["feature_dim"],
-            cfg["hidden_dim"],
-            cfg.get("readout", "sum"),
-            cfg.get("epsilon", 0.0),
-        )
-    else:
-        raise ValueError(f"unknown arch {ckpt['arch']!r}")
-    for name, mlp in model.named_mlps():
-        for i in range(len(mlp.weights)):
-            w_flat = np.asarray(ckpt["weights"][f"{name}.w{i}"], dtype=np.float64)
-            mlp.weights[i] = w_flat.reshape(mlp.weights[i].shape)
-            mlp.biases[i] = np.asarray(
-                ckpt["weights"][f"{name}.b{i}"], dtype=np.float64
-            )
-    model.config = dict(cfg)
-    return model
+    for key, value in CONFIG_DEFAULTS[config["arch"]].items():
+        config.setdefault(key, value)
+    return Model(config, mlps)
 
 
 def save_checkpoint(path, model):
@@ -499,10 +447,6 @@ def save_checkpoint(path, model):
 def load_checkpoint(path):
     with open(path, encoding="utf-8") as fh:
         return checkpoint_to_model(json.load(fh))
-
-
-def clone_model(model):
-    return checkpoint_to_model(model_to_checkpoint(model))
 
 
 def assert_finite(model):

@@ -16,6 +16,7 @@ Two robustness enhancements for sparse instances:
   start and decays linearly to k, reducing accidental eliminations.
 """
 
+import copy
 import logging
 import math
 from dataclasses import dataclass
@@ -282,15 +283,14 @@ def _holdout_split(pairs, valid_frac, seed):
 
 
 def finetune(model, augmented_pairs, features, config: TrainConfig = None):
-    """Continue training on merged pairs; returns (model, history).
+    """Continue training a copy of ``model`` on merged pairs.
 
-    A stratified tenth of the augmented set is held out for early
-    stopping. With epochs=0 the returned model equals the input.
+    Returns (tuned, history); the input model is left unchanged. A
+    stratified tenth of the augmented set is held out for early stopping.
+    With epochs=0 the returned model equals the input.
     """
     config = config or default_finetune_config()
-    from .neural_core import clone_model
-
-    start = clone_model(model)
+    start = copy.deepcopy(model)
     if config.epochs == 0:
         return start, []
     train_p, valid_p = _holdout_split(augmented_pairs, 0.1, config.seed)

@@ -20,16 +20,18 @@ def _pool(kind, rows):
     raise ValueError(f"unknown pool {kind!r}")
 
 
-def deepsets_embed(params: nc.DeepSetsParams, elements, cache=None):
-    """rho(pool(phi(e) for e in elements)); invariant to element order."""
+def deepsets_embed(model, side, elements, cache=None):
+    """rho(pool(phi(e) for e in elements)) of one side's encoder; invariant
+    to element order."""
+    phi, rho = model.mlps[f"{side}_phi"], model.mlps[f"{side}_rho"]
     x = np.atleast_2d(np.asarray(elements, dtype=np.float64))
     if x.shape[0] == 0:
         raise ValueError("deepsets_embed requires a nonempty element set")
     phi_cache = [] if cache is not None else None
-    u = nc.mlp_forward(params.phi, x, phi_cache)
-    pooled = _pool(params.pool, u)
+    u = nc.mlp_forward(phi, x, phi_cache)
+    pooled = _pool(model.config["pool"], u)
     rho_cache = [] if cache is not None else None
-    out = nc.mlp_forward(params.rho, pooled, rho_cache)
+    out = nc.mlp_forward(rho, pooled, rho_cache)
     if cache is not None:
         cache["phi"] = phi_cache
         cache["rho"] = rho_cache
@@ -37,35 +39,36 @@ def deepsets_embed(params: nc.DeepSetsParams, elements, cache=None):
     return out
 
 
-def deepsets_backward(params: nc.DeepSetsParams, cache, d_out):
-    rho_grads, d_pooled = nc.mlp_backward(params.rho, cache["rho"], d_out)
+def deepsets_backward(model, side, cache, d_out):
+    rho_grads, d_pooled = nc.mlp_backward(model.mlps[f"{side}_rho"], cache["rho"], d_out)
     n = cache["n"]
     d_u = np.repeat(np.atleast_2d(d_pooled), n, axis=0)
-    if params.pool == "mean":
+    if model.config["pool"] == "mean":
         d_u = d_u / n
-    phi_grads, _ = nc.mlp_backward(params.phi, cache["phi"], d_u)
+    phi_grads, _ = nc.mlp_backward(model.mlps[f"{side}_phi"], cache["phi"], d_u)
     return phi_grads, rho_grads
 
 
-def bipartite_embed(params: nc.BipartiteParams, senders, receivers, cache=None):
+def bipartite_embed(model, senders, receivers, cache=None):
+    epsilon, readout = model.config["epsilon"], model.config["readout"]
     xs = np.atleast_2d(np.asarray(senders, dtype=np.float64))
     xr = np.atleast_2d(np.asarray(receivers, dtype=np.float64))
     if xs.shape[0] == 0 or xr.shape[0] == 0:
         raise ValueError("bipartite_embed requires nonempty sender and receiver sets")
     s_sum = xs.sum(axis=0)
-    z_in = np.vstack([(1.0 + params.epsilon) * xs, (1.0 + params.epsilon) * xr + s_sum])
+    z_in = np.vstack([(1.0 + epsilon) * xs, (1.0 + epsilon) * xr + s_sum])
     mlp_cache = [] if cache is not None else None
-    states = nc.mlp_forward(params.node_mlp, z_in, mlp_cache)
-    if params.readout == "sum":
+    states = nc.mlp_forward(model.mlps["node_mlp"], z_in, mlp_cache)
+    if readout == "sum":
         pooled = states.sum(axis=0)
-    elif params.readout == "mean":
+    elif readout == "mean":
         pooled = states.mean(axis=0)
-    elif params.readout == "max":
+    elif readout == "max":
         pooled = states.max(axis=0)
     else:
-        raise ValueError(f"unknown readout {params.readout!r}")
+        raise ValueError(f"unknown readout {readout!r}")
     head_cache = [] if cache is not None else None
-    out = nc.mlp_forward(params.head, pooled, head_cache)
+    out = nc.mlp_forward(model.mlps["head"], pooled, head_cache)
     if cache is not None:
         cache["node_mlp"] = mlp_cache
         cache["head"] = head_cache
@@ -74,20 +77,21 @@ def bipartite_embed(params: nc.BipartiteParams, senders, receivers, cache=None):
     return out
 
 
-def bipartite_backward(params: nc.BipartiteParams, cache, d_out):
-    head_grads, d_pooled = nc.mlp_backward(params.head, cache["head"], d_out)
+def bipartite_backward(model, cache, d_out):
+    readout = model.config["readout"]
+    head_grads, d_pooled = nc.mlp_backward(model.mlps["head"], cache["head"], d_out)
     states = cache["states"]
     n_total = states.shape[0]
     d_pooled = np.atleast_2d(d_pooled)
-    if params.readout == "sum":
+    if readout == "sum":
         d_states = np.repeat(d_pooled, n_total, axis=0)
-    elif params.readout == "mean":
+    elif readout == "mean":
         d_states = np.repeat(d_pooled, n_total, axis=0) / n_total
     else:  # max: route each component to its argmax row
         d_states = np.zeros_like(states)
         winners = states.argmax(axis=0)
         d_states[winners, np.arange(states.shape[1])] = d_pooled[0]
-    mlp_grads, _ = nc.mlp_backward(params.node_mlp, cache["node_mlp"], d_states)
+    mlp_grads, _ = nc.mlp_backward(model.mlps["node_mlp"], cache["node_mlp"], d_states)
     return mlp_grads, head_grads
 
 
@@ -96,13 +100,13 @@ def forward_logit(model, sender_feats, receiver_feats, cache=None):
     if model.arch == "ds":
         c_s = {} if cache is not None else None
         c_r = {} if cache is not None else None
-        h_s = deepsets_embed(model.sender_enc, sender_feats, c_s)
-        h_r = deepsets_embed(model.receiver_enc, receiver_feats, c_r)
+        h_s = deepsets_embed(model, "sender", sender_feats, c_s)
+        h_r = deepsets_embed(model, "receiver", receiver_feats, c_r)
         joint = np.concatenate([h_s, h_r])
         trunk_cache = [] if cache is not None else None
-        h_pair = nc.mlp_forward(model.trunk, joint, trunk_cache)
+        h_pair = nc.mlp_forward(model.mlps["trunk"], joint, trunk_cache)
         logit_cache = [] if cache is not None else None
-        out = nc.mlp_forward(model.logit, h_pair, logit_cache)
+        out = nc.mlp_forward(model.mlps["logit"], h_pair, logit_cache)
         if cache is not None:
             cache.update(
                 sender=c_s, receiver=c_r, trunk=trunk_cache, logit=logit_cache,
@@ -110,9 +114,9 @@ def forward_logit(model, sender_feats, receiver_feats, cache=None):
             )
         return float(out[0])
     c_core = {} if cache is not None else None
-    emb = bipartite_embed(model.core, sender_feats, receiver_feats, c_core)
+    emb = bipartite_embed(model, sender_feats, receiver_feats, c_core)
     logit_cache = [] if cache is not None else None
-    out = nc.mlp_forward(model.logit, emb, logit_cache)
+    out = nc.mlp_forward(model.mlps["logit"], emb, logit_cache)
     if cache is not None:
         cache.update(core=c_core, logit=logit_cache)
     return float(out[0])
@@ -126,27 +130,29 @@ def _backward_one(model, cache, d_logit):
     """Gradient lists in parameters() order for one pair."""
     if model.arch == "ds":
         grads = {}
-        (d_ws, d_bs), d_hpair = nc.mlp_backward(model.logit, cache["logit"], np.array([d_logit]))
+        (d_ws, d_bs), d_hpair = nc.mlp_backward(model.mlps["logit"], cache["logit"],
+                                                np.array([d_logit]))
         grads["logit"] = (d_ws, d_bs)
-        trunk_grads, d_joint = nc.mlp_backward(model.trunk, cache["trunk"], d_hpair)
+        trunk_grads, d_joint = nc.mlp_backward(model.mlps["trunk"], cache["trunk"], d_hpair)
         grads["trunk"] = trunk_grads
         k = cache["split"]
         d_hs, d_hr = d_joint[0, :k], d_joint[0, k:]
-        s_phi, s_rho = deepsets_backward(model.sender_enc, cache["sender"], d_hs)
-        r_phi, r_rho = deepsets_backward(model.receiver_enc, cache["receiver"], d_hr)
+        s_phi, s_rho = deepsets_backward(model, "sender", cache["sender"], d_hs)
+        r_phi, r_rho = deepsets_backward(model, "receiver", cache["receiver"], d_hr)
         grads["sender_phi"] = s_phi
         grads["sender_rho"] = s_rho
         grads["receiver_phi"] = r_phi
         grads["receiver_rho"] = r_rho
     else:
         grads = {}
-        (d_ws, d_bs), d_emb = nc.mlp_backward(model.logit, cache["logit"], np.array([d_logit]))
+        (d_ws, d_bs), d_emb = nc.mlp_backward(model.mlps["logit"], cache["logit"],
+                                              np.array([d_logit]))
         grads["logit"] = (d_ws, d_bs)
-        mlp_grads, head_grads = bipartite_backward(model.core, cache["core"], d_emb)
+        mlp_grads, head_grads = bipartite_backward(model, cache["core"], d_emb)
         grads["node_mlp"] = mlp_grads
         grads["head"] = head_grads
     flat = []
-    for name, mlp in model.named_mlps():
+    for name in model.mlps:
         d_ws, d_bs = grads[name]
         for dw, db in zip(d_ws, d_bs):
             flat.extend([dw, db])

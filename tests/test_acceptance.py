@@ -6,6 +6,7 @@ All seeds are fixed, so every outcome here is reproducible bit for bit.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -255,7 +256,7 @@ def _random_model_and_batch(rng, arch):
             readout=str(rng.choice(["sum", "mean", "max"])),
             epsilon=float(rng.uniform(0, 0.5)),
         )
-    for _, mlp in model.named_mlps():
+    for mlp in model.mlps.values():
         for b in mlp.biases:
             b += rng.uniform(0.05, 0.3, size=b.shape) * rng.choice([-1.0, 1.0], size=b.shape)
     batch = []
@@ -499,10 +500,15 @@ def _run_pipeline(workdir):
     links = workdir / "links.csv"
     results = workdir / "results.json"
 
+    # the CLI runs in a child process, which must import the package under test
+    src = os.path.dirname(os.path.dirname(nc.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
     def run(*args):
         proc = subprocess.run(
             [sys.executable, "-m", "revtrack.cli", *args],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         return proc

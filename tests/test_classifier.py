@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from revtrack import classifier
 from revtrack import neural_core as nc
 from revtrack.classifier import (
     LabeledPair,
@@ -18,7 +19,6 @@ from revtrack.classifier import (
     f1_at_threshold,
     few_shot_subsample,
     make_pairs,
-    score,
     split,
     train,
 )
@@ -215,6 +215,19 @@ def test_train_deterministic_checkpoints():
     assert json.dumps(nc.model_to_checkpoint(a)) == json.dumps(nc.model_to_checkpoint(b))
 
 
+def test_train_model_trains_in_place_and_keeps_best_epoch():
+    ds = small_dataset(seed=21, n_sus=25, n_lic=25)
+    pairs, fmap, _ = make_pairs(ds.graph, ds.subgraphs)
+    train_p, valid_p, _ = split(pairs, SplitSpec(seed=1))
+    model = nc.build_ds_model(np.random.default_rng(0), fmap.shape[1], hidden_dim=8)
+    cfg = TrainConfig(hidden_dim=8, epochs=12, patience=12, lr=0.03)
+    out, history = classifier.train_model(model, train_p, valid_p, fmap, cfg)
+    metrics = [h["valid_metric"] for h in history]
+    assert len(history) == 12 and metrics[-1] < max(metrics)  # peaks early
+    assert out is model
+    assert classifier._validation_metric(model, valid_p, fmap) == max(metrics)
+
+
 def test_train_requires_both_classes():
     ds = small_dataset(seed=33, n_sus=6, n_lic=6)
     pairs, fmap, _ = make_pairs(ds.graph, ds.subgraphs)
@@ -228,19 +241,17 @@ def test_score_range_and_scorer_consistency():
     scorer = PairScorer(model, fmap)
     for p in test_p[:8]:
         s1 = scorer.score(p.sr)
-        s2 = score(model, p.sr, fmap)
         xs = fmap[list(p.sr.senders)]
         xr = fmap[list(p.sr.receivers)]
         s3 = nc.sigmoid(nc.forward_logit(model, xs, xr))
         assert 0.0 < s1 < 1.0
-        assert s1 == pytest.approx(s2, abs=1e-12)
         assert s1 == pytest.approx(s3, abs=1e-9)
 
 
 def test_score_empty_side_errors():
     model, _, fmap, _ = trained_small()
     with pytest.raises(ValueError):
-        score(model, SRPair(senders=(), receivers=(1,)), fmap)
+        PairScorer(model, fmap).score(SRPair(senders=(), receivers=(1,)))
 
 
 def test_evaluate_single_class_errors():

@@ -337,6 +337,14 @@ def test_bench_no_finetune_requires_base_model(pipeline, tmp_path, capsys):
     assert "base-model" in capsys.readouterr().err
 
 
+def test_train_rejects_max_pool_for_ds_before_loading(tmp_path, capsys):
+    rc = main(["train", "--arch", "ds", "--pool", "max",
+               "--data-dir", str(tmp_path / "missing"), "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert "max is a bp-only readout" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_train_determinism_via_cli(pipeline, tmp_path):
     _, data, model, _ = pipeline
     again = tmp_path / "model2.json"

@@ -1,6 +1,7 @@
 """Neural kernel: forward math, exact gradients, Adam, checkpoints."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,17 +52,18 @@ def test_mlp_wrong_dim():
 def readout_ds(pool):
     """ds model with identity phi/rho/trunk and a logit that reads the
     pooled sender and receiver vectors (2-d each) as digits 1, 10, 100, 1000."""
-    enc = lambda: nc.DeepSetsParams(phi=identity_mlp(2), pool=pool, rho=identity_mlp(2))
     logit = nc.MlpParams(weights=[np.array([[1.0, 10.0, 100.0, 1000.0]])],
                          biases=[np.zeros(1)], activations=["identity"])
-    return nc.DsClassifier(enc(), enc(), identity_mlp(4), logit)
+    mlps = {f"{side}_{part}": identity_mlp(2)
+            for side in ("sender", "receiver") for part in ("phi", "rho")}
+    return nc.Model({"arch": "ds", "feature_dim": 2, "hidden_dim": 2, "pool": pool},
+                    {**mlps, "trunk": identity_mlp(4), "logit": logit})
 
 
 def plain_bipartite(eps=0.0, readout="sum"):
-    core = nc.BipartiteParams(
-        epsilon=eps, node_mlp=identity_mlp(1), readout=readout, head=identity_mlp(1)
-    )
-    return nc.BpClassifier(core, identity_mlp(1))
+    config = {"arch": "bp", "feature_dim": 1, "hidden_dim": 1, "readout": readout,
+              "epsilon": eps}
+    return nc.Model(config, {name: identity_mlp(1) for name in ("node_mlp", "head", "logit")})
 
 
 def test_deepsets_sum_identity():
@@ -194,7 +196,7 @@ def jiggle_biases(model, rng):
     # Zero biases put relu preactivations exactly on the kink, where the
     # analytic subgradient and central differences legitimately disagree;
     # check gradients at a generic point instead.
-    for _, mlp in model.named_mlps():
+    for mlp in model.mlps.values():
         for b in mlp.biases:
             b += rng.uniform(0.05, 0.3, size=b.shape) * rng.choice([-1.0, 1.0], size=b.shape)
 
@@ -236,7 +238,7 @@ def test_saturated_gradient_small():
     rng = np.random.default_rng(23)
     model = nc.build_ds_model(rng, feature_dim=2, hidden_dim=3)
     # push the logit bias so p ~= 1 with label 1: gradient should vanish
-    model.logit.biases[0][0] = 30.0
+    model.mlps["logit"].biases[0][0] = 30.0
     batch = [(np.ones((1, 2)), np.ones((1, 2)), 1)]
     _, grads = nc.backward(model, batch)
     assert max(np.max(np.abs(g)) for g in grads) < 1e-6
@@ -299,10 +301,59 @@ def test_checkpoint_rejects_bad_version():
         nc.checkpoint_to_model(ckpt)
 
 
+# Checkpoints written by an earlier version of the model code, with the
+# logits that version gave on the inputs below, both for the file as written
+# and with the optional config keys removed (so the defaults apply).
+FORMAT_CASES = {
+    "checkpoint_ds_mean.json": (
+        [([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75]], [[-0.3, 0.8, 1.1]]),
+         ([[1.0, 1.0, 1.0]], [[0.0, -2.0, 0.5], [2.0, 0.0, -1.0], [0.25, 0.5, 0.75]])],
+        [0.5535584300881996, 0.5929977086348078],
+        {"pool": "sum"},
+        [0.5558410092868209, 1.2610043171767287],
+    ),
+    "checkpoint_bp_max.json": (
+        [([[0.5, -1.0], [1.5, 0.25]], [[-0.3, 0.8]]),
+         ([[1.0, 1.0]], [[0.0, -2.0], [2.0, 0.0], [0.25, 0.5]])],
+        [1.250592794047455, 2.323044619936216],
+        {"readout": "sum", "epsilon": 0.0},
+        [2.3049012463056675, 5.2864490320105],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT_CASES))
+def test_checkpoint_file_format_is_pinned(name, tmp_path):
+    inputs, logits, defaults, default_logits = FORMAT_CASES[name]
+    path = Path(__file__).parent / "data" / name
+    model = nc.load_checkpoint(path)
+    out = [nc.forward_logit(model, xs, xr) for xs, xr in inputs]
+    assert out == pytest.approx(logits, rel=1e-12)
+    nc.save_checkpoint(tmp_path / name, model)
+    assert (tmp_path / name).read_bytes() == path.read_bytes()
+
+    ckpt = json.loads(path.read_text())
+    for key in defaults:
+        del ckpt["config"][key]
+    legacy = nc.checkpoint_to_model(ckpt)
+    assert {key: legacy.config[key] for key in defaults} == defaults
+    out = [nc.forward_logit(legacy, xs, xr) for xs, xr in inputs]
+    assert out == pytest.approx(default_logits, rel=1e-12)
+
+
+def test_checkpoint_rejects_wrong_layer_sizes():
+    rng = np.random.default_rng(31)
+    for key in ("trunk.b0", "logit.w0"):
+        ckpt = nc.model_to_checkpoint(nc.build_ds_model(rng, 2, 3))
+        ckpt["weights"][key] = ckpt["weights"][key][:1]
+        with pytest.raises(ValueError):
+            nc.checkpoint_to_model(ckpt)
+
+
 def test_loss_decays_on_separable_toy_set():
     rng = np.random.default_rng(41)
     model = nc.build_ds_model(rng, feature_dim=2, hidden_dim=8)
-    for _, mlp in model.named_mlps():
+    for mlp in model.mlps.values():
         for b in mlp.biases:
             b += rng.uniform(-0.1, 0.1, size=b.shape)
     batch = []

@@ -408,6 +408,16 @@ def test_finetune_zero_epochs_identity():
     )
 
 
+def test_finetune_leaves_input_model_unchanged():
+    model, pairs, fmap = small_trained_model()
+    before = json.dumps(nc.model_to_checkpoint(model))
+    merged = make_finetune_set(pairs, AugmentConfig(seed=5))
+    tuned, history = finetune(model, merged, fmap, TrainConfig(epochs=3, lr=1e-3, seed=7))
+    assert history and tuned is not model
+    assert json.dumps(nc.model_to_checkpoint(tuned)) != before
+    assert json.dumps(nc.model_to_checkpoint(model)) == before
+
+
 def test_finetune_smoke_and_determinism():
     model, pairs, fmap = small_trained_model()
     merged = make_finetune_set(pairs, AugmentConfig(seed=5))
