@@ -185,7 +185,8 @@ def cmd_train(args):
         args.arch, train_pairs, valid_pairs, features, _train_config(args)
     )
     save_checkpoint(args.out, model)
-    best = max(history, key=lambda h: h["valid_metric"]) if history else None
+    # train_model keeps the last of tied best epochs, so report that one
+    best = max(reversed(history), key=lambda h: h["valid_metric"]) if history else None
     if best:
         _log(f"trained {args.arch} on {len(train_pairs)} pairs; "
              f"best valid metric {best['valid_metric']:.4f} at epoch {best['epoch']}")
@@ -330,15 +331,9 @@ def cmd_bench_rec(args):
     started = time.time()
     model = load_checkpoint(args.model)
     graph, subgraphs = load_dataset(args.data_dir)
-    base_scorer = None
-    if args.variant == "no-finetune":
-        if not args.base_model:
-            raise ValueError("--variant no-finetune requires --base-model")
-        base_scorer = PairScorer(load_checkpoint(args.base_model), graph.features)
     settings = [parse_setting(s.strip()) for s in args.settings.split(",") if s.strip()]
     config = BenchmarkConfig(
         scorer=PairScorer(model, graph.features),
-        base_scorer=base_scorer,
         variant=args.variant,
         alpha_keep=args.alpha_keep,
         split_rule=SPLIT_RULES[args.split],
@@ -358,11 +353,8 @@ def cmd_bench_rec(args):
     for setting, row in table.items():
         _log(f"{setting}: HR {row['hr_mean']:.4f} +/- {row['hr_se']:.4f}  "
              f"NDCG {row['ndcg_mean']:.4f}  density {row['density_mean']:.4%}")
-    inputs = _dataset_paths(args.data_dir) + [args.model]
-    if args.base_model:
-        inputs.append(args.base_model)
     _emit_manifest(args.out + ".manifest.json", args, {"seed": args.seed},
-                   inputs, started)
+                   _dataset_paths(args.data_dir) + [args.model], started)
     return 0
 
 
@@ -454,13 +446,10 @@ def build_parser():
 
     p = add("bench-rec", cmd_bench_rec, help="recommendation benchmark table")
     p.add_argument("--model", required=True)
-    p.add_argument("--base-model", default=None,
-                   help="pre-fine-tuning checkpoint (no-finetune variant)")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--settings", required=True, help='e.g. "1+5@1,1+100@3"')
     p.add_argument("--n-instances", type=int, default=256)
-    p.add_argument("--variant", default="full",
-                   choices=("full", "no-iter", "no-finetune", "keep1"))
+    p.add_argument("--variant", default="full", choices=("full", "no-iter"))
     p.add_argument("--alpha-keep", type=float, default=1.5)
     p.add_argument("--split", choices=("sorted", "random"), default="sorted")
     p.add_argument("--seed", type=int, default=0)

@@ -7,6 +7,7 @@ receivers) is derived from those.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -85,17 +86,10 @@ class BackgroundGraph:
     def in_neighbors(self, v: int) -> np.ndarray:
         return self.in_indices[self.in_indptr[v] : self.in_indptr[v + 1]]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.out_neighbors(u)
-        i = int(np.searchsorted(nbrs, v))
-        return i < len(nbrs) and nbrs[i] == v
-
-    def edge_list(self) -> list:
-        """All edges as (src, dst) pairs in ascending (src, dst) order."""
-        out = []
-        for u in range(self.num_nodes):
-            out.extend((u, int(v)) for v in self.out_neighbors(u))
-        return out
+    def edge_list(self) -> np.ndarray:
+        """All edges as an (m, 2) array of (src, dst) rows in ascending order."""
+        src = np.repeat(np.arange(self.num_nodes), np.diff(self.out_indptr))
+        return np.column_stack((src, self.out_indices))
 
 
 @dataclass
@@ -131,18 +125,6 @@ class Subgraph:
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    def validate_against(self, graph: BackgroundGraph):
-        """Check that every edge exists in the background graph."""
-        for u, v in self.edges:
-            if u >= graph.num_nodes or v >= graph.num_nodes:
-                raise ValueError(
-                    f"subgraph {self.id!r} references node outside graph: ({u},{v})"
-                )
-            if not graph.has_edge(u, v):
-                raise ValueError(
-                    f"subgraph {self.id!r} edge ({u},{v}) not present in background graph"
-                )
 
 
 @dataclass(frozen=True)
@@ -188,125 +170,79 @@ class GraphletHistogram:
 
 
 def build_graph(num_nodes, edges, features, node_labels=None, id_remap=None):
-    """Assemble a BackgroundGraph from a deduplicated edge list.
+    """Assemble a BackgroundGraph from (src, dst) pairs of dense node ids.
 
-    ``edges`` is an iterable of (src, dst) pairs with dense endpoints in
-    [0, num_nodes). Self-loops and duplicates must already be removed.
+    ``edges`` is an (m, 2) integer array or an iterable of pairs with
+    endpoints in [0, num_nodes). Duplicates collapse to one edge; a
+    self-loop is an error.
     """
     features = np.array(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != num_nodes:
-        raise GraphLoadError(
-            f"features must be ({num_nodes}, d), got {features.shape}"
-        )
-    edge_arr = np.array(sorted(set(edges)), dtype=np.int64).reshape(-1, 2)
-    if edge_arr.size and (edge_arr.min() < 0 or edge_arr.max() >= num_nodes):
+        raise GraphLoadError(f"features must be ({num_nodes}, d), got {features.shape}")
+    if not isinstance(edges, np.ndarray):
+        edges = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
         raise GraphLoadError("edge endpoint outside [0, num_nodes)")
-    if edge_arr.size and np.any(edge_arr[:, 0] == edge_arr[:, 1]):
+    # The distinct pairs in (src, dst) order, through one int64 key per pair:
+    # dst is then the out-adjacency and a stable sort by dst the in-adjacency.
+    src, dst = np.divmod(np.unique(edges[:, 0] * num_nodes + edges[:, 1]), num_nodes)
+    if np.any(src == dst):
         raise GraphLoadError("self-loops are not allowed in the background graph")
+    out_indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=num_nodes))))
+    in_indptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=num_nodes))))
+    in_indices = src[np.argsort(dst, kind="stable")]
 
-    out_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    in_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    if edge_arr.size:
-        np.add.at(out_indptr[1:], edge_arr[:, 0], 1)
-        np.add.at(in_indptr[1:], edge_arr[:, 1], 1)
-    np.cumsum(out_indptr, out=out_indptr)
-    np.cumsum(in_indptr, out=in_indptr)
-
-    # Edge array is sorted by (src, dst): out_indices is just the dst column.
-    out_indices = edge_arr[:, 1].copy() if edge_arr.size else np.zeros(0, dtype=np.int64)
-    if edge_arr.size:
-        order = np.lexsort((edge_arr[:, 0], edge_arr[:, 1]))
-        in_indices = edge_arr[order, 0].copy()
-    else:
-        in_indices = np.zeros(0, dtype=np.int64)
-
+    arrays = [out_indptr, dst, in_indptr, in_indices, features]
     labels_arr = None
     if node_labels is not None:
         labels_arr = np.asarray(node_labels, dtype=np.int8)
         if labels_arr.shape != (num_nodes,):
             raise GraphLoadError("node_labels length must equal num_nodes")
-
-    for arr in (out_indptr, out_indices, in_indptr, in_indices, features):
+        arrays.append(labels_arr)
+    for arr in arrays:
         arr.setflags(write=False)
-    if labels_arr is not None:
-        labels_arr.setflags(write=False)
-
-    return BackgroundGraph(
-        num_nodes=num_nodes,
-        out_indptr=out_indptr,
-        out_indices=out_indices,
-        in_indptr=in_indptr,
-        in_indices=in_indices,
-        features=features,
-        node_labels=labels_arr,
-        id_remap=id_remap,
-    )
+    return BackgroundGraph(num_nodes, out_indptr, dst, in_indptr, in_indices, features,
+                           labels_arr, id_remap)
 
 
-def load_graph(edge_rows, node_rows):
-    """Build a BackgroundGraph from tabular streams.
+def load_graph(edges, node_ids, features, node_labels=None):
+    """Build a BackgroundGraph from the columns of an edge and a node table.
 
-    ``edge_rows`` yields (src, dst) integer pairs; ``node_rows`` yields
-    (id, features, label_or_None) triples. Node ids need not be dense: they
-    are densified by ascending original id and the mapping is retained on
-    the graph. Duplicate edges collapse to one; self-loops are dropped.
+    ``edges`` is an (m, 2) array of original node ids, one row per edge
+    row; ``node_ids``, ``features`` (n, d) and ``node_labels`` (n label
+    codes, or None) are the node table's columns in row order. Node ids
+    need not be dense: they are densified by ascending original id and the
+    mapping is retained on the graph. Duplicate edges collapse to one;
+    self-loops are dropped.
 
     Returns (graph, stats) where stats counts dropped duplicates/self-loops.
     """
-    node_rows = list(node_rows)
-    if not node_rows:
+    node_ids = np.asarray(node_ids, dtype=np.int64)
+    if not node_ids.size:
         raise GraphLoadError("no node rows")
-    ids = [int(r[0]) for r in node_rows]
-    if len(set(ids)) != len(ids):
+    order = np.argsort(node_ids, kind="stable")
+    ids = node_ids[order]
+    if np.any(ids[1:] == ids[:-1]):
         raise GraphLoadError("duplicate node ids in node stream")
-
-    dim = len(node_rows[0][1])
-    for r in node_rows:
-        if len(r[1]) != dim:
-            raise GraphLoadError(
-                f"inconsistent feature dimension for node {r[0]}: "
-                f"expected {dim}, got {len(r[1])}"
-            )
-
     num_nodes = len(ids)
-    dense = set(ids) == set(range(num_nodes))
-    id_remap = None if dense else {orig: i for i, orig in enumerate(sorted(ids))}
+    id_remap = None
+    if ids[0] != 0 or ids[-1] != num_nodes - 1:
+        id_remap = dict(zip(ids.tolist(), range(num_nodes)))
 
-    def to_dense(orig):
-        return orig if id_remap is None else id_remap[orig]
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    dense = np.searchsorted(ids, edges)
+    dangling = ids[np.minimum(dense, num_nodes - 1)] != edges
+    if dangling.any():
+        row, col = divmod(int(np.argmax(dangling)), 2)
+        raise GraphLoadError(f"dangling endpoint {edges[row, col]} at edges row {row}")
+    loops = dense[:, 0] == dense[:, 1]
+    kept = dense[~loops]
 
-    order = sorted(range(num_nodes), key=lambda i: ids[i])
-    features = np.array([node_rows[i][1] for i in order], dtype=np.float64)
-    labels = None
-    if any(len(r) > 2 and r[2] is not None for r in node_rows):
-        labels = np.full(num_nodes, UNKNOWN, dtype=np.int8)
-        for i in order:
-            row = node_rows[i]
-            if len(row) > 2 and row[2] is not None:
-                labels[to_dense(ids[i])] = NODE_LABEL_CODES[row[2]]
-
-    valid = set(ids)
-    edges = set()
-    duplicates = 0
-    self_loops = 0
-    for row_no, (src, dst) in enumerate(edge_rows):
-        src, dst = int(src), int(dst)
-        for endpoint in (src, dst):
-            if endpoint not in valid:
-                raise GraphLoadError(
-                    f"dangling endpoint {endpoint} at edges row {row_no}"
-                )
-        if src == dst:
-            self_loops += 1
-            continue
-        e = (to_dense(src), to_dense(dst))
-        if e in edges:
-            duplicates += 1
-        else:
-            edges.add(e)
-
-    graph = build_graph(num_nodes, edges, features, labels, id_remap)
-    stats = {"duplicate_edges": duplicates, "self_loops_dropped": self_loops}
+    labels = None if node_labels is None else np.asarray(node_labels)[order]
+    graph = build_graph(num_nodes, kept, np.asarray(features)[order], labels, id_remap)
+    stats = {"duplicate_edges": len(kept) - graph.num_edges,
+             "self_loops_dropped": int(loops.sum())}
     return graph, stats
 
 

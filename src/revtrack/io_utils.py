@@ -10,9 +10,12 @@ import json
 import logging
 import os
 
+import numpy as np
+
 from .graph_core import (
     NODE_LABEL_CODES,
     NODE_LABEL_NAMES,
+    UNKNOWN,
     GraphLoadError,
     Subgraph,
     load_graph,
@@ -25,70 +28,86 @@ NODES_FILE = "nodes.csv"
 SUBGRAPHS_FILE = "subgraphs.jsonl"
 
 
-def write_edges_csv(path, edge_list):
+def write_edges_csv(path, edges):
+    """Write an (m, 2) array of (src, dst) rows under a 'src,dst' header."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("src,dst\n")
-        for u, v in edge_list:
-            fh.write(f"{u},{v}\n")
+        fh.write("src,dst\n" + "".join(f"{u},{v}\n" for u, v in edges.tolist()))
+
+
+def _read_body(path):
+    """(header line, remaining text) of a CSV file."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.readline().strip(), fh.read()
+
+
+def _reject_first_bad_line(path, text, n_fields, has_label=False):
+    """Raise naming the first line of ``text`` (line 2 of ``path`` on) with
+    other than ``n_fields`` fields or an unknown label."""
+    for line_no, line in enumerate(text.split("\n"), start=2):
+        parts = line.split(",")
+        if line and len(parts) != n_fields:
+            raise GraphLoadError(
+                f"{path}:{line_no}: expected {n_fields} fields, got {len(parts)}"
+            )
+        if line and has_label and parts[-1].rstrip() not in ("", *NODE_LABEL_CODES):
+            raise GraphLoadError(f"{path}:{line_no}: unknown label {parts[-1].rstrip()!r}")
+
+
+def _load_rows(path, text, dtype, n_fields):
+    """The non-empty lines of ``text``, the body of ``path``, as a ``dtype``
+    array. Ids parse as integers, never through float."""
+    if not text.strip():
+        return np.zeros(0, dtype)
+    try:
+        return np.loadtxt(text.split("\n"), dtype=dtype, delimiter=",", comments=None,
+                          ndmin=1)
+    except ValueError as exc:
+        _reject_first_bad_line(path, text, n_fields)
+        raise GraphLoadError(f"{path}: {exc}") from None
 
 
 def read_edges_csv(path):
-    edges = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "src,dst":
-            raise GraphLoadError(f"{path}: expected header 'src,dst', got {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            src, dst = line.split(",")
-            edges.append((int(src), int(dst)))
-    return edges
+    """The (src, dst) rows of an edges file as an (m, 2) int64 array."""
+    header, text = _read_body(path)
+    if header != "src,dst":
+        raise GraphLoadError(f"{path}: expected header 'src,dst', got {header!r}")
+    return _load_rows(path, text, np.dtype([("edge", np.int64, (2,))]), 2)["edge"]
 
 
 def write_nodes_csv(path, graph):
-    dim = graph.feature_dim
-    has_labels = graph.node_labels is not None
-    cols = ["id"] + [f"f_{i}" for i in range(dim)] + (["label"] if has_labels else [])
+    header = ["id"] + [f"f_{i}" for i in range(graph.feature_dim)]
+    labels = [[]] * graph.num_nodes
+    if graph.node_labels is not None:
+        header.append("label")
+        labels = [[NODE_LABEL_NAMES[c]] for c in graph.node_labels.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for v in range(graph.num_nodes):
-            row = [str(v)] + [repr(float(x)) for x in graph.features[v]]
-            if has_labels:
-                row.append(NODE_LABEL_NAMES[int(graph.node_labels[v])])
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(header) + "\n" + "".join(
+            ",".join([str(v), *map(repr, row), *label]) + "\n"
+            for v, (row, label) in enumerate(zip(graph.features.tolist(), labels))))
 
 
 def read_nodes_csv(path):
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[0] != "id":
-            raise GraphLoadError(f"{path}: first column must be 'id'")
-        has_label = header[-1] == "label"
-        n_feats = len(header) - 1 - int(has_label)
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            expected = 1 + n_feats + int(has_label)
-            if len(parts) != expected:
-                raise GraphLoadError(
-                    f"{path}:{line_no}: expected {expected} fields, got {len(parts)}"
-                )
-            node_id = int(parts[0])
-            feats = [float(x) for x in parts[1 : 1 + n_feats]]
-            label = None
-            if has_label and parts[-1]:
-                if parts[-1] not in NODE_LABEL_CODES:
-                    raise GraphLoadError(
-                        f"{path}:{line_no}: unknown label {parts[-1]!r}"
-                    )
-                label = parts[-1]
-            rows.append((node_id, feats, label))
-    return rows
+    """Columns of a nodes file: (ids, (n, d) features, label codes or None).
+
+    The label codes are None when no row names a label; otherwise a row
+    with an empty label field gets UNKNOWN.
+    """
+    header, text = _read_body(path)
+    header = header.split(",")
+    if header[0] != "id":
+        raise GraphLoadError(f"{path}: first column must be 'id'")
+    has_label = header[-1] == "label"
+    fields = [("id", np.int64), ("f", np.float64, (len(header) - 1 - has_label,))]
+    fields += [("label", object)] * has_label
+    rows = _load_rows(path, text, np.dtype(fields), len(header))
+    names = np.char.rstrip(rows["label"].astype(str)) if has_label else np.array([""])
+    if not (names != "").any():
+        return rows["id"], rows["f"], None
+    if not np.isin(names, ["", *NODE_LABEL_CODES]).all():
+        _reject_first_bad_line(path, text, len(header), has_label=True)
+    codes = np.select([names == n for n in NODE_LABEL_CODES], [*NODE_LABEL_CODES.values()],
+                      UNKNOWN)
+    return rows["id"], rows["f"], codes.astype(np.int8)
 
 
 def write_subgraphs_jsonl(path, subgraphs):
@@ -161,27 +180,26 @@ def save_dataset(dataset, out_dir):
     write_edges_csv(os.path.join(out_dir, EDGES_FILE), dataset.graph.edge_list())
     write_nodes_csv(os.path.join(out_dir, NODES_FILE), dataset.graph)
     write_subgraphs_jsonl(os.path.join(out_dir, SUBGRAPHS_FILE), dataset.subgraphs)
-    return [
-        os.path.join(out_dir, name)
-        for name in (EDGES_FILE, NODES_FILE, SUBGRAPHS_FILE)
-    ]
+    return [os.path.join(out_dir, name) for name in (EDGES_FILE, NODES_FILE, SUBGRAPHS_FILE)]
 
 
 def load_dataset(data_dir, require_subgraphs=True):
-    """Load (graph, subgraphs) from a directory in the standard layout."""
+    """Load (graph, subgraphs) from a directory in the standard layout.
+
+    With ``require_subgraphs`` False the subgraph file is not read and the
+    subgraph list is empty.
+    """
     edges = read_edges_csv(os.path.join(data_dir, EDGES_FILE))
-    nodes = read_nodes_csv(os.path.join(data_dir, NODES_FILE))
-    graph, stats = load_graph(edges, nodes)
+    graph, stats = load_graph(edges, *read_nodes_csv(os.path.join(data_dir, NODES_FILE)))
     for what, count in stats.items():
         if count:
             logger.warning("%s: %d %s", data_dir, count, what)
+    if not require_subgraphs:
+        return graph, []
     sub_path = os.path.join(data_dir, SUBGRAPHS_FILE)
-    subgraphs = []
-    if os.path.exists(sub_path):
-        subgraphs = read_subgraphs_jsonl(sub_path, graph.id_remap, graph.num_nodes)
-    elif require_subgraphs:
+    if not os.path.exists(sub_path):
         raise GraphLoadError(f"missing {sub_path}")
-    return graph, subgraphs
+    return graph, read_subgraphs_jsonl(sub_path, graph.id_remap, graph.num_nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -96,12 +96,6 @@ def _instance_from_pools(plus_pool, minus_pool, n_plus, n_minus, seed):
     )
 
 
-def build_rec_instance(subgraphs, n_plus, n_minus, seed, graph) -> RecTestInstance:
-    """One benchmark instance built from scratch; deterministic under seed."""
-    plus_pool, minus_pool = boundary_pools(subgraphs, graph)
-    return _instance_from_pools(plus_pool, minus_pool, n_plus, n_minus, seed)
-
-
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -145,17 +139,14 @@ def score_recommendations(recommended, truth, k) -> RecMetrics:
 @dataclass
 class BenchmarkConfig:
     scorer: object                 # callable [SRPair] -> [probability]
-    base_scorer: object = None     # pre-fine-tuning scorer (no-finetune variant)
-    variant: str = "full"          # full | no-iter | no-finetune | keep1
+    variant: str = "full"          # full | no-iter
     alpha_keep: float = 1.5
     split_rule: str = "sorted_id"
     seed: int = 0
 
     def __post_init__(self):
-        if self.variant not in ("full", "no-iter", "no-finetune", "keep1"):
+        if self.variant not in ("full", "no-iter"):
             raise ValueError(f"unknown benchmark variant {self.variant!r}")
-        if self.variant == "no-finetune" and self.base_scorer is None:
-            raise ValueError("no-finetune variant requires base_scorer")
 
 
 def one_pass_topk(instance: RecTestInstance, k, scorer):
@@ -172,12 +163,11 @@ def recommend_links(instance: RecTestInstance, k, config: BenchmarkConfig, seed)
     """Ranked (sender, receiver) list for one instance under one variant."""
     if config.variant == "no-iter":
         return one_pass_topk(instance, k, config.scorer)
-    scorer = config.base_scorer if config.variant == "no-finetune" else config.scorer
-    alpha = 1.0 if config.variant == "keep1" else config.alpha_keep
     result = rev_filter(
         instance.initial_pair,
-        FilterConfig(k=k, alpha_keep=alpha, split_rule=config.split_rule, seed=seed),
-        scorer,
+        FilterConfig(k=k, alpha_keep=config.alpha_keep, split_rule=config.split_rule,
+                     seed=seed),
+        config.scorer,
     )
     return [(sr.senders[0], sr.receivers[0]) for sr, _ in result.links]
 

@@ -6,19 +6,106 @@ results against them.
 
 from itertools import combinations
 
+import numpy as np
+
 from revtrack.graph_core import (
     ILLICIT,
     LICIT,
+    NODE_LABEL_CODES,
     SUBGRAPH_LICIT,
     SUBGRAPH_SUSPICIOUS,
+    UNKNOWN,
     BackgroundGraph,
     GraphletHistogram,
+    GraphLoadError,
     Subgraph,
     _classify_graphlet,
     extract_boundary,
 )
-from revtrack.rec_eval import build_rec_instance
+from revtrack.rec_eval import RecTestInstance, _instance_from_pools, boundary_pools
 from revtrack.synth_gen import SynthDataset
+
+
+def load_graph_rows(edge_rows, node_rows):
+    """Row-at-a-time reference for ``graph_core.load_graph``.
+
+    ``edge_rows`` yields (src, dst) pairs; ``node_rows`` yields
+    (id, features, label name or None) triples. Deduplicates with a Python
+    set and builds the CSR arrays with ``np.add.at`` and ``np.lexsort``.
+    """
+    node_rows = list(node_rows)
+    if not node_rows:
+        raise GraphLoadError("no node rows")
+    ids = [int(r[0]) for r in node_rows]
+    if len(set(ids)) != len(ids):
+        raise GraphLoadError("duplicate node ids in node stream")
+    num_nodes = len(ids)
+    id_remap = None
+    if set(ids) != set(range(num_nodes)):
+        id_remap = {orig: i for i, orig in enumerate(sorted(ids))}
+
+    def to_dense(orig):
+        return orig if id_remap is None else id_remap[orig]
+
+    order = sorted(range(num_nodes), key=lambda i: ids[i])
+    features = np.array([node_rows[i][1] for i in order], dtype=np.float64)
+    labels = None
+    if any(r[2] is not None for r in node_rows):
+        labels = np.full(num_nodes, UNKNOWN, dtype=np.int8)
+        for i in order:
+            if node_rows[i][2] is not None:
+                labels[to_dense(ids[i])] = NODE_LABEL_CODES[node_rows[i][2]]
+
+    valid = set(ids)
+    edges = set()
+    duplicates = self_loops = 0
+    for row_no, (src, dst) in enumerate(edge_rows):
+        src, dst = int(src), int(dst)
+        for endpoint in (src, dst):
+            if endpoint not in valid:
+                raise GraphLoadError(f"dangling endpoint {endpoint} at edges row {row_no}")
+        if src == dst:
+            self_loops += 1
+        elif (to_dense(src), to_dense(dst)) in edges:
+            duplicates += 1
+        else:
+            edges.add((to_dense(src), to_dense(dst)))
+
+    edge_arr = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    out_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    in_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.add.at(out_indptr[1:], edge_arr[:, 0], 1)
+    np.add.at(in_indptr[1:], edge_arr[:, 1], 1)
+    graph = BackgroundGraph(
+        num_nodes=num_nodes,
+        out_indptr=np.cumsum(out_indptr),
+        out_indices=edge_arr[:, 1].copy(),
+        in_indptr=np.cumsum(in_indptr),
+        in_indices=edge_arr[np.lexsort((edge_arr[:, 0], edge_arr[:, 1])), 0],
+        features=features,
+        node_labels=labels,
+        id_remap=id_remap,
+    )
+    return graph, {"duplicate_edges": duplicates, "self_loops_dropped": self_loops}
+
+
+def has_edge(graph: BackgroundGraph, u: int, v: int) -> bool:
+    nbrs = graph.out_neighbors(u)
+    i = int(np.searchsorted(nbrs, v))
+    return i < len(nbrs) and nbrs[i] == v
+
+
+def validate_against(subgraph: Subgraph, graph: BackgroundGraph):
+    """Check that every edge of ``subgraph`` exists in the background graph."""
+    for u, v in subgraph.edges:
+        if u >= graph.num_nodes or v >= graph.num_nodes:
+            raise ValueError(
+                f"subgraph {subgraph.id!r} references node outside graph: ({u},{v})"
+            )
+        if not has_edge(graph, u, v):
+            raise ValueError(
+                f"subgraph {subgraph.id!r} edge ({u},{v}) not present in background graph"
+            )
 
 
 def graphlet_census_bruteforce(subgraphs) -> GraphletHistogram:
@@ -94,6 +181,7 @@ def infer_label(graph: BackgroundGraph, subgraph: Subgraph):
     return None
 
 
-def plant_rec_instance(dataset: SynthDataset, n_plus, n_minus, seed):
-    """Build one link-recommendation test instance from the dataset."""
-    return build_rec_instance(dataset.subgraphs, n_plus, n_minus, seed, dataset.graph)
+def plant_rec_instance(dataset: SynthDataset, n_plus, n_minus, seed) -> RecTestInstance:
+    """One link-recommendation test instance built from scratch; deterministic under seed."""
+    plus_pool, minus_pool = boundary_pools(dataset.subgraphs, dataset.graph)
+    return _instance_from_pools(plus_pool, minus_pool, n_plus, n_minus, seed)

@@ -396,19 +396,18 @@ def test_c07_trained_filter_analog(rec_bundle):
 def test_c08_ablation_ordering(rec_bundle):
     ds, fmap, base, tuned, _ = rec_bundle
     setting = [(1, 20, 10)]
-    scorer = PairScorer(tuned, fmap)
-    base_scorer = PairScorer(base, fmap)
     rows = {}
-    for variant, sc, bsc in (
-        ("full", scorer, None),
-        ("no-finetune", scorer, base_scorer),
-        ("no-iter", scorer, None),
+    # the no-finetune row is the full filter run with the base checkpoint
+    for row, model, variant in (
+        ("full", tuned, "full"),
+        ("no-finetune", base, "full"),
+        ("no-iter", tuned, "no-iter"),
     ):
         table = run_benchmark(
             ds, setting, 64,
-            BenchmarkConfig(scorer=sc, base_scorer=bsc, variant=variant, seed=500),
+            BenchmarkConfig(scorer=PairScorer(model, fmap), variant=variant, seed=500),
         )
-        rows[variant] = table["1+20@10"]
+        rows[row] = table["1+20@10"]
     density = rows["full"]["density_mean"]
     gap_ft = rows["full"]["hr_mean"] - rows["no-finetune"]["hr_mean"]
     gap_it = rows["full"]["hr_mean"] - rows["no-iter"]["hr_mean"]

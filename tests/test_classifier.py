@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from revtrack import classifier
 from revtrack import neural_core as nc
@@ -120,6 +122,22 @@ def test_few_shot_nesting():
     small = {p.origin for p in few_shot_subsample(train_p, 0.1)}
     large = {p.origin for p in few_shot_subsample(train_p, 0.5)}
     assert small <= large
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 60), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(0.01, 1.0), min_size=2, max_size=4))
+def test_split_nested_across_few_shot_fractions(n_pos, n_neg, seed, fractions):
+    pairs = fake_pairs(n_pos, n_neg)
+    assume(len(pairs) >= 10)
+    fractions = sorted(fractions)
+    parts = [split(pairs, SplitSpec(seed=seed, few_shot_fraction=f)) for f in fractions]
+    origins = [[{p.origin for p in part} for part in split_parts] for split_parts in parts]
+    for (small_train, small_valid, small_test), (large_train, large_valid, large_test) in zip(
+        origins, origins[1:]
+    ):
+        assert small_train <= large_train
+        assert (small_valid, small_test) == (large_valid, large_test)
 
 
 def test_few_shot_full_fraction_identity():

@@ -6,10 +6,12 @@ import os
 import numpy as np
 import pytest
 
-from revtrack import io_utils
+from revtrack import classifier, io_utils
 from revtrack.cli import main
-from revtrack.graph_core import Subgraph, build_graph
-from revtrack.synth_gen import SynthConfig, generate
+from revtrack.graph_core import ILLICIT, LICIT, UNKNOWN, Subgraph, build_graph
+from revtrack.neural_core import load_checkpoint
+from revtrack.synth_gen import SynthConfig, SynthDataset, generate
+from oracles import validate_against
 
 
 def tiny_config(seed=1):
@@ -39,12 +41,30 @@ def test_dataset_roundtrip(tmp_path):
     io_utils.save_dataset(ds, out)
     graph, subgraphs = io_utils.load_dataset(out)
     assert graph.num_nodes == ds.graph.num_nodes
-    assert graph.edge_list() == ds.graph.edge_list()
+    assert np.array_equal(graph.edge_list(), ds.graph.edge_list())
     assert np.array_equal(graph.features, ds.graph.features)
     assert np.array_equal(graph.node_labels, ds.graph.node_labels)
     assert [(s.id, s.nodes, s.edges, s.label) for s in subgraphs] == [
         (s.id, s.nodes, s.edges, s.label) for s in ds.subgraphs
     ]
+
+
+# Features where repr changes form (exponent, -0.0, 17 digits, subnormal)
+# and labels that are mostly unknown; the expected bytes pin the file format.
+PINNED_GRAPH = dict(
+    edges=[(3, 0), (0, 2), (1, 2), (0, 1)],
+    features=[[1e-05, 1e16], [-0.0, 0.1 + 0.2], [5e-324, 1.0], [-1.5, 123456789.123]],
+    labels=[UNKNOWN, ILLICIT, UNKNOWN, LICIT],
+)
+PINNED_FILES = {
+    "edges.csv": b"src,dst\n0,1\n0,2\n1,2\n3,0\n",
+    "nodes.csv": (b"id,f_0,f_1,label\n0,1e-05,1e+16,unknown\n"
+                  b"1,-0.0,0.30000000000000004,illicit\n2,5e-324,1.0,unknown\n"
+                  b"3,-1.5,123456789.123,licit\n"),
+    "subgraphs.jsonl": (b'{"id":"s0","label":"suspicious","nodes":[0,1,2],'
+                        b'"edges":[[0,1],[1,2]]}\n'
+                        b'{"id":"s1","label":null,"nodes":[3],"edges":[]}\n'),
+}
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -53,6 +73,22 @@ def test_save_is_byte_deterministic(tmp_path):
     io_utils.save_dataset(generate(SynthConfig(**tiny_config())), b_dir)
     for name in ("edges.csv", "nodes.csv", "subgraphs.jsonl"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+    graph = build_graph(4, PINNED_GRAPH["edges"], PINNED_GRAPH["features"],
+                        PINNED_GRAPH["labels"])
+    subgraphs = [Subgraph(id="s0", nodes=(0, 1, 2), edges=((0, 1), (1, 2)),
+                          label="suspicious"),
+                 Subgraph(id="s1", nodes=(3,), edges=())]
+    pinned = tmp_path / "pinned"
+    io_utils.save_dataset(SynthDataset(graph=graph, subgraphs=subgraphs), pinned)
+    for name, expected in PINNED_FILES.items():
+        assert (pinned / name).read_bytes() == expected, name
+    loaded, loaded_subgraphs = io_utils.load_dataset(pinned)
+    for name in ("out_indptr", "out_indices", "in_indptr", "in_indices", "node_labels"):
+        assert np.array_equal(getattr(loaded, name), getattr(graph, name)), name
+    assert loaded.features.view(np.int64).tolist() == graph.features.view(np.int64).tolist()
+    assert loaded.id_remap is None
+    assert loaded_subgraphs == subgraphs
 
 
 def test_subgraph_file_with_sparse_ids(tmp_path):
@@ -64,7 +100,7 @@ def test_subgraph_file_with_sparse_ids(tmp_path):
     (sg,) = io_utils.read_subgraphs_jsonl(sub_path, remap)
     assert sg.nodes == (0, 1)
     assert sg.edges == ((0, 1),)
-    sg.validate_against(graph)
+    validate_against(sg, graph)
 
 
 def test_nodes_csv_rejects_bad_label(tmp_path):
@@ -72,6 +108,28 @@ def test_nodes_csv_rejects_bad_label(tmp_path):
     path.write_text("id,f_0,label\n0,1.0,weird\n")
     with pytest.raises(io_utils.GraphLoadError, match="unknown label"):
         io_utils.read_nodes_csv(path)
+
+
+@pytest.mark.parametrize("nodes, edges, message", [
+    ("node,f_0\n0,1.0\n", "src,dst\n", "first column must be 'id'"),
+    ("id,f_0\n0,1.0\n", "from,to\n", "expected header 'src,dst', got 'from,to'"),
+    ("id,f_0,f_1\n0,0.0,1.0\n\n1,0.0\n", "src,dst\n", "nodes.csv:4: expected 3 fields, got 2"),
+    ("id,f_0\n0,1.0\n1,1.0\n", "src,dst\n0,1\n0,1,1\n", "edges.csv:3: expected 2 fields, got 3"),
+    ("id,f_0,label\n0,1.0,licit\n1,1.0,\n2,1.0,Licit\n", "src,dst\n",
+     "nodes.csv:4: unknown label 'Licit'"),
+    ("id,f_0\n0,1.0\n1,1.0\n", "src,dst\n0,1\n1,7\n", "dangling endpoint 7 at edges row 1"),
+    ("id,f_0\n4,1.0\n4,2.0\n", "src,dst\n", "duplicate node ids"),
+    ("id,f_0\n", "src,dst\n", "no node rows"),
+    ("id,f_0\n0,1.0\n1.5,1.0\n", "src,dst\n", "could not convert string '1.5' to int64"),
+    ("id,f_0\n0,1.0\n", "src,dst\n0,1e0\n", "could not convert string '1e0' to int64"),
+], ids=["nodes-header", "edges-header", "ragged-node", "ragged-edge", "unknown-label", "dangling",
+        "duplicate-id", "no-nodes", "float-node-id", "float-edge-end"])
+def test_bad_tables_exit_1_naming_the_defect(tmp_path, capsys, nodes, edges, message):
+    (tmp_path / "nodes.csv").write_text(nodes)
+    (tmp_path / "edges.csv").write_text(edges)
+    rc = main(["eval-cls", "--model", str(tmp_path / "m.json"), "--data-dir", str(tmp_path)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("node_ids, bad", [((10, 20, 30), 40), ((0, 1, 2), -1)],
@@ -326,17 +384,6 @@ def test_filter_exits_2_when_scorer_fails_on_a_pair(pipeline, tmp_path, capsys, 
     assert os.path.exists(str(links_csv) + ".manifest.json")
 
 
-def test_bench_no_finetune_requires_base_model(pipeline, tmp_path, capsys):
-    _, data, model, _ = pipeline
-    rc = main([
-        "bench-rec", "--model", str(model), "--data-dir", str(data),
-        "--settings", "1+3@1", "--n-instances", "2",
-        "--variant", "no-finetune", "--out", str(tmp_path / "r.json"),
-    ])
-    assert rc == 1
-    assert "base-model" in capsys.readouterr().err
-
-
 def test_train_rejects_max_pool_for_ds_before_loading(tmp_path, capsys):
     rc = main(["train", "--arch", "ds", "--pool", "max",
                "--data-dir", str(tmp_path / "missing"), "--out", str(tmp_path / "m.json")])
@@ -354,6 +401,19 @@ def test_train_determinism_via_cli(pipeline, tmp_path):
         "--hidden-dim", "8", "--epochs", "4", "--patience", "3",
     ]) == 0
     assert again.read_bytes() == model.read_bytes()
+
+
+def test_train_logs_the_saved_epoch_of_a_tie(pipeline, tmp_path, capsys, monkeypatch):
+    # train_model keeps the weights of the last of tied best epochs
+    _, data, model, _ = pipeline
+    history = [{"epoch": e, "train_loss": 1.0, "valid_metric": m}
+               for e, m in enumerate([0.5, 1.0, 0.75, 1.0, 1.0, 0.9])]
+    trained = load_checkpoint(str(model))
+    monkeypatch.setattr(classifier, "train", lambda *args: (trained, history))
+    assert main([
+        "train", "--arch", "ds", "--data-dir", str(data), "--out", str(tmp_path / "m.json"),
+    ]) == 0
+    assert "best valid metric 1.0000 at epoch 4" in capsys.readouterr().err
 
 
 def test_config_file_flags_win(pipeline, tmp_path, capsys):

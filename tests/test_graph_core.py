@@ -1,11 +1,19 @@
 """Graph core: loading, cycle breaking, boundary extraction, graphlet counts."""
 
+import os
+import tempfile
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revtrack.graph_core import (
+    ILLICIT,
+    LICIT,
+    NODE_LABEL_CODES,
+    UNKNOWN,
     GraphLoadError,
     Subgraph,
     break_cycles,
@@ -14,7 +22,8 @@ from revtrack.graph_core import (
     graphlet_census,
     load_graph,
 )
-from oracles import graphlet_census_bruteforce, topological_order
+from revtrack.io_utils import read_edges_csv, read_nodes_csv
+from oracles import graphlet_census_bruteforce, load_graph_rows, topological_order
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +124,7 @@ def _match_graphlet(k, local_edges):
 
 def test_load_graph_basic_degrees():
     graph, stats = load_graph(
-        [(0, 1), (1, 2)],
-        [(0, [0.0, 1.0], None), (1, [1.0, 0.0], None), (2, [0.5, 0.5], None)],
+        np.array([(0, 1), (1, 2)]), [0, 1, 2], [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]],
     )
     degs = [len(graph.out_neighbors(v)) for v in range(3)]
     assert degs == [1, 1, 0]
@@ -124,42 +132,101 @@ def test_load_graph_basic_degrees():
 
 
 def test_load_graph_collapses_duplicates():
-    graph, stats = load_graph(
-        [(0, 1), (0, 1)],
-        [(0, [0.0], None), (1, [0.0], None)],
-    )
+    graph, stats = load_graph(np.array([(0, 1), (0, 1)]), [0, 1], [[0.0], [0.0]])
     assert graph.num_edges == 1
     assert stats["duplicate_edges"] == 1
 
 
 def test_load_graph_dangling_endpoint():
-    with pytest.raises(GraphLoadError, match="dangling endpoint 5"):
-        load_graph([(0, 5)], [(i, [0.0], None) for i in range(3)])
-
-
-def test_load_graph_inconsistent_feature_dim():
-    with pytest.raises(GraphLoadError, match="feature dimension"):
-        load_graph([], [(0, [0.0, 1.0], None), (1, [0.0], None)])
+    with pytest.raises(GraphLoadError, match="dangling endpoint 5 at edges row 1"):
+        load_graph(np.array([(0, 1), (0, 5)]), [0, 1, 2], np.zeros((3, 1)))
 
 
 def test_load_graph_drops_self_loops():
-    graph, stats = load_graph(
-        [(0, 0), (0, 1)],
-        [(0, [0.0], None), (1, [0.0], None)],
-    )
+    graph, stats = load_graph(np.array([(0, 0), (0, 1)]), [0, 1], [[0.0], [0.0]])
     assert graph.num_edges == 1
     assert stats["self_loops_dropped"] == 1
 
 
 def test_load_graph_densifies_sparse_ids():
     graph, _ = load_graph(
-        [(10, 30)],
-        [(10, [1.0], "licit"), (30, [2.0], "illicit"), (20, [3.0], None)],
+        np.array([(10, 30)]), [10, 30, 20], [[1.0], [2.0], [3.0]],
+        [LICIT, ILLICIT, UNKNOWN],
     )
     assert graph.id_remap == {10: 0, 20: 1, 30: 2}
     assert list(graph.out_neighbors(0)) == [2]
     assert graph.features[2, 0] == 2.0
-    assert graph.node_labels is not None
+    assert list(graph.node_labels) == [LICIT, UNKNOWN, ILLICIT]
+
+
+def _write_tables(root, edge_rows, node_rows, dim, label_column):
+    """Write edge and node rows as the two CSV files; returns their paths."""
+    edges_path, nodes_path = os.path.join(root, "edges.csv"), os.path.join(root, "nodes.csv")
+    with open(edges_path, "w", encoding="utf-8") as fh:
+        fh.write("src,dst\n" + "".join(f"{u},{v}\n" for u, v in edge_rows))
+    header = ["id"] + [f"f_{i}" for i in range(dim)] + ["label"] * label_column
+    with open(nodes_path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for node_id, feats, label in node_rows:
+            fields = [str(node_id)] + [repr(x) for x in feats]
+            fh.write(",".join(fields + [label or ""] * label_column) + "\n")
+    return edges_path, nodes_path
+
+
+@st.composite
+def _tables(draw):
+    """Node and edge rows with dense or sparse (up to 2**62) ids, duplicate
+    edges, self-loops, an optional dangling endpoint and any mix of labels."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        ids = draw(st.permutations(range(n)))
+    else:
+        ids = draw(st.lists(st.integers(-(2**62), 2**62), min_size=n, max_size=n,
+                            unique=True))
+    dim = draw(st.integers(0, 3))
+    labels = st.one_of(st.none(), st.sampled_from(sorted(NODE_LABEL_CODES)))
+    node_rows = [
+        (i, draw(st.lists(st.floats(allow_nan=False), min_size=dim, max_size=dim)),
+         draw(labels))
+        for i in ids
+    ]
+    edge_rows = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                              max_size=20))
+    if draw(st.booleans()):
+        stray = draw(st.permutations([ids[0], draw(st.integers(-(2**62), 2**62))]))
+        edge_rows.insert(draw(st.integers(0, len(edge_rows))), tuple(stray))
+    return edge_rows, node_rows, dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables(), st.booleans())
+def test_array_loader_matches_row_reference(tables, label_column):
+    edge_rows, node_rows, dim = tables
+    if not label_column:
+        node_rows = [(i, f, None) for i, f, _ in node_rows]
+    try:
+        want = load_graph_rows(edge_rows, node_rows)
+    except GraphLoadError as exc:
+        want = str(exc)
+    with tempfile.TemporaryDirectory() as root:
+        edges_path, nodes_path = _write_tables(root, edge_rows, node_rows, dim, label_column)
+        try:
+            got = load_graph(read_edges_csv(edges_path), *read_nodes_csv(nodes_path))
+        except GraphLoadError as exc:
+            got = str(exc)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    (g, stats), (r, want_stats) = got, want
+    assert stats == want_stats
+    for name in ("out_indptr", "out_indices", "in_indptr", "in_indices"):
+        assert np.array_equal(getattr(g, name), getattr(r, name)), name
+    assert g.features.shape == r.features.shape
+    assert np.array_equal(g.features.view(np.int64), r.features.view(np.int64))
+    assert (g.node_labels is None) == (r.node_labels is None)
+    if r.node_labels is not None:
+        assert np.array_equal(g.node_labels, r.node_labels)
+    assert g.id_remap == r.id_remap
 
 
 def test_transpose_consistency_random():
@@ -168,7 +235,7 @@ def test_transpose_consistency_random():
         n = int(rng.integers(3, 30))
         m = int(rng.integers(1, 3 * n))
         graph, edge_list, _ = rand_background(rng, n, m)
-        out_edges = set(graph.edge_list())
+        out_edges = set(map(tuple, graph.edge_list().tolist()))
         in_edges = {
             (int(u), v)
             for v in range(n)

@@ -7,7 +7,6 @@ import pytest
 
 from revtrack.rec_eval import (
     BenchmarkConfig,
-    build_rec_instance,
     hit_ratio,
     ndcg,
     one_pass_topk,
@@ -70,7 +69,7 @@ def test_insufficient_pool_errors():
 def test_density_identity_and_truth_subset():
     ds = rec_dataset()
     for i in range(5):
-        inst = build_rec_instance(ds.subgraphs, 2, 6, seed=i, graph=ds.graph)
+        inst = plant_rec_instance(ds, 2, 6, seed=i)
         assert inst.density * len(inst.senders) * len(inst.receivers) == pytest.approx(
             inst.n_plus, abs=1e-9
         )
@@ -81,8 +80,8 @@ def test_density_identity_and_truth_subset():
 
 def test_instance_deterministic():
     ds = rec_dataset()
-    a = build_rec_instance(ds.subgraphs, 1, 5, seed=9, graph=ds.graph)
-    b = build_rec_instance(ds.subgraphs, 1, 5, seed=9, graph=ds.graph)
+    a = plant_rec_instance(ds, 1, 5, seed=9)
+    b = plant_rec_instance(ds, 1, 5, seed=9)
     assert a == b
 
 
@@ -161,7 +160,7 @@ def test_metrics_match_definition_all_patterns():
 
 def test_one_pass_topk_with_oracle():
     ds = rec_dataset()
-    inst = build_rec_instance(ds.subgraphs, 2, 5, seed=1, graph=ds.graph)
+    inst = plant_rec_instance(ds, 2, 5, seed=1)
     links = one_pass_topk(inst, 2, OracleScorer(inst.truth_links))
     assert set(links) == set(inst.truth_links)
 
@@ -205,10 +204,9 @@ def test_run_benchmark_oracle_perfect_and_deterministic():
 
 
 def test_benchmark_variant_validation():
-    with pytest.raises(ValueError):
-        BenchmarkConfig(scorer=lambda srs: [0.5] * len(srs), variant="bogus")
-    with pytest.raises(ValueError):
-        BenchmarkConfig(scorer=lambda srs: [0.5] * len(srs), variant="no-finetune")
+    for variant in ("bogus", "no-finetune", "keep1"):
+        with pytest.raises(ValueError, match="unknown benchmark variant"):
+            BenchmarkConfig(scorer=lambda srs: [0.5] * len(srs), variant=variant)
 
 
 def test_parse_setting():

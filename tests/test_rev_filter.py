@@ -354,6 +354,29 @@ def test_merge_label_any_suspicious():
         assert set(m.sr.receivers) == {500, 700}
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sets(st.integers(0, 30), min_size=1, max_size=4),
+                  st.sets(st.integers(0, 30), min_size=1, max_size=4),
+                  st.integers(0, 1)),
+        min_size=1, max_size=12,
+    ),
+    st.integers(1, 6), st.integers(0, 6), st.integers(0, 2**32 - 1),
+)
+def test_merge_label_and_sides_follow_components(rows, lo, extra, seed):
+    pairs = [LabeledPair(sr=SRPair(tuple(s), tuple(r)), label=y, origin=f"c{i}")
+             for i, (s, r, y) in enumerate(rows)]
+    by_origin = {p.origin: p for p in pairs}
+    cfg = AugmentConfig(merge_range=(lo, lo + extra), seed=seed, num_outputs=20)
+    for m in make_finetune_set(pairs, cfg):
+        parts = [by_origin[o] for o in m.origin.split("+")]
+        assert len({p.origin for p in parts}) == len(parts)
+        assert m.label == int(any(p.label == 1 for p in parts))
+        assert set(m.sr.senders) == set().union(*(p.sr.senders for p in parts))
+        assert set(m.sr.receivers) == set().union(*(p.sr.receivers for p in parts))
+
+
 def test_merge_one_passthrough():
     pairs = fake_labeled(2, 2)
     merged = make_finetune_set(pairs, AugmentConfig(merge_range=(1, 1), seed=3))
