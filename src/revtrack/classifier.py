@@ -194,19 +194,20 @@ def f1_at_threshold(scores, labels, threshold=0.5):
 # scoring
 
 
-# Pairs per kernel call. One call holds ~10 kB of activations per 1-1 pair
-# (hidden_dim 64), so a one-pass ranking of |S|*|R| links or a large
-# classify file must not go to the kernel whole.
+# Pairs per kernel call, and 1-1 links per block of a one-pass grid. One
+# call holds ~10 kB of activations per 1-1 pair (hidden_dim 64), so a large
+# classify file or a grid of |S|*|R| links must not go to the kernel whole.
 SCORE_CHUNK = 1024
 
 
 class PairScorer:
-    """Scores lists of SRPairs against a fixed model.
+    """Scores SRPairs, or the 1-1 link grid of two node sets, against a fixed model.
 
     ``features`` is the graph's feature array; node ids index its rows.
     Calling the scorer on a list of pairs stacks their feature rows and
     scores them with one ``neural_core.batch_logits`` call per
-    ``SCORE_CHUNK`` pairs.
+    ``SCORE_CHUNK`` pairs; ``grid`` scores every sender-receiver link with
+    ``neural_core.grid_logits`` in blocks of about ``SCORE_CHUNK`` links.
     """
 
     def __init__(self, model, features):
@@ -215,20 +216,26 @@ class PairScorer:
 
     def __call__(self, srs) -> list:
         """Suspiciousness probabilities of the pairs ``srs``, in order."""
-        return [p for i in range(0, len(srs), SCORE_CHUNK)
-                for p in self._probabilities(srs[i:i + SCORE_CHUNK])]
+        out = []
+        for i in range(0, len(srs), SCORE_CHUNK):
+            part = srs[i:i + SCORE_CHUNK]
+            out.extend(self._probabilities(
+                nc.batch_logits, [n for sr in part for n in sr.senders],
+                [n for sr in part for n in sr.receivers],
+                [len(sr.senders) for sr in part], [len(sr.receivers) for sr in part],
+            ).tolist())
+        return out
 
-    def _probabilities(self, srs):
-        senders = [n for sr in srs for n in sr.senders]
-        receivers = [n for sr in srs for n in sr.receivers]
-        logits = nc.batch_logits(
-            self.model,
-            self.features[np.array(senders, dtype=np.intp)],
-            self.features[np.array(receivers, dtype=np.intp)],
-            [len(sr.senders) for sr in srs],
-            [len(sr.receivers) for sr in srs],
-        )
-        return nc.sigmoid(logits).tolist()
+    def grid(self, senders, receivers):
+        """(|senders|, |receivers|) array: entry (i, j) is the probability of
+        the 1-1 link (senders[i], receivers[j])."""
+        return self._probabilities(nc.grid_logits, senders, receivers, SCORE_CHUNK)
+
+    def _probabilities(self, kernel, senders, receivers, *args):
+        """Sigmoid of ``kernel`` on the feature rows of the node ids ``senders``
+        and ``receivers``."""
+        return nc.sigmoid(kernel(self.model, self.features[np.array(senders, dtype=np.intp)],
+                                 self.features[np.array(receivers, dtype=np.intp)], *args))
 
     def score(self, sr: SRPair) -> float:
         """Probability that the pair bounds a suspicious flow."""

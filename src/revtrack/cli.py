@@ -329,9 +329,9 @@ def cmd_filter(args):
 
 def cmd_bench_rec(args):
     started = time.time()
+    settings = [parse_setting(s.strip()) for s in args.settings.split(",") if s.strip()]
     model = load_checkpoint(args.model)
     graph, subgraphs = load_dataset(args.data_dir)
-    settings = [parse_setting(s.strip()) for s in args.settings.split(",") if s.strip()]
     config = BenchmarkConfig(
         scorer=PairScorer(model, graph.features),
         variant=args.variant,

@@ -55,14 +55,24 @@ def _reject_first_bad_line(path, text, n_fields, has_label=False):
 
 def _load_rows(path, text, dtype, n_fields):
     """The non-empty lines of ``text``, the body of ``path``, as a ``dtype``
-    array. Ids parse as integers, never through float."""
+    array. Ids parse as integers, never through float. A parse error names
+    the file line of the first line that does not parse."""
     if not text.strip():
         return np.zeros(0, dtype)
+    parse = lambda lines: np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                                     ndmin=1)
     try:
-        return np.loadtxt(text.split("\n"), dtype=dtype, delimiter=",", comments=None,
-                          ndmin=1)
+        return parse(text.split("\n"))
     except ValueError as exc:
         _reject_first_bad_line(path, text, n_fields)
+        for line_no, line in enumerate(text.split("\n"), start=2):
+            try:
+                if line.strip():
+                    parse([line])
+            except ValueError as line_exc:
+                # numpy counts rows of its one-line input, not file lines
+                reason = str(line_exc).split(" at row ")[0]
+                raise GraphLoadError(f"{path}:{line_no}: {reason}") from None
         raise GraphLoadError(f"{path}: {exc}") from None
 
 

@@ -10,7 +10,8 @@ sender rows and receiver rows of many pairs plus per-pair set sizes, and
 pools each set with a segment reduction, so training, validation and
 scoring evaluate many pairs per pass instead of one. ``batch_backward``
 is its hand-written reverse pass; gradients are exact up to floating point
-(see the finite-difference tests).
+(see the finite-difference tests). ``grid_logits`` scores every 1-1 link
+of one sender set and one receiver set, encoding each node once (ds).
 
 A ``Model`` is its config (the dict a checkpoint records) plus its named
 layer stacks, which ``layer_table`` lists once per architecture. Training
@@ -306,6 +307,57 @@ def batch_backward(model, cache, d_logits):
         for dw, db in zip(d_ws, d_bs):
             flat.extend([dw, db])
     return flat
+
+
+def grid_logits(model, xs, xr, chunk):
+    """(|S|, |R|) logits of every 1-1 link: entry (i, j) pairs sender row
+    ``xs[i]`` with receiver row ``xr[j]``.
+
+    ds: a one-row pool is the row itself, so phi and rho run once per side
+    and the trunk's first layer splits into a sender and a receiver column
+    block, ``W_s h_s + (W_r h_r + b)``, summed as an outer sum. bp: a
+    receiver's state depends on its pair's sender sum, so each link runs
+    through ``batch_logits`` as a unit-length pair. Either way the link
+    grid goes through the rest of the network in blocks of whole sender
+    rows, at most ``chunk`` links each (at least one row), so memory stays
+    bounded. Raises ValueError on an empty side and ShapeError on a
+    feature-dimension mismatch.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    xr = np.asarray(xr, dtype=np.float64)
+    if not len(xs) or not len(xr):
+        raise ValueError("every pair needs nonempty sender and receiver sets")
+    for x in (xs, xr):
+        if x.shape[1] != model.config["feature_dim"]:
+            raise ShapeError(f"input dim {x.shape[1]} != expected {model.config['feature_dim']}")
+    n_s, n_r = len(xs), len(xr)
+    if model.arch == "ds":
+        if model.config["pool"] not in ("sum", "mean"):
+            raise ValueError(f"unknown pool {model.config['pool']!r}")
+        trunk = model.mlps["trunk"]
+        k = model.mlps["sender_rho"].weights[-1].shape[0]
+        h_s, h_r = (mlp_forward(model.mlps[f"{side}_rho"],
+                                mlp_forward(model.mlps[f"{side}_phi"], x))
+                    for side, x in (("sender", xs), ("receiver", xr)))
+        z_s = h_s @ trunk.weights[0][:, :k].T
+        z_r = h_r @ trunk.weights[0][:, k:].T + trunk.biases[0]
+        rest = MlpParams(trunk.weights[1:], trunk.biases[1:], trunk.activations[1:])
+
+        def block(lo, hi):
+            a = _act(trunk.activations[0], z_s[lo:hi, None] + z_r[None])
+            return mlp_forward(model.mlps["logit"],
+                               mlp_forward(rest, a.reshape(-1, a.shape[-1])))[:, 0]
+    else:
+        def block(lo, hi):
+            ones = np.ones((hi - lo) * n_r, dtype=np.int64)
+            return batch_logits(model, xs[np.repeat(np.arange(lo, hi), n_r)],
+                                xr[np.tile(np.arange(n_r), hi - lo)], ones, ones)
+    out = np.empty((n_s, n_r))
+    rows = max(1, chunk // n_r)
+    for lo in range(0, n_s, rows):
+        hi = min(lo + rows, n_s)
+        out[lo:hi] = block(lo, hi).reshape(hi - lo, n_r)
+    return out
 
 
 def forward_logit(model, sender_feats, receiver_feats):

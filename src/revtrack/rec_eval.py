@@ -100,10 +100,16 @@ def _instance_from_pools(plus_pool, minus_pool, n_plus, n_minus, seed):
 # metrics
 
 
+def _check_k(k):
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 def hit_ratio(recommended, truth, k) -> float:
     """Fraction of ground-truth links present in the top-k recommendations."""
     if not truth:
         raise ValueError("hit ratio undefined for empty truth set")
+    _check_k(k)
     top = list(recommended)[:k]
     return len(set(top) & set(truth)) / len(truth)
 
@@ -112,6 +118,7 @@ def ndcg(recommended, truth, k) -> float:
     """Binary-relevance NDCG@k with a log2 rank discount."""
     if not truth:
         raise ValueError("ndcg undefined for empty truth set")
+    _check_k(k)
     truth = set(truth)
     top = list(recommended)[:k]
     dcg = sum(
@@ -138,7 +145,9 @@ def score_recommendations(recommended, truth, k) -> RecMetrics:
 
 @dataclass
 class BenchmarkConfig:
-    scorer: object                 # callable [SRPair] -> [probability]
+    # callable [SRPair] -> [probability]; no-iter also calls its
+    # .grid(senders, receivers) -> (|S|, |R|) probabilities
+    scorer: object
     variant: str = "full"          # full | no-iter
     alpha_keep: float = 1.5
     split_rule: str = "sorted_id"
@@ -150,13 +159,15 @@ class BenchmarkConfig:
 
 
 def one_pass_topk(instance: RecTestInstance, k, scorer):
-    """Score every 1-1 link in one scorer call and keep the top k (no iterations)."""
-    links = [
-        (s, r) for s in instance.senders for r in instance.receivers
-    ]
-    scores = scorer([SRPair(senders=(s,), receivers=(r,)) for s, r in links])
-    order = np.argsort(-np.asarray(scores), kind="stable")[:k]
-    return [links[i] for i in order]
+    """The k best 1-1 links of S x R from one ``scorer.grid`` call (no iterations).
+
+    Ties keep sender-major link order (stable sort); no link list is built.
+    """
+    _check_k(k)
+    p = np.asarray(scorer.grid(instance.senders, instance.receivers))
+    n_r = len(instance.receivers)
+    return [(instance.senders[i // n_r], instance.receivers[i % n_r])
+            for i in np.argsort(-p.ravel(), kind="stable")[:k].tolist()]
 
 
 def recommend_links(instance: RecTestInstance, k, config: BenchmarkConfig, seed):
@@ -179,6 +190,8 @@ def run_benchmark(dataset, settings, n_instances, config: BenchmarkConfig):
     uses seed config.seed + i, so tables are reproducible and instances are
     shared across variants run with the same seed.
     """
+    if n_instances < 1:
+        raise ValueError(f"need at least one instance per setting, got {n_instances}")
     plus_pool, minus_pool = boundary_pools(dataset.subgraphs, dataset.graph)
     results = {}
     for n_plus, n_minus, k in settings:
@@ -207,10 +220,13 @@ def run_benchmark(dataset, settings, n_instances, config: BenchmarkConfig):
 
 
 def parse_setting(text: str):
-    """Parse "1+5@1" into (n_plus, n_minus, k)."""
+    """Parse "1+5@1" into (n_plus, n_minus, k); needs n+ >= 1, n- >= 0, k >= 1."""
     try:
         plus_part, k_part = text.split("@")
         n_plus, n_minus = plus_part.split("+")
-        return int(n_plus), int(n_minus), int(k_part)
+        setting = int(n_plus), int(n_minus), int(k_part)
     except ValueError as exc:
         raise ValueError(f"bad setting {text!r}; expected like '1+5@1'") from exc
+    if setting[0] < 1 or setting[1] < 0 or setting[2] < 1:
+        raise ValueError(f"bad setting {text!r}; needs n+ >= 1, n- >= 0 and k >= 1")
+    return setting

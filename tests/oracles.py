@@ -8,6 +8,7 @@ from itertools import combinations
 
 import numpy as np
 
+from revtrack.classifier import SRPair
 from revtrack.graph_core import (
     ILLICIT,
     LICIT,
@@ -185,3 +186,14 @@ def plant_rec_instance(dataset: SynthDataset, n_plus, n_minus, seed) -> RecTestI
     """One link-recommendation test instance built from scratch; deterministic under seed."""
     plus_pool, minus_pool = boundary_pools(dataset.subgraphs, dataset.graph)
     return _instance_from_pools(plus_pool, minus_pool, n_plus, n_minus, seed)
+
+
+def one_pass_topk_reference(instance: RecTestInstance, k, scorer):
+    """Link-list reference for ``rec_eval.one_pass_topk``: one ``SRPair`` per
+    link of S x R, scored in one list call, top k by a stable sort."""
+    links = [
+        (s, r) for s in instance.senders for r in instance.receivers
+    ]
+    scores = scorer([SRPair(senders=(s,), receivers=(r,)) for s, r in links])
+    order = np.argsort(-np.asarray(scores), kind="stable")[:k]
+    return [links[i] for i in order]

@@ -122,8 +122,11 @@ def test_nodes_csv_rejects_bad_label(tmp_path):
     ("id,f_0\n", "src,dst\n", "no node rows"),
     ("id,f_0\n0,1.0\n1.5,1.0\n", "src,dst\n", "could not convert string '1.5' to int64"),
     ("id,f_0\n0,1.0\n", "src,dst\n0,1e0\n", "could not convert string '1e0' to int64"),
+    ("id,f_0\n0,1.0\n\n1.5,1.0\n", "src,dst\n",
+     "nodes.csv:4: could not convert string '1.5' to int64"),
 ], ids=["nodes-header", "edges-header", "ragged-node", "ragged-edge", "unknown-label", "dangling",
-        "duplicate-id", "no-nodes", "float-node-id", "float-edge-end"])
+        "duplicate-id", "no-nodes", "float-node-id", "float-edge-end",
+        "blank-line-before-bad-id"])
 def test_bad_tables_exit_1_naming_the_defect(tmp_path, capsys, nodes, edges, message):
     (tmp_path / "nodes.csv").write_text(nodes)
     (tmp_path / "edges.csv").write_text(edges)
@@ -390,6 +393,26 @@ def test_train_rejects_max_pool_for_ds_before_loading(tmp_path, capsys):
     assert rc == 1
     assert "max is a bp-only readout" in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("setting", ["1+5@0", "1+-5@1", "0+5@1", "1+5"])
+def test_bench_rec_rejects_bad_settings_before_loading(tmp_path, capsys, setting):
+    rc = main(["bench-rec", "--model", str(tmp_path / "missing.json"),
+               "--data-dir", str(tmp_path / "missing"), "--settings", f"1+3@1,{setting}",
+               "--variant", "no-iter", "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert f"error: bad setting {setting!r}" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_bench_rec_rejects_zero_instances(pipeline, tmp_path, capsys):
+    _, data, _, tuned = pipeline
+    results = tmp_path / "results.json"
+    rc = main(["bench-rec", "--model", str(tuned), "--data-dir", str(data),
+               "--settings", "1+3@1", "--n-instances", "0", "--out", str(results)])
+    assert rc == 1
+    assert "at least one instance" in capsys.readouterr().err
+    assert not results.exists()
 
 
 def test_train_determinism_via_cli(pipeline, tmp_path):

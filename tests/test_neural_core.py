@@ -452,3 +452,70 @@ def test_kernel_property_invariance(arch_pool, sizes, seed):
     alone = [nc.forward_logit(model, xs[i], xr[j]) for i, j in zip(s_rows, r_rows)]
     assert_close(alone, logits)
 
+
+
+# ---------------------------------------------------------------------------
+# one-pass link grid against the kernel on the expanded 1-1 pairs
+
+
+def expanded_kernel_logits(model, xs, xr):
+    """``batch_logits`` on every (sender row, receiver row) pair, sender-major."""
+    ones = np.ones(len(xs) * len(xr), dtype=np.int64)
+    return nc.batch_logits(model, np.repeat(xs, len(xr), axis=0),
+                           np.tile(xr, (len(xs), 1)), ones, ones).reshape(len(xs), len(xr))
+
+
+@pytest.mark.parametrize("arch, pool", POOLS)
+def test_grid_matches_kernel(arch, pool, monkeypatch):
+    rng = np.random.default_rng(67)
+    model = jiggled_model(rng, arch, pool)
+    features = rng.normal(size=(40, 3))
+    senders, receivers = rng.choice(40, 11, replace=False), rng.choice(40, 5, replace=False)
+    expected = expanded_kernel_logits(model, features[senders], features[receivers])
+    monkeypatch.setattr(classifier, "SCORE_CHUNK", 7)  # 5 links per block, 11 blocks
+    block_links, mlp_forward = [], nc.mlp_forward
+
+    def recording_mlp_forward(params, x, cache=None):
+        if params is model.mlps["logit"]:
+            block_links.append(len(x))
+        return mlp_forward(params, x, cache)
+
+    monkeypatch.setattr(nc, "mlp_forward", recording_mlp_forward)
+    assert_close(nc.grid_logits(model, features[senders], features[receivers],
+                                classifier.SCORE_CHUNK), expected)
+    assert block_links == [5] * 11
+    scorer = PairScorer(model, features)
+    pairs = [SRPair(senders=(s,), receivers=(r,)) for s in senders for r in receivers]
+    assert_close(scorer.grid(senders, receivers), np.reshape(scorer(pairs), expected.shape))
+    assert_close(scorer.grid(senders, receivers), nc.sigmoid(expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arch_pool=st.sampled_from(POOLS),
+    n_s=st.integers(1, 30),
+    n_r=st.integers(1, 30),
+    chunk=st.integers(1, 1024),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_property_matches_kernel(arch_pool, n_s, n_r, chunk, seed):
+    rng = np.random.default_rng(seed)
+    model = jiggled_model(rng, *arch_pool)
+    xs, xr = rng.normal(size=(n_s, 3)), rng.normal(size=(n_r, 3))
+    assert_close(nc.grid_logits(model, xs, xr, chunk), expanded_kernel_logits(model, xs, xr))
+
+
+@pytest.mark.parametrize("arch, pool", [("ds", "sum"), ("bp", "max")])
+def test_grid_rejects_empty_side_and_wrong_dim(arch, pool):
+    rng = np.random.default_rng(71)
+    model = jiggled_model(rng, arch, pool)
+    x = rng.normal(size=(4, 3))
+    for xs, xr in ((x[:0], x), (x, x[:0])):
+        with pytest.raises(ValueError, match="nonempty"):
+            nc.grid_logits(model, xs, xr, 1024)
+    for xs, xr in ((x[:, :2], x), (x, np.hstack([x, x]))):
+        with pytest.raises(nc.ShapeError):
+            nc.grid_logits(model, xs, xr, 1024)
+    scorer = PairScorer(model, x)
+    with pytest.raises(ValueError, match="nonempty"):
+        scorer.grid([], [0, 1])

@@ -1,12 +1,17 @@
 """Recommendation benchmark: instances, HR/NDCG, harness determinism."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from revtrack import neural_core as nc
+from revtrack.classifier import PairScorer
 from revtrack.rec_eval import (
     BenchmarkConfig,
+    RecTestInstance,
     hit_ratio,
     ndcg,
     one_pass_topk,
@@ -14,7 +19,7 @@ from revtrack.rec_eval import (
     run_benchmark,
 )
 from revtrack.synth_gen import SynthConfig, generate
-from oracles import plant_rec_instance
+from oracles import one_pass_topk_reference, plant_rec_instance
 
 
 class OracleScorer:
@@ -25,6 +30,9 @@ class OracleScorer:
         return [1.0 if any(
             (s, r) in self.truth for s in sr.senders for r in sr.receivers
         ) else 0.0 for sr in srs]
+
+    def grid(self, senders, receivers):
+        return np.array([[float((s, r) in self.truth) for r in receivers] for s in senders])
 
 
 def rec_dataset(seed=5, n_sus=40, n_lic=40):
@@ -106,6 +114,12 @@ def test_ndcg_examples():
     assert ndcg([("n", "n")], truth, 1) == 0.0
 
 
+def test_metrics_reject_k_below_one():
+    for metric in (hit_ratio, ndcg):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            metric([("a", "b")], {("a", "b")}, 0)
+
+
 def test_metric_errors_on_empty_truth():
     with pytest.raises(ValueError):
         hit_ratio([("a", "b")], set(), 1)
@@ -165,6 +179,70 @@ def test_one_pass_topk_with_oracle():
     assert set(links) == set(inst.truth_links)
 
 
+def instance_of(n_senders, n_receivers):
+    """Senders are nodes 0..n_senders-1, receivers the next n_receivers."""
+    return RecTestInstance(
+        senders=tuple(range(n_senders)),
+        receivers=tuple(range(n_senders, n_senders + n_receivers)),
+        truth_links=frozenset({(0, n_senders)}), n_plus=1, n_minus=0,
+    )
+
+
+def test_one_pass_topk_rejects_k_below_one():
+    inst = instance_of(2, 2)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        one_pass_topk(inst, 0, OracleScorer(inst.truth_links))
+
+
+def dyadic_ds_model(rng, dim):
+    """A ds model whose weights and biases are multiples of 1/8: on features
+    that are multiples of 1/2 every sum is exact, whatever its order."""
+    model = nc.build_ds_model(rng, dim, 8)
+    nc.set_parameters(model, [np.round(rng.normal(scale=0.5, size=p.shape) * 8) / 8
+                              for p in nc.parameters(model)])
+    return model
+
+
+def test_one_pass_topk_ranks_ties_as_the_link_list_reference():
+    rng = np.random.default_rng(17)
+    inst = instance_of(9, 5)
+    # senders 0-2, 3-5 and 6-8 are three triples of identical feature rows
+    features = np.round(rng.normal(size=(14, 3)) * 2) / 2
+    features[[1, 2]] = features[0]
+    features[[4, 5]] = features[3]
+    features[[7, 8]] = features[6]
+    scorer = PairScorer(dyadic_ds_model(rng, 3), features)
+    p = scorer.grid(inst.senders, inst.receivers)
+    for first in (0, 3, 6):
+        assert (p[first:first + 3] == p[first]).all()
+    assert len(np.unique(p)) < p.size
+    n_links = len(inst.senders) * len(inst.receivers)
+    for k in (1, 4, 10, n_links, n_links + 5):
+        assert one_pass_topk(inst, k, scorer) == one_pass_topk_reference(inst, k, scorer)
+
+
+def test_one_pass_topk_ranks_as_the_link_list_reference():
+    rng = np.random.default_rng(23)
+    inst = instance_of(30, 17)
+    scorer = PairScorer(nc.build_ds_model(rng, 4, 16), rng.normal(size=(47, 4)))
+    assert one_pass_topk(inst, 510, scorer) == one_pass_topk_reference(inst, 510, scorer)
+
+
+def test_one_pass_topk_memory_stays_bounded():
+    # 3,000 x 1,000 = 3M links: a list of 1-1 SRPairs alone would be ~0.3 GB
+    rng = np.random.default_rng(5)
+    inst = instance_of(3000, 1000)
+    scorer = PairScorer(nc.build_ds_model(rng, 4, 64), rng.normal(size=(4000, 4)))
+    tracemalloc.start()
+    try:
+        links = one_pass_topk(inst, 10, scorer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set(links)) == 10
+    assert peak < 128 * 2**20, f"tracemalloc peak {peak / 2**20:.0f} MB"
+
+
 def test_run_benchmark_oracle_perfect_and_deterministic():
     ds = rec_dataset()
 
@@ -214,3 +292,7 @@ def test_parse_setting():
     assert parse_setting("10+10000@100") == (10, 10000, 100)
     with pytest.raises(ValueError):
         parse_setting("nope")
+    for bad in ("1+5@0", "1+-5@1", "0+5@1", "1+5@-2"):
+        with pytest.raises(ValueError, match="bad setting"):
+            parse_setting(bad)
+    assert parse_setting("1+0@1") == (1, 0, 1)
