@@ -42,17 +42,17 @@ class LabeledPair:
     origin: str = ""
 
 
+# shares of each class held out by ``split``; train takes the rest
+VALID_FRAC = 0.1
+TEST_FRAC = 0.1
+
+
 @dataclass
 class SplitSpec:
-    train_frac: float = 0.8
-    valid_frac: float = 0.1
-    test_frac: float = 0.1
     seed: int = 0
     few_shot_fraction: float = 1.0
 
     def __post_init__(self):
-        if abs(self.train_frac + self.valid_frac + self.test_frac - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
         if not 0.0 < self.few_shot_fraction <= 1.0:
             raise ValueError("few_shot_fraction must be in (0, 1]")
 
@@ -74,6 +74,14 @@ class TrainConfig:
     patience: int = 20
     pos_weight: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        for name, low in (("hidden_dim", 1), ("batch_size", 1), ("epochs", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("lr", "pos_weight"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
 
 def make_pairs(graph, subgraphs):
@@ -124,8 +132,8 @@ def split(pairs, spec: SplitSpec):
         order = rng.permutation(len(group))
         shuffled = [group[i] for i in order]
         n = len(group)
-        n_valid = _round_half_up(spec.valid_frac * n)
-        n_test = _round_half_up(spec.test_frac * n)
+        n_valid = _round_half_up(VALID_FRAC * n)
+        n_test = _round_half_up(TEST_FRAC * n)
         if n >= 3:
             n_valid = max(n_valid, 1)
             n_test = max(n_test, 1)

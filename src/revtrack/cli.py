@@ -178,12 +178,11 @@ def cmd_train(args):
     started = time.time()
     if args.arch == "ds" and args.pool == "max":
         raise ValueError("--pool max is a bp-only readout; ds pools are sum and mean")
-    _, pairs, features = _load_pairs(args.data_dir)
+    config = _train_config(args)
     spec = SplitSpec(seed=args.split_seed, few_shot_fraction=args.few_shot)
+    _, pairs, features = _load_pairs(args.data_dir)
     train_pairs, valid_pairs, _ = split(pairs, spec)
-    model, history = classifier_mod.train(
-        args.arch, train_pairs, valid_pairs, features, _train_config(args)
-    )
+    model, history = classifier_mod.train(args.arch, train_pairs, valid_pairs, features, config)
     save_checkpoint(args.out, model)
     # train_model keeps the last of tied best epochs, so report that one
     best = max(reversed(history), key=lambda h: h["valid_metric"]) if history else None
@@ -200,22 +199,15 @@ def cmd_train(args):
 
 def cmd_finetune(args):
     started = time.time()
+    augment = AugmentConfig(
+        gamma=args.gamma, merge_range=(args.merge_min, args.merge_max), seed=args.seed)
+    config = TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed,
+                         batch_size=args.batch_size, patience=args.patience)
     model = load_checkpoint(args.model)
     _, pairs, features = _load_pairs(args.data_dir)
     train_pairs, _, _ = split(pairs, SplitSpec(seed=args.split_seed))
-    merged = make_finetune_set(
-        train_pairs,
-        AugmentConfig(
-            gamma=args.gamma,
-            merge_range=(args.merge_min, args.merge_max),
-            seed=args.seed,
-        ),
-    )
-    tuned, history = finetune_model(
-        model, merged, features,
-        TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed,
-                    batch_size=args.batch_size, patience=args.patience),
-    )
+    merged = make_finetune_set(train_pairs, augment)
+    tuned, history = finetune_model(model, merged, features, config)
     save_checkpoint(args.out, tuned)
     _log(f"fine-tuned on {len(merged)} merged pairs over {len(history)} epochs")
     _emit_manifest(
@@ -256,8 +248,7 @@ def cmd_classify(args):
 def cmd_eval_cls(args):
     _, pairs, features = _load_pairs(args.data_dir)
     model = load_checkpoint(args.model)
-    spec = SplitSpec(seed=args.split_seed, few_shot_fraction=args.few_shot)
-    _, _, test_pairs = split(pairs, spec)
+    _, _, test_pairs = split(pairs, SplitSpec(seed=args.split_seed))
     metrics = evaluate(model, test_pairs, features, threshold=args.threshold)
     print(json.dumps({
         "pr_auc": metrics.pr_auc,
@@ -292,6 +283,8 @@ def _read_id_file(path, graph):
 
 def cmd_filter(args):
     started = time.time()
+    config = FilterConfig(k=args.k, alpha_keep=args.alpha_keep,
+                          split_rule=SPLIT_RULES[args.split], seed=args.seed)
     model = load_checkpoint(args.model)
     graph, _ = load_dataset(args.data_dir, require_subgraphs=False)
     senders = _read_id_file(args.senders, graph)
@@ -300,16 +293,8 @@ def cmd_filter(args):
     inverse = {dense: orig for orig, dense in remap.items()}
     to_orig = (lambda n: inverse[n]) if remap else (lambda n: n)
     scorer = PairScorer(model, graph.features)
-    result = rev_filter(
-        SRPair(senders=tuple(senders), receivers=tuple(receivers)),
-        FilterConfig(
-            k=args.k,
-            alpha_keep=args.alpha_keep,
-            split_rule=SPLIT_RULES[args.split],
-            seed=args.seed,
-        ),
-        scorer,
-    )
+    result = rev_filter(SRPair(senders=tuple(senders), receivers=tuple(receivers)),
+                        config, scorer)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("rank,sender,receiver,score\n")
         for rank, (sr, score_val) in enumerate(result.links, start=1):
@@ -430,7 +415,6 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--few-shot", type=float, default=1.0)
     p.add_argument("--threshold", type=float, default=0.5)
 
     p = add("filter", cmd_filter, help="discover suspicious sender-receiver links")

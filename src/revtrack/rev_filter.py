@@ -1,12 +1,12 @@
 """Suspicious-link discovery by iterative quadrant splitting and pruning.
 
 Starting from one (sender set, receiver set) pair, each round bisects both
-sides of every candidate pair, replaces the pair by its nonempty quadrant
+sides of every candidate block, replaces it by its nonempty quadrant
 children, scores all candidates with a pretrained pair classifier in one
-scorer call, and keeps only the best. Candidate products stay pairwise
-disjoint subsets of the initial product, so every concrete (sender,
-receiver) link is represented by exactly one candidate at all times. The
-process ends when all survivors are 1-1 links.
+scorer call, and keeps only the best. Candidate blocks stay pairwise
+disjoint, so every (sender, receiver) link of the initial product lies in
+exactly one candidate at all times. The process ends when all survivors
+are 1-1 links.
 
 Two robustness enhancements for sparse instances:
 
@@ -38,8 +38,8 @@ class FilterConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.alpha_keep < 1.0:
-            raise ValueError("alpha_keep must be >= 1")
+        if not 1.0 <= self.alpha_keep < math.inf:
+            raise ValueError(f"alpha_keep must be finite and >= 1, got {self.alpha_keep}")
         if self.split_rule not in ("sorted_id", "seeded_random"):
             raise ValueError(f"unknown split rule {self.split_rule!r}")
 
@@ -61,71 +61,53 @@ class AugmentConfig:
 
     def __post_init__(self):
         lo, hi = self.merge_range
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if lo < 1 or hi < lo:
             raise ValueError("merge_range must satisfy 1 <= lo <= hi")
 
 
-def _halves(items, rule, rng):
-    """Split a sorted id tuple into (lower, upper); upper empty iff singleton."""
-    if len(items) <= 1:
-        return tuple(items), ()
-    items = list(items)
-    if rule == "seeded_random":
-        items = [items[i] for i in rng.permutation(len(items))]
-    mid = (len(items) + 1) // 2
-    return tuple(items[:mid]), tuple(items[mid:])
+def expand(candidates):
+    """Replace every non-1-1 candidate with its nonempty quadrant children.
 
-
-def split_pair(sr: SRPair, rule="sorted_id", rng=None):
-    """Bisect both sides; sizes differ by at most one per side."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    s1, s2 = _halves(sr.senders, rule, rng)
-    r1, r2 = _halves(sr.receivers, rule, rng)
-    return s1, s2, r1, r2
-
-
-def expand(candidates, rule="sorted_id", rng=None):
-    """Replace every non-1-1 pair with its nonempty quadrant children.
-
-    ``candidates`` is a list of (SRPair, score or None). Children appear in
-    (S1,R1), (S1,R2), (S2,R1), (S2,R2) order in place of their parent, with
-    score None; 1-1 pairs are carried through unchanged. The children's
-    products partition the parent's product.
+    A candidate ``(s_lo, s_hi, r_lo, r_hi)`` holds half-open slices of the
+    side tuples that ``rev_filter`` fixes. Each side splits at its ceiling
+    half ``(lo + hi + 1) // 2``; children replace their parent in (S1,R1),
+    (S1,R2), (S2,R1), (S2,R2) order, empty ones dropped, so a 1-1 candidate
+    is its own only child. The children's blocks partition the parent's.
     """
     out = []
-    for sr, score_val in candidates:
-        if sr.is_one_one:
-            out.append((sr, score_val))
-            continue
-        s1, s2, r1, r2 = split_pair(sr, rule, rng)
-        for s_half in (s1, s2):
-            if not s_half:
-                continue
-            for r_half in (r1, r2):
-                if not r_half:
-                    continue
-                out.append((SRPair(senders=s_half, receivers=r_half), None))
+    for s_lo, s_hi, r_lo, r_hi in candidates:
+        s_mid = (s_lo + s_hi + 1) // 2
+        r_mid = (r_lo + r_hi + 1) // 2
+        for a, b in ((s_lo, s_mid), (s_mid, s_hi)):
+            if a < b:
+                for c, d in ((r_lo, r_mid), (r_mid, r_hi)):
+                    if c < d:
+                        out.append((a, b, c, d))
     return out
 
 
-def _score_all(entries, scorer):
-    """(scores, failures) of the entries' pairs from one scorer call.
+def _pairs(candidates, senders, receivers):
+    """The SRPair of every candidate, built only for scoring and ranking."""
+    return [SRPair(senders=senders[a:b], receivers=receivers[c:d])
+            for a, b, c, d in candidates]
+
+
+def _score_all(pairs, scorer):
+    """(scores, failures) of a list of SRPairs from one scorer call.
 
     If that call fails, each pair is scored alone, and a pair that still
     fails scores 0 (fail closed for that pair only).
     """
-    srs = [sr for sr, _ in entries]
     try:
-        return [float(s) for s in scorer(srs)], 0
+        return [float(s) for s in scorer(pairs)], 0
     except Exception as exc:
         logger.warning("scorer failed on %d pairs: %s; scoring them one by one",
-                       len(srs), exc)
+                       len(pairs), exc)
     scores = []
     failures = 0
-    for sr in srs:
+    for sr in pairs:
         try:
             (score_val,) = scorer([sr])
             scores.append(float(score_val))
@@ -136,21 +118,21 @@ def _score_all(entries, scorer):
     return scores, failures
 
 
-def filter_step(candidates, keep_count, scorer):
-    """Keep the top ``keep_count`` (SRPair, score) candidates (stable on ties).
+def filter_step(candidates, keep_count, scorer, sides):
+    """Keep the top ``keep_count`` candidates by score (stable on ties).
 
-    Lists already within budget pass through unscored. Returns
-    (candidates, pairs_scored, failures); all candidates are scored in one
-    scorer call.
+    Lists already within budget pass through unscored. Otherwise every
+    candidate's SRPair over ``sides`` is scored in one scorer call, and the
+    kept candidates come back in score order without their scores. Returns
+    (candidates, pairs_scored, failures).
     """
     if keep_count < 1:
         raise ValueError("keep_count must be >= 1")
     if len(candidates) <= keep_count:
         return candidates, 0, 0
-    scores, failures = _score_all(candidates, scorer)
+    scores, failures = _score_all(_pairs(candidates, *sides), scorer)
     order = np.argsort(-np.asarray(scores), kind="stable")[:keep_count]
-    kept = [(candidates[i][0], scores[i]) for i in order]
-    return kept, len(candidates), failures
+    return [candidates[i] for i in order], len(candidates), failures
 
 
 def keep_schedule(config: FilterConfig, t: int, total: int) -> int:
@@ -169,44 +151,48 @@ def keep_schedule(config: FilterConfig, t: int, total: int) -> int:
 def rev_filter(initial: SRPair, config: FilterConfig, scorer) -> FilterResult:
     """Iteratively bisect and prune until k ranked 1-1 links remain.
 
-    ``scorer`` maps a list of SRPairs to a list of suspiciousness
-    probabilities; each round and the final ranking make one call. If the
-    initial product holds fewer than k links, all of them are returned.
-    ``classifier_calls`` counts the pairs scored. A pair the scorer fails
-    on, even when called alone, scores 0 (fail closed) and counts in
-    ``scorer_failures``.
+    The two sides are fixed once, as the initial sorted ids or, for
+    ``seeded_random``, each side permuted once by ``default_rng(seed)``;
+    candidates are blocks of their slices (see ``expand``). A slice of a
+    uniform permutation is in uniform order, so each split is a uniform
+    balanced one. ``scorer`` maps a list of SRPairs to a list of
+    probabilities; each round over budget and the final ranking make one
+    call. If the initial product holds fewer than k links, all are
+    returned. ``classifier_calls`` counts the pairs scored. A pair the
+    scorer fails on, even alone, scores 0 and counts in ``scorer_failures``.
     """
-    if not initial.senders or not initial.receivers:
+    senders, receivers = initial.senders, initial.receivers
+    if not senders or not receivers:
         raise ValueError("initial pair must have nonempty sender and receiver sets")
-    rng = np.random.default_rng(config.seed)
-    horizon = math.ceil(math.log2(max(len(initial.senders), len(initial.receivers), 1)))
-    max_iterations = (
-        math.ceil(math.log2(max(len(initial.senders), 1)))
-        + math.ceil(math.log2(max(len(initial.receivers), 1)))
-        + 1
-    )
+    if len(set(senders)) < len(senders) or len(set(receivers)) < len(receivers):
+        raise ValueError("initial pair repeats a node id within a side")
+    if config.split_rule == "seeded_random":
+        rng = np.random.default_rng(config.seed)
+        senders = tuple(senders[i] for i in rng.permutation(len(senders)))
+        receivers = tuple(receivers[i] for i in rng.permutation(len(receivers)))
+    sides = (senders, receivers)
+    depths = [math.ceil(math.log2(len(side))) for side in sides]
+    horizon, max_iterations = max(depths), sum(depths) + 1
 
-    candidates = [(initial, None)]
-    iteration = 0
-    calls = 0
-    failures = 0
-    while not all(sr.is_one_one for sr, _ in candidates):
+    candidates = [(0, len(senders), 0, len(receivers))]
+    iteration = calls = failures = 0
+    while not all(b - a == 1 and d - c == 1 for a, b, c, d in candidates):
         if iteration >= max_iterations:
             raise RuntimeError("bisection failed to terminate within its bound")
-        candidates = expand(candidates, config.split_rule, rng)
+        candidates = expand(candidates)
         keep = keep_schedule(config, iteration, horizon)
         iteration += 1
-        candidates, made, failed = filter_step(candidates, keep, scorer)
+        candidates, made, failed = filter_step(candidates, keep, scorer, sides)
         calls += made
         failures += failed
 
-    final_scores, failed = _score_all(candidates, scorer)
-    calls += len(candidates)
+    pairs = _pairs(candidates, senders, receivers)
+    final_scores, failed = _score_all(pairs, scorer)
+    calls += len(pairs)
     failures += failed
     order = np.argsort(-np.asarray(final_scores), kind="stable")[: config.k]
-    links = [(candidates[i][0], final_scores[i]) for i in order]
     return FilterResult(
-        links=links,
+        links=[(pairs[i], final_scores[i]) for i in order],
         iterations=iteration,
         classifier_calls=calls,
         scorer_failures=failures,

@@ -4,6 +4,7 @@ None of these run in the program itself; tests compare the program's
 results against them.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -24,6 +25,7 @@ from revtrack.graph_core import (
     extract_boundary,
 )
 from revtrack.rec_eval import RecTestInstance, _instance_from_pools, boundary_pools
+from revtrack.rev_filter import FilterConfig, FilterResult, _score_all, keep_schedule
 from revtrack.synth_gen import SynthDataset
 
 
@@ -197,3 +199,104 @@ def one_pass_topk_reference(instance: RecTestInstance, k, scorer):
     scores = scorer([SRPair(senders=(s,), receivers=(r,)) for s, r in links])
     order = np.argsort(-np.asarray(scores), kind="stable")[:k]
     return [links[i] for i in order]
+
+
+# ---------------------------------------------------------------------------
+# SRPair-entry bisection filter: the reference for ``rev_filter.rev_filter``
+# under ``sorted_id``. Candidates are (SRPair, score or None) entries and
+# every split re-derives its halves from the pair's sides.
+
+
+def _halves(items, rule, rng):
+    """Split a sorted id tuple into (lower, upper); upper empty iff singleton."""
+    if len(items) <= 1:
+        return tuple(items), ()
+    items = list(items)
+    if rule == "seeded_random":
+        items = [items[i] for i in rng.permutation(len(items))]
+    mid = (len(items) + 1) // 2
+    return tuple(items[:mid]), tuple(items[mid:])
+
+
+def split_pair(sr: SRPair, rule="sorted_id", rng=None):
+    """Bisect both sides; sizes differ by at most one per side."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    s1, s2 = _halves(sr.senders, rule, rng)
+    r1, r2 = _halves(sr.receivers, rule, rng)
+    return s1, s2, r1, r2
+
+
+def expand_reference(candidates, rule="sorted_id", rng=None):
+    """Replace every non-1-1 pair with its nonempty quadrant children.
+
+    ``candidates`` is a list of (SRPair, score or None). Children appear in
+    (S1,R1), (S1,R2), (S2,R1), (S2,R2) order in place of their parent, with
+    score None; 1-1 pairs are carried through unchanged.
+    """
+    out = []
+    for sr, score_val in candidates:
+        if sr.is_one_one:
+            out.append((sr, score_val))
+            continue
+        s1, s2, r1, r2 = split_pair(sr, rule, rng)
+        for s_half in (s1, s2):
+            if not s_half:
+                continue
+            for r_half in (r1, r2):
+                if not r_half:
+                    continue
+                out.append((SRPair(senders=s_half, receivers=r_half), None))
+    return out
+
+
+def filter_step_reference(candidates, keep_count, scorer):
+    """Keep the top ``keep_count`` (SRPair, score) entries (stable on ties);
+    lists within budget pass through unscored."""
+    if keep_count < 1:
+        raise ValueError("keep_count must be >= 1")
+    if len(candidates) <= keep_count:
+        return candidates, 0, 0
+    scores, failures = _score_all([sr for sr, _ in candidates], scorer)
+    order = np.argsort(-np.asarray(scores), kind="stable")[:keep_count]
+    kept = [(candidates[i][0], scores[i]) for i in order]
+    return kept, len(candidates), failures
+
+
+def rev_filter_reference(initial: SRPair, config: FilterConfig, scorer) -> FilterResult:
+    """``rev_filter`` on (SRPair, score) entries with a per-split rule and RNG."""
+    if not initial.senders or not initial.receivers:
+        raise ValueError("initial pair must have nonempty sender and receiver sets")
+    rng = np.random.default_rng(config.seed)
+    horizon = math.ceil(math.log2(max(len(initial.senders), len(initial.receivers), 1)))
+    max_iterations = (
+        math.ceil(math.log2(max(len(initial.senders), 1)))
+        + math.ceil(math.log2(max(len(initial.receivers), 1)))
+        + 1
+    )
+
+    candidates = [(initial, None)]
+    iteration = 0
+    calls = 0
+    failures = 0
+    while not all(sr.is_one_one for sr, _ in candidates):
+        if iteration >= max_iterations:
+            raise RuntimeError("bisection failed to terminate within its bound")
+        candidates = expand_reference(candidates, config.split_rule, rng)
+        keep = keep_schedule(config, iteration, horizon)
+        iteration += 1
+        candidates, made, failed = filter_step_reference(candidates, keep, scorer)
+        calls += made
+        failures += failed
+
+    final_scores, failed = _score_all([sr for sr, _ in candidates], scorer)
+    calls += len(candidates)
+    failures += failed
+    order = np.argsort(-np.asarray(final_scores), kind="stable")[: config.k]
+    links = [(candidates[i][0], final_scores[i]) for i in order]
+    return FilterResult(
+        links=links,
+        iterations=iteration,
+        classifier_calls=calls,
+        scorer_failures=failures,
+    )

@@ -395,6 +395,41 @@ def test_train_rejects_max_pool_for_ds_before_loading(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--hidden-dim", "0", "hidden_dim"),
+    ("--epochs", "-1", "epochs"),
+    ("--batch-size", "0", "batch_size"),
+    ("--pos-weight", "-1", "pos_weight"),
+    ("--pos-weight", "inf", "pos_weight"),
+    ("--lr", "0", "lr"),
+    ("--lr", "nan", "lr"),
+])
+def test_train_rejects_bad_settings_before_loading(tmp_path, capsys, flag, value, field):
+    rc = main(["train", "--arch", "ds", "--data-dir", str(tmp_path / "missing"),
+               "--out", str(tmp_path / "m.json"), flag, value])
+    assert rc == 1
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command, flag, field", [
+    ("finetune", "--gamma", "gamma"),
+    ("finetune", "--lr", "lr"),
+    ("filter", "--alpha-keep", "alpha_keep"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_settings_exit_1_before_loading(tmp_path, capsys, command, flag, field,
+                                                   value):
+    missing = str(tmp_path / "missing")
+    argv = [command, "--model", missing, "--data-dir", missing,
+            "--out", str(tmp_path / "out"), flag, value]
+    if command == "filter":
+        argv += ["--senders", missing, "--receivers", missing, "--k", "3"]
+    assert main(argv) == 1
+    assert f"error: {field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("setting", ["1+5@0", "1+-5@1", "0+5@1", "1+5"])
 def test_bench_rec_rejects_bad_settings_before_loading(tmp_path, capsys, setting):
     rc = main(["bench-rec", "--model", str(tmp_path / "missing.json"),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import zlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -30,10 +31,10 @@ from revtrack.rev_filter import (
     keep_schedule,
     make_finetune_set,
     rev_filter,
-    split_pair,
     truncated_exp_pmf,
 )
 from revtrack.synth_gen import SynthConfig, generate
+from oracles import rev_filter_reference
 
 
 class OracleScorer:
@@ -62,100 +63,133 @@ class MaxScorer:
                 for sr in srs]
 
 
+def blocks(candidates, senders, receivers):
+    """(sender slice, receiver slice) of every range candidate."""
+    return [(senders[a:b], receivers[c:d]) for a, b, c, d in candidates]
+
+
 # ---------------------------------------------------------------------------
-# split_pair / expand
+# splitting a candidate pair: expand
 
 
 def test_split_pair_sorted_rule():
-    sr = SRPair(senders=(1, 2, 3, 4), receivers=(5, 6))
-    s1, s2, r1, r2 = split_pair(sr)
-    assert (s1, s2) == ((1, 2), (3, 4))
-    assert (r1, r2) == ((5,), (6,))
+    out = expand([(0, 4, 0, 2)])
+    assert blocks(out, (1, 2, 3, 4), (5, 6)) == [
+        ((1, 2), (5,)), ((1, 2), (6,)), ((3, 4), (5,)), ((3, 4), (6,))
+    ]
 
 
 def test_split_pair_singleton_side():
-    s1, s2, r1, r2 = split_pair(SRPair(senders=(7,), receivers=(1, 2)))
-    assert s1 == (7,) and s2 == ()
-    assert r1 == (1,) and r2 == (2,)
+    assert expand([(0, 1, 0, 2)]) == [(0, 1, 0, 1), (0, 1, 1, 2)]
+    assert expand([(3, 4, 5, 7)]) == [(3, 4, 5, 6), (3, 4, 6, 7)]
 
 
 def test_split_pair_odd_side():
-    s1, s2, _, _ = split_pair(SRPair(senders=(1, 2, 3), receivers=(9,)))
-    assert len(s1) == 2 and len(s2) == 1
+    # the odd side's first half takes the ceiling
+    assert expand([(2, 5, 0, 1)]) == [(2, 4, 0, 1), (4, 5, 0, 1)]
+    assert expand([(0, 1, 3, 10)]) == [(0, 1, 3, 7), (0, 1, 7, 10)]
 
 
 def test_expand_quadrants():
-    out = expand([(SRPair(senders=(1, 2), receivers=(3, 4)), None)])
-    got = [(sr.senders, sr.receivers) for sr, _ in out]
-    assert got == [((1,), (3,)), ((1,), (4,)), ((2,), (3,)), ((2,), (4,))]
+    out = expand([(0, 2, 0, 2)])
+    assert blocks(out, (1, 2), (3, 4)) == [((1,), (3,)), ((1,), (4,)), ((2,), (3,)), ((2,), (4,))]
 
 
 def test_expand_carries_one_one():
-    entries = [(SRPair(senders=(1,), receivers=(3,)), 0.7)]
-    assert expand(entries) == entries
+    assert expand([(3, 4, 7, 8)]) == [(3, 4, 7, 8)]
+    # in place, between the children of its neighbours
+    assert expand([(0, 2, 0, 1), (2, 3, 0, 1), (3, 5, 0, 1)]) == [
+        (0, 1, 0, 1), (1, 2, 0, 1), (2, 3, 0, 1), (3, 4, 0, 1), (4, 5, 0, 1)
+    ]
 
 
 def test_expand_singleton_side_two_children():
-    out = expand([(SRPair(senders=(1,), receivers=(3, 4)), None)])
-    got = [(sr.senders, sr.receivers) for sr, _ in out]
-    assert got == [((1,), (3,)), ((1,), (4,))]
+    out = expand([(0, 1, 0, 2)])
+    assert blocks(out, (1,), (3, 4)) == [((1,), (3,)), ((1,), (4,))]
 
 
 def test_expand_children_partition_parent_exhaustive():
-    for ns in range(1, 7):
-        for nr in range(1, 7):
-            if ns == 1 and nr == 1:
-                continue
-            parent = SRPair(senders=tuple(range(ns)), receivers=tuple(range(100, 100 + nr)))
-            children = expand([(parent, None)])
-            seen = set()
-            for sr, _ in children:
-                prod = {(s, r) for s in sr.senders for r in sr.receivers}
-                assert not (prod & seen), "children products overlap"
-                seen |= prod
-            assert seen == {(s, r) for s in parent.senders for r in parent.receivers}
+    for s_lo in (0, 3):
+        for r_lo in (0, 5):
+            for ns in range(1, 7):
+                for nr in range(1, 7):
+                    parent = (s_lo, s_lo + ns, r_lo, r_lo + nr)
+                    children = expand([parent])
+                    seen = set()
+                    for a, b, c, d in children:
+                        assert s_lo <= a < b <= s_lo + ns and r_lo <= c < d <= r_lo + nr
+                        prod = {(s, r) for s in range(a, b) for r in range(c, d)}
+                        assert not (prod & seen), "children products overlap"
+                        seen |= prod
+                    assert seen == {(s, r) for s in range(s_lo, s_lo + ns)
+                                    for r in range(r_lo, r_lo + nr)}
+                    assert len(children) == (1 + (ns > 1)) * (1 + (nr > 1))
+
+
+def first_round_pairs(split_rule, seed):
+    """The pairs of rev_filter's first scorer call on an 8 x 6 instance."""
+    batches = []
+
+    def scorer(srs):
+        batches.append(list(srs))
+        return [0.5] * len(srs)
+
+    initial = SRPair(senders=tuple(range(8)), receivers=tuple(range(20, 26)))
+    rev_filter(initial, FilterConfig(k=1, alpha_keep=1.0, split_rule=split_rule, seed=seed),
+               scorer)
+    return batches[0]
 
 
 def test_expand_seeded_random_deterministic():
-    clist = [(SRPair(senders=tuple(range(8)), receivers=tuple(range(20, 26))), None)]
-    a = expand(clist, "seeded_random", np.random.default_rng(5))
-    b = expand(clist, "seeded_random", np.random.default_rng(5))
-    assert a == b
+    first = first_round_pairs("seeded_random", 5)
+    assert first == first_round_pairs("seeded_random", 5)
+    assert first != first_round_pairs("seeded_random", 6)
+    assert first != first_round_pairs("sorted_id", 5)
+    # balanced halves of both permuted sides, whose blocks partition the
+    # initial product
+    assert sorted((len(sr.senders), len(sr.receivers)) for sr in first) == [(4, 3)] * 4
+    assert {sr.senders for sr in first} != {(0, 1, 2, 3), (4, 5, 6, 7)}
+    assert {sr.receivers for sr in first} != {(20, 21, 22), (23, 24, 25)}
+    links = [(s, r) for sr in first for s in sr.senders for r in sr.receivers]
+    assert sorted(links) == [(s, r) for s in range(8) for r in range(20, 26)]
 
 
 # ---------------------------------------------------------------------------
 # filter_step / keep_schedule
 
 
+SIDES = ((0, 1, 2), (100, 101, 102))
+DIAGONAL = [(i, i + 1, i, i + 1) for i in range(3)]
+
+
 def test_filter_step_stable_ties():
-    pairs = [SRPair(senders=(i,), receivers=(100 + i,)) for i in range(3)]
-    table = {pairs[0]: 0.9, pairs[1]: 0.2, pairs[2]: 0.9}
-    clist = [(p, None) for p in pairs]
-    kept, calls, failures = filter_step(clist, 2, lambda srs: [table[sr] for sr in srs])
-    assert [e[0] for e in kept] == [pairs[0], pairs[2]]
-    assert [e[1] for e in kept] == [0.9, 0.9]
+    table = {SRPair((0,), (100,)): 0.2, SRPair((1,), (101,)): 0.9, SRPair((2,), (102,)): 0.2}
+    kept, calls, failures = filter_step(
+        DIAGONAL, 2, lambda srs: [table[sr] for sr in srs], SIDES)
+    # score order first, then list order among ties
+    assert kept == [DIAGONAL[1], DIAGONAL[0]]
     assert calls == 3 and failures == 0
 
 
 def test_filter_step_within_budget_unchanged():
-    clist = [(SRPair(senders=(1,), receivers=(2,)), None)]
     calls = []
-    kept, made, _ = filter_step(clist, 5, lambda srs: calls.extend(srs) or [1.0] * len(srs))
-    assert kept is clist
+    kept, made, _ = filter_step(
+        DIAGONAL, 5, lambda srs: calls.extend(srs) or [1.0] * len(srs), SIDES)
+    assert kept is DIAGONAL
     assert made == 0 and calls == []
 
 
 def test_filter_step_scorer_failure_scores_zero():
-    pairs = [SRPair(senders=(i,), receivers=(100 + i,)) for i in range(3)]
+    bad = SRPair((1,), (101,))
 
     def flaky(srs):
-        if pairs[1] in srs:
+        if bad in srs:
             raise RuntimeError("boom")
         return [0.5] * len(srs)
 
-    kept, _, failures = filter_step([(p, None) for p in pairs], 2, flaky)
+    kept, _, failures = filter_step(DIAGONAL, 2, flaky, SIDES)
     assert failures == 1
-    assert pairs[1] not in [e[0] for e in kept]
+    assert kept == [DIAGONAL[0], DIAGONAL[2]]
 
 
 def test_keep_schedule_examples():
@@ -179,14 +213,14 @@ def test_keep_schedule_k1():
 # rev_filter
 
 
-def _assert_partition(entries, initial: SRPair):
+def _assert_partition(pairs, initial: SRPair):
     all_s = set(initial.senders)
     all_r = set(initial.receivers)
-    for i, (a, _) in enumerate(entries):
-        assert set(a.senders) <= all_s and set(a.receivers) <= all_r
-        for b, _ in entries[i + 1 :]:
-            if set(a.senders) & set(b.senders) and set(a.receivers) & set(b.receivers):
-                raise AssertionError(f"overlapping candidate products: {a} vs {b}")
+    for i, (s_a, r_a) in enumerate(pairs):
+        assert set(s_a) <= all_s and set(r_a) <= all_r
+        for s_b, r_b in pairs[i + 1 :]:
+            if set(s_a) & set(s_b) and set(r_a) & set(r_b):
+                raise AssertionError(f"overlapping candidate products: {s_a, r_a} vs {s_b, r_b}")
 
 
 @contextmanager
@@ -196,9 +230,9 @@ def partition_checked(initial):
     rounds = []
     original = rf.filter_step
 
-    def checked(candidates, keep_count, scorer):
-        out = original(candidates, keep_count, scorer)
-        _assert_partition(out[0], initial)
+    def checked(candidates, keep_count, scorer, sides):
+        out = original(candidates, keep_count, scorer, sides)
+        _assert_partition(blocks(out[0], *sides), initial)
         rounds.append(len(out[0]))
         return out
 
@@ -324,6 +358,68 @@ def test_rev_filter_matches_one_pass_with_max_scorer():
             sorted(base, key=lambda link: -base[link])[:k]
         )
         assert iterative == one_pass
+
+
+@pytest.mark.parametrize("initial", [SRPair((1, 1, 2), (5,)), SRPair((1, 2), (5, 6, 5))])
+def test_rev_filter_rejects_repeated_ids(initial):
+    with pytest.raises(ValueError, match="repeats a node id"):
+        rev_filter(initial, FilterConfig(k=3), OracleScorer(set()))
+
+
+@pytest.mark.parametrize("alpha", [0.5, math.nan, math.inf])
+def test_filter_config_rejects_bad_alpha_keep(alpha):
+    with pytest.raises(ValueError, match="alpha_keep"):
+        FilterConfig(k=3, alpha_keep=alpha)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_augment_config_rejects_bad_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        AugmentConfig(gamma=gamma)
+
+
+def table_scorer(seed, fail_link=None):
+    """Seeded per-pair scores in eighths, so ties are common; a list that
+    holds a pair whose product contains ``fail_link`` raises."""
+
+    def scorer(srs):
+        if fail_link is not None and any(
+            fail_link[0] in sr.senders and fail_link[1] in sr.receivers for sr in srs
+        ):
+            raise RuntimeError("boom")
+        return [zlib.crc32(repr((seed, sr)).encode()) % 8 / 8 for sr in srs]
+
+    return scorer
+
+
+node_sets = st.sets(st.integers(0, 10**6), min_size=1, max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(senders=node_sets, receivers=node_sets, k=st.integers(1, 25),
+       alpha=st.floats(1.0, 3.0), seed=st.integers(0, 2**16))
+def test_rev_filter_matches_reference_sorted_id(senders, receivers, k, alpha, seed):
+    initial = SRPair(senders=tuple(senders), receivers=tuple(receivers))
+    cfg = FilterConfig(k=k, alpha_keep=alpha)
+    got = rev_filter(initial, cfg, table_scorer(seed))
+    assert got == rev_filter_reference(initial, cfg, table_scorer(seed))
+    assert got.scorer_failures == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(senders=node_sets, receivers=node_sets, k=st.integers(1, 25),
+       alpha=st.floats(1.0, 3.0), seed=st.integers(0, 2**16),
+       pick=st.tuples(st.integers(0, 39), st.integers(0, 39)))
+def test_rev_filter_matches_reference_when_scorer_raises(senders, receivers, k, alpha, seed,
+                                                         pick):
+    initial = SRPair(senders=tuple(senders), receivers=tuple(receivers))
+    link = (initial.senders[pick[0] % len(senders)],
+            initial.receivers[pick[1] % len(receivers)])
+    cfg = FilterConfig(k=k, alpha_keep=alpha)
+    got = rev_filter(initial, cfg, table_scorer(seed, link))
+    assert got == rev_filter_reference(initial, cfg, table_scorer(seed, link))
+    # the first scored list always holds the block containing the link
+    assert got.scorer_failures >= 1
 
 
 # ---------------------------------------------------------------------------
