@@ -209,12 +209,15 @@ SCORE_CHUNK = 1024
 
 
 class PairScorer:
-    """Scores SRPairs, or the 1-1 link grid of two node sets, against a fixed model.
+    """Scores SRPairs, candidate blocks of two node sets, or their 1-1 link
+    grid against a fixed model.
 
     ``features`` is the graph's feature array; node ids index its rows.
     Calling the scorer on a list of pairs stacks their feature rows and
     scores them with one ``neural_core.batch_logits`` call per
-    ``SCORE_CHUNK`` pairs; ``grid`` scores every sender-receiver link with
+    ``SCORE_CHUNK`` pairs; ``blocks`` encodes two node sets once and scores
+    slices of them with ``neural_core.block_logits``, ``SCORE_CHUNK`` blocks
+    per call; ``grid`` scores every sender-receiver link with
     ``neural_core.grid_logits`` in blocks of about ``SCORE_CHUNK`` links.
     """
 
@@ -233,6 +236,26 @@ class PairScorer:
                 [len(sr.senders) for sr in part], [len(sr.receivers) for sr in part],
             ).tolist())
         return out
+
+    def blocks(self, senders, receivers):
+        """Scorer of candidate blocks over the node-id sequences ``senders``
+        and ``receivers``, whose feature rows are gathered and encoded here,
+        once: it maps a list of ``(s_lo, s_hi, r_lo, r_hi)`` blocks to the
+        probabilities of the pairs ``(senders[s_lo:s_hi], receivers[r_lo:r_hi])``,
+        in order. Raises ValueError on an id that is not a feature row."""
+        ids = [np.array(side, dtype=np.intp) for side in (senders, receivers)]
+        if any(((i < 0) | (i >= len(self.features))).any() for i in ids):
+            raise ValueError(f"node ids must index the {len(self.features)} feature rows")
+        encoded = nc.encode_sides(self.model, *(self.features[i] for i in ids))
+
+        def score(candidates):
+            out = []
+            for i in range(0, len(candidates), SCORE_CHUNK):
+                out.extend(nc.sigmoid(nc.block_logits(
+                    self.model, encoded, candidates[i:i + SCORE_CHUNK])).tolist())
+            return out
+
+        return score
 
     def grid(self, senders, receivers):
         """(|senders|, |receivers|) array: entry (i, j) is the probability of

@@ -315,15 +315,16 @@ def cmd_filter(args):
 def cmd_bench_rec(args):
     started = time.time()
     settings = [parse_setting(s.strip()) for s in args.settings.split(",") if s.strip()]
-    model = load_checkpoint(args.model)
-    graph, subgraphs = load_dataset(args.data_dir)
     config = BenchmarkConfig(
-        scorer=PairScorer(model, graph.features),
+        scorer=None,
         variant=args.variant,
         alpha_keep=args.alpha_keep,
         split_rule=SPLIT_RULES[args.split],
         seed=args.seed,
     )
+    model = load_checkpoint(args.model)
+    graph, subgraphs = load_dataset(args.data_dir)
+    config.scorer = PairScorer(model, graph.features)
     table = run_benchmark(
         SynthDataset(graph=graph, subgraphs=subgraphs), settings,
         args.n_instances, config,

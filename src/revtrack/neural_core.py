@@ -10,8 +10,10 @@ sender rows and receiver rows of many pairs plus per-pair set sizes, and
 pools each set with a segment reduction, so training, validation and
 scoring evaluate many pairs per pass instead of one. ``batch_backward``
 is its hand-written reverse pass; gradients are exact up to floating point
-(see the finite-difference tests). ``grid_logits`` scores every 1-1 link
-of one sender set and one receiver set, encoding each node once (ds).
+(see the finite-difference tests). Two forward passes score many pairs over
+one sender set and one receiver set, encoding each node once (ds):
+``grid_logits`` every 1-1 link, and ``block_logits`` candidate blocks of
+slices of the two sides, pooled from ``encode_sides``' rows.
 
 A ``Model`` is its config (the dict a checkpoint records) plus its named
 layer stacks, which ``layer_table`` lists once per architecture. Training
@@ -243,15 +245,8 @@ def batch_logits(model, xs, xr, ns, nr, cache=None):
     saved = {"mlps": {name: [] for name in model.mlps}}
     run = lambda name, x: mlp_forward(model.mlps[name], x, saved["mlps"][name])
     if model.arch == "ds":
-        if cfg["pool"] not in ("sum", "mean"):
-            raise ValueError(f"unknown pool {cfg['pool']!r}")
-        sides = []
-        for side, x, lengths in (("sender", xs, ns), ("receiver", xr, nr)):
-            u = run(f"{side}_phi", x)
-            pooled = _segment_pool(cfg["pool"], u, lengths)
-            saved[side] = (u, lengths, pooled)
-            sides.append(run(f"{side}_rho", pooled))
-        emb = run("trunk", np.hstack(sides))
+        out = _ds_head(model, run, run("sender_phi", xs), run("receiver_phi", xr), ns, nr,
+                       saved)
     else:
         # one GIN-style round: each receiver adds its pair's sender sum
         scale = 1.0 + cfg["epsilon"]
@@ -265,11 +260,62 @@ def batch_logits(model, xs, xr, ns, nr, cache=None):
         grouped = states[order]
         pooled = _segment_pool(cfg["readout"], grouped, ns + nr)
         saved["core"] = (order, grouped, ns + nr, pooled)
-        emb = run("head", pooled)
-    out = run("logit", emb)[:, 0]
+        out = run("logit", run("head", pooled))[:, 0]
     if cache is not None:
         cache.update(saved)
     return out
+
+
+def _ds_head(model, run, us, ur, ns, nr, saved):
+    """ds logits from the phi rows of each pair's senders and receivers:
+    segment pools, then rho per side, trunk and logit, each layer applied
+    with ``run(name, x)``. ``saved`` receives each side's pool inputs."""
+    pool = model.config["pool"]
+    if pool not in ("sum", "mean"):
+        raise ValueError(f"unknown pool {pool!r}")
+    hs = []
+    for side, u, lengths in (("sender", us, ns), ("receiver", ur, nr)):
+        pooled = _segment_pool(pool, u, lengths)
+        saved[side] = (u, lengths, pooled)
+        hs.append(run(f"{side}_rho", pooled))
+    return run("logit", run("trunk", np.hstack(hs)))[:, 0]
+
+
+def encode_sides(model, xs, xr):
+    """Per-node encodings of a sender and a receiver feature-row set, for
+    ``block_logits``: the phi rows of each side (ds), or the raw rows (bp),
+    since a bp receiver's state depends on its pair's sender sum."""
+    xs, xr = (np.asarray(x, dtype=np.float64) for x in (xs, xr))
+    if model.arch == "bp":
+        return xs, xr
+    return (mlp_forward(model.mlps["sender_phi"], xs),
+            mlp_forward(model.mlps["receiver_phi"], xr))
+
+
+def block_logits(model, encoded, blocks):
+    """Raw classifier outputs of candidate blocks over two fixed sides.
+
+    ``encoded`` is ``encode_sides`` of the sides' feature rows; block i,
+    ``(s_lo, s_hi, r_lo, r_hi)``, is the pair of sender rows
+    ``s_lo:s_hi`` and receiver rows ``r_lo:r_hi``. Each side's rows are
+    gathered block by block and pooled with the segment reduction of
+    ``batch_logits``, so a block scores as ``batch_logits`` scores its pair,
+    while each node is encoded once (ds) however many blocks hold it.
+    Raises ValueError unless every block holds a nonempty slice of each side.
+    """
+    b = np.asarray(blocks, dtype=np.int64).reshape(-1, 4)
+    gathered = []
+    for u, lo, hi in ((encoded[0], b[:, 0], b[:, 1]), (encoded[1], b[:, 2], b[:, 3])):
+        if not ((0 <= lo) & (lo < hi) & (hi <= len(u))).all():
+            raise ValueError("every block needs a nonempty slice of each side")
+        lengths = hi - lo
+        rows = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - lo, lengths)
+        gathered.append((u[rows], lengths))
+    (us, ns), (ur, nr) = gathered
+    if model.arch == "ds":
+        return _ds_head(model, lambda name, x: mlp_forward(model.mlps[name], x),
+                        us, ur, ns, nr, {})
+    return batch_logits(model, us, ur, ns, nr)
 
 
 def batch_backward(model, cache, d_logits):

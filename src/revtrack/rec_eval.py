@@ -145,8 +145,9 @@ def score_recommendations(recommended, truth, k) -> RecMetrics:
 
 @dataclass
 class BenchmarkConfig:
-    # callable [SRPair] -> [probability]; no-iter also calls its
-    # .grid(senders, receivers) -> (|S|, |R|) probabilities
+    # full calls scorer.blocks(senders, receivers), as rev_filter does;
+    # no-iter calls scorer.grid(senders, receivers) -> (|S|, |R|)
+    # probabilities; PairScorer has both
     scorer: object
     variant: str = "full"          # full | no-iter
     alpha_keep: float = 1.5
@@ -156,6 +157,8 @@ class BenchmarkConfig:
     def __post_init__(self):
         if self.variant not in ("full", "no-iter"):
             raise ValueError(f"unknown benchmark variant {self.variant!r}")
+        # reject bad filter settings before any instance is built
+        FilterConfig(k=1, alpha_keep=self.alpha_keep, split_rule=self.split_rule)
 
 
 def one_pass_topk(instance: RecTestInstance, k, scorer):

@@ -89,48 +89,49 @@ def expand(candidates):
 
 
 def _pairs(candidates, senders, receivers):
-    """The SRPair of every candidate, built only for scoring and ranking."""
+    """The SRPair of every candidate, built only for the returned links."""
     return [SRPair(senders=senders[a:b], receivers=receivers[c:d])
             for a, b, c, d in candidates]
 
 
-def _score_all(pairs, scorer):
-    """(scores, failures) of a list of SRPairs from one scorer call.
+def _score_all(candidates, score_blocks):
+    """(scores, failures) of a list of candidate blocks from one
+    ``score_blocks`` call.
 
-    If that call fails, each pair is scored alone, and a pair that still
-    fails scores 0 (fail closed for that pair only).
+    If that call fails, each block is scored alone, and a block that still
+    fails scores 0 (fail closed for that block only).
     """
     try:
-        return [float(s) for s in scorer(pairs)], 0
+        return [float(s) for s in score_blocks(candidates)], 0
     except Exception as exc:
-        logger.warning("scorer failed on %d pairs: %s; scoring them one by one",
-                       len(pairs), exc)
+        logger.warning("scorer failed on %d blocks: %s; scoring them one by one",
+                       len(candidates), exc)
     scores = []
     failures = 0
-    for sr in pairs:
+    for block in candidates:
         try:
-            (score_val,) = scorer([sr])
+            (score_val,) = score_blocks([block])
             scores.append(float(score_val))
         except Exception as exc:
-            logger.warning("scorer failed on pair %s: %s", sr, exc)
+            logger.warning("scorer failed on block %s: %s", block, exc)
             scores.append(0.0)
             failures += 1
     return scores, failures
 
 
-def filter_step(candidates, keep_count, scorer, sides):
+def filter_step(candidates, keep_count, score_blocks):
     """Keep the top ``keep_count`` candidates by score (stable on ties).
 
     Lists already within budget pass through unscored. Otherwise every
-    candidate's SRPair over ``sides`` is scored in one scorer call, and the
-    kept candidates come back in score order without their scores. Returns
+    candidate is scored in one ``score_blocks`` call, and the kept
+    candidates come back in score order without their scores. Returns
     (candidates, pairs_scored, failures).
     """
     if keep_count < 1:
         raise ValueError("keep_count must be >= 1")
     if len(candidates) <= keep_count:
         return candidates, 0, 0
-    scores, failures = _score_all(_pairs(candidates, *sides), scorer)
+    scores, failures = _score_all(candidates, score_blocks)
     order = np.argsort(-np.asarray(scores), kind="stable")[:keep_count]
     return [candidates[i] for i in order], len(candidates), failures
 
@@ -155,11 +156,14 @@ def rev_filter(initial: SRPair, config: FilterConfig, scorer) -> FilterResult:
     ``seeded_random``, each side permuted once by ``default_rng(seed)``;
     candidates are blocks of their slices (see ``expand``). A slice of a
     uniform permutation is in uniform order, so each split is a uniform
-    balanced one. ``scorer`` maps a list of SRPairs to a list of
-    probabilities; each round over budget and the final ranking make one
-    call. If the initial product holds fewer than k links, all are
-    returned. ``classifier_calls`` counts the pairs scored. A pair the
-    scorer fails on, even alone, scores 0 and counts in ``scorer_failures``.
+    balanced one. ``scorer.blocks(senders, receivers)`` is called once, on
+    the fixed sides (see ``PairScorer.blocks``); the function it returns maps
+    a list of blocks to the probabilities of their pairs, and each round
+    over budget and the final ranking call it once. If the initial product
+    holds fewer than k links, all are returned. ``classifier_calls`` counts
+    the pairs scored. A block that function fails on, even alone, scores 0
+    and counts in ``scorer_failures``. Only the k returned links become
+    SRPairs.
     """
     senders, receivers = initial.senders, initial.receivers
     if not senders or not receivers:
@@ -170,8 +174,8 @@ def rev_filter(initial: SRPair, config: FilterConfig, scorer) -> FilterResult:
         rng = np.random.default_rng(config.seed)
         senders = tuple(senders[i] for i in rng.permutation(len(senders)))
         receivers = tuple(receivers[i] for i in rng.permutation(len(receivers)))
-    sides = (senders, receivers)
-    depths = [math.ceil(math.log2(len(side))) for side in sides]
+    score_blocks = scorer.blocks(senders, receivers)
+    depths = [math.ceil(math.log2(len(side))) for side in (senders, receivers)]
     horizon, max_iterations = max(depths), sum(depths) + 1
 
     candidates = [(0, len(senders), 0, len(receivers))]
@@ -182,17 +186,17 @@ def rev_filter(initial: SRPair, config: FilterConfig, scorer) -> FilterResult:
         candidates = expand(candidates)
         keep = keep_schedule(config, iteration, horizon)
         iteration += 1
-        candidates, made, failed = filter_step(candidates, keep, scorer, sides)
+        candidates, made, failed = filter_step(candidates, keep, score_blocks)
         calls += made
         failures += failed
 
-    pairs = _pairs(candidates, senders, receivers)
-    final_scores, failed = _score_all(pairs, scorer)
-    calls += len(pairs)
+    final_scores, failed = _score_all(candidates, score_blocks)
+    calls += len(candidates)
     failures += failed
-    order = np.argsort(-np.asarray(final_scores), kind="stable")[: config.k]
+    order = np.argsort(-np.asarray(final_scores), kind="stable")[: config.k].tolist()
+    pairs = _pairs([candidates[i] for i in order], senders, receivers)
     return FilterResult(
-        links=[(pairs[i], final_scores[i]) for i in order],
+        links=[(sr, final_scores[i]) for sr, i in zip(pairs, order)],
         iterations=iteration,
         classifier_calls=calls,
         scorer_failures=failures,

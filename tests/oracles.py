@@ -25,7 +25,7 @@ from revtrack.graph_core import (
     extract_boundary,
 )
 from revtrack.rec_eval import RecTestInstance, _instance_from_pools, boundary_pools
-from revtrack.rev_filter import FilterConfig, FilterResult, _score_all, keep_schedule
+from revtrack.rev_filter import FilterConfig, FilterResult, keep_schedule
 from revtrack.synth_gen import SynthDataset
 
 
@@ -202,6 +202,32 @@ def one_pass_topk_reference(instance: RecTestInstance, k, scorer):
 
 
 # ---------------------------------------------------------------------------
+# scorers of SRPair lists
+
+
+class ListScorer:
+    """A scorer of SRPair lists, given the ``blocks`` method that
+    ``rev_filter`` calls, as ``PairScorer`` has it.
+
+    ``blocks(senders, receivers)`` returns a function that turns each block
+    ``(a, b, c, d)`` into ``SRPair(senders[a:b], receivers[c:d])`` and scores
+    the list with one call of the scorer, so the scorer sees the pairs it
+    would see through the SRPair-list protocol. Wrap a function,
+    ``ListScorer(fn)``, or subclass and define ``__call__``.
+    """
+
+    def __init__(self, score_pairs=None):
+        self.score_pairs = score_pairs
+
+    def __call__(self, srs):
+        return self.score_pairs(srs)
+
+    def blocks(self, senders, receivers):
+        return lambda candidates: self([SRPair(senders=senders[a:b], receivers=receivers[c:d])
+                                        for a, b, c, d in candidates])
+
+
+# ---------------------------------------------------------------------------
 # SRPair-entry bisection filter: the reference for ``rev_filter.rev_filter``
 # under ``sorted_id``. Candidates are (SRPair, score or None) entries and
 # every split re-derives its halves from the pair's sides.
@@ -250,6 +276,28 @@ def expand_reference(candidates, rule="sorted_id", rng=None):
     return out
 
 
+def _score_all(pairs, scorer):
+    """(scores, failures) of a list of SRPairs from one scorer call.
+
+    If that call fails, each pair is scored alone, and a pair that still
+    fails scores 0 (fail closed for that pair only).
+    """
+    try:
+        return [float(s) for s in scorer(pairs)], 0
+    except Exception:
+        pass
+    scores = []
+    failures = 0
+    for sr in pairs:
+        try:
+            (score_val,) = scorer([sr])
+            scores.append(float(score_val))
+        except Exception:
+            scores.append(0.0)
+            failures += 1
+    return scores, failures
+
+
 def filter_step_reference(candidates, keep_count, scorer):
     """Keep the top ``keep_count`` (SRPair, score) entries (stable on ties);
     lists within budget pass through unscored."""
@@ -264,7 +312,8 @@ def filter_step_reference(candidates, keep_count, scorer):
 
 
 def rev_filter_reference(initial: SRPair, config: FilterConfig, scorer) -> FilterResult:
-    """``rev_filter`` on (SRPair, score) entries with a per-split rule and RNG."""
+    """``rev_filter`` on (SRPair, score) entries with a per-split rule and RNG;
+    ``scorer`` maps a list of SRPairs to their scores."""
     if not initial.senders or not initial.receivers:
         raise ValueError("initial pair must have nonempty sender and receiver sets")
     rng = np.random.default_rng(config.seed)

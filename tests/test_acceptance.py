@@ -48,7 +48,12 @@ from revtrack.rev_filter import (
     truncated_exp_pmf,
 )
 from revtrack.synth_gen import SynthConfig, generate
-from oracles import graphlet_census_bruteforce, plant_rec_instance, topological_order
+from oracles import (
+    ListScorer,
+    graphlet_census_bruteforce,
+    plant_rec_instance,
+    topological_order,
+)
 
 
 def report(criterion, passed, detail):
@@ -333,7 +338,7 @@ def test_c05_classification_analog(cls_bundle):
 # criterion 6: oracle completeness
 
 
-class ContainsTruthScorer:
+class ContainsTruthScorer(ListScorer):
     def __init__(self, truth):
         self.truth = set(truth)
 

@@ -364,12 +364,18 @@ def test_filter_exits_2_when_scorer_fails_on_a_pair(pipeline, tmp_path, capsys, 
     _, s_ids, r_ids = _boundary_ids(data)
 
     class FlakyScorer(cli.PairScorer):
-        """Fails on every pair whose product holds the link (s_ids[0], r_ids[0])."""
+        """Fails on every block whose product holds the link (s_ids[0], r_ids[0])."""
 
-        def __call__(self, srs):
-            if any(s_ids[0] in sr.senders and r_ids[0] in sr.receivers for sr in srs):
-                raise RuntimeError("boom")
-            return super().__call__(srs)
+        def blocks(self, senders, receivers):
+            score = super().blocks(senders, receivers)
+
+            def flaky(candidates):
+                if any(s_ids[0] in senders[a:b] and r_ids[0] in receivers[c:d]
+                       for a, b, c, d in candidates):
+                    raise RuntimeError("boom")
+                return score(candidates)
+
+            return flaky
 
     monkeypatch.setattr(cli, "PairScorer", FlakyScorer)
     senders, receivers = tmp_path / "s.txt", tmp_path / "r.txt"
@@ -437,6 +443,16 @@ def test_bench_rec_rejects_bad_settings_before_loading(tmp_path, capsys, setting
                "--variant", "no-iter", "--out", str(tmp_path / "r.json")])
     assert rc == 1
     assert f"error: bad setting {setting!r}" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "0.5"])
+def test_bench_rec_rejects_bad_alpha_keep_before_loading(tmp_path, capsys, value):
+    rc = main(["bench-rec", "--model", str(tmp_path / "missing.json"),
+               "--data-dir", str(tmp_path / "missing"), "--settings", "1+3@1",
+               "--alpha-keep", value, "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert "error: alpha_keep must be finite and >= 1" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -12,6 +12,7 @@ import pairwise_reference as ref
 from revtrack import classifier
 from revtrack import neural_core as nc
 from revtrack.classifier import PairScorer, SRPair
+from revtrack.rev_filter import expand
 
 
 def identity_mlp(dim):
@@ -452,6 +453,35 @@ def test_kernel_property_invariance(arch_pool, sizes, seed):
     alone = [nc.forward_logit(model, xs[i], xr[j]) for i, j in zip(s_rows, r_rows)]
     assert_close(alone, logits)
 
+
+
+# ---------------------------------------------------------------------------
+# candidate blocks of two fixed sides against the kernel on their pairs
+
+
+@pytest.mark.parametrize("arch, pool", POOLS)
+def test_blocks_match_pair_scoring(arch, pool, monkeypatch):
+    rng = np.random.default_rng(73)
+    model = jiggled_model(rng, arch, pool)
+    features = rng.normal(size=(60, 3))
+    ordered = (tuple(sorted(rng.choice(60, 23, replace=False).tolist())),
+               tuple(sorted(rng.choice(60, 17, replace=False).tolist())))
+    permuted = tuple(tuple(side[i] for i in rng.permutation(len(side))) for side in ordered)
+    scorer = PairScorer(model, features)
+    for senders, receivers in (ordered, permuted):
+        candidates = [(0, len(senders), 0, len(receivers))]
+        for _ in range(4):  # 4, 16, 64 and 256 blocks
+            candidates = expand(candidates)
+            expected = scorer([SRPair(senders=senders[a:b], receivers=receivers[c:d])
+                               for a, b, c, d in candidates])
+            assert_close(scorer.blocks(senders, receivers)(candidates), expected)
+            with monkeypatch.context() as patched:
+                patched.setattr(classifier, "SCORE_CHUNK", 7)
+                assert_close(scorer.blocks(senders, receivers)(candidates), expected)
+    encoded = nc.encode_sides(model, features[:4], features[:3])
+    for bad in ((0, 0, 0, 1), (0, 1, 2, 1), (-1, 1, 0, 1), (0, 5, 0, 1), (0, 1, 0, 4)):
+        with pytest.raises(ValueError, match="nonempty slice"):
+            nc.block_logits(model, encoded, [(0, 1, 0, 1), bad])
 
 
 # ---------------------------------------------------------------------------

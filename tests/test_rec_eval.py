@@ -19,7 +19,7 @@ from revtrack.rec_eval import (
     run_benchmark,
 )
 from revtrack.synth_gen import SynthConfig, generate
-from oracles import one_pass_topk_reference, plant_rec_instance
+from oracles import ListScorer, one_pass_topk_reference, plant_rec_instance
 
 
 class OracleScorer:
@@ -246,7 +246,7 @@ def test_one_pass_topk_memory_stays_bounded():
 def test_run_benchmark_oracle_perfect_and_deterministic():
     ds = rec_dataset()
 
-    class PoolOracle:
+    class PoolOracle(ListScorer):
         """Scores against the truth of whichever instance is being run."""
 
         def __init__(self):
@@ -285,6 +285,10 @@ def test_benchmark_variant_validation():
     for variant in ("bogus", "no-finetune", "keep1"):
         with pytest.raises(ValueError, match="unknown benchmark variant"):
             BenchmarkConfig(scorer=lambda srs: [0.5] * len(srs), variant=variant)
+    with pytest.raises(ValueError, match="alpha_keep"):
+        BenchmarkConfig(scorer=None, alpha_keep=math.nan)
+    with pytest.raises(ValueError, match="unknown split rule"):
+        BenchmarkConfig(scorer=None, split_rule="random")
 
 
 def test_parse_setting():

@@ -15,6 +15,7 @@ from revtrack import rev_filter as rf
 from revtrack import neural_core as nc
 from revtrack.classifier import (
     LabeledPair,
+    PairScorer,
     SplitSpec,
     SRPair,
     TrainConfig,
@@ -34,10 +35,10 @@ from revtrack.rev_filter import (
     truncated_exp_pmf,
 )
 from revtrack.synth_gen import SynthConfig, generate
-from oracles import rev_filter_reference
+from oracles import ListScorer, rev_filter_reference
 
 
-class OracleScorer:
+class OracleScorer(ListScorer):
     """1.0 iff the pair's product contains a true link, else 0.0; ``calls``
     counts the pairs scored."""
 
@@ -52,7 +53,7 @@ class OracleScorer:
         ) else 0.0 for sr in srs]
 
 
-class MaxScorer:
+class MaxScorer(ListScorer):
     """Max of fixed injective per-link base scores over the pair's product."""
 
     def __init__(self, base):
@@ -136,7 +137,7 @@ def first_round_pairs(split_rule, seed):
 
     initial = SRPair(senders=tuple(range(8)), receivers=tuple(range(20, 26)))
     rev_filter(initial, FilterConfig(k=1, alpha_keep=1.0, split_rule=split_rule, seed=seed),
-               scorer)
+               ListScorer(scorer))
     return batches[0]
 
 
@@ -165,7 +166,7 @@ DIAGONAL = [(i, i + 1, i, i + 1) for i in range(3)]
 def test_filter_step_stable_ties():
     table = {SRPair((0,), (100,)): 0.2, SRPair((1,), (101,)): 0.9, SRPair((2,), (102,)): 0.2}
     kept, calls, failures = filter_step(
-        DIAGONAL, 2, lambda srs: [table[sr] for sr in srs], SIDES)
+        DIAGONAL, 2, ListScorer(lambda srs: [table[sr] for sr in srs]).blocks(*SIDES))
     # score order first, then list order among ties
     assert kept == [DIAGONAL[1], DIAGONAL[0]]
     assert calls == 3 and failures == 0
@@ -173,8 +174,8 @@ def test_filter_step_stable_ties():
 
 def test_filter_step_within_budget_unchanged():
     calls = []
-    kept, made, _ = filter_step(
-        DIAGONAL, 5, lambda srs: calls.extend(srs) or [1.0] * len(srs), SIDES)
+    scorer = ListScorer(lambda srs: calls.extend(srs) or [1.0] * len(srs))
+    kept, made, _ = filter_step(DIAGONAL, 5, scorer.blocks(*SIDES))
     assert kept is DIAGONAL
     assert made == 0 and calls == []
 
@@ -187,7 +188,7 @@ def test_filter_step_scorer_failure_scores_zero():
             raise RuntimeError("boom")
         return [0.5] * len(srs)
 
-    kept, _, failures = filter_step(DIAGONAL, 2, flaky, SIDES)
+    kept, _, failures = filter_step(DIAGONAL, 2, ListScorer(flaky).blocks(*SIDES))
     assert failures == 1
     assert kept == [DIAGONAL[0], DIAGONAL[2]]
 
@@ -213,14 +214,16 @@ def test_keep_schedule_k1():
 # rev_filter
 
 
-def _assert_partition(pairs, initial: SRPair):
-    all_s = set(initial.senders)
-    all_r = set(initial.receivers)
-    for i, (s_a, r_a) in enumerate(pairs):
-        assert set(s_a) <= all_s and set(r_a) <= all_r
-        for s_b, r_b in pairs[i + 1 :]:
-            if set(s_a) & set(s_b) and set(r_a) & set(r_b):
-                raise AssertionError(f"overlapping candidate products: {s_a, r_a} vs {s_b, r_b}")
+def _assert_partition(candidates, initial: SRPair):
+    """Blocks lie within the sides of ``initial`` and their products are
+    disjoint; the sides repeat no id, so this holds for their node ids too."""
+    ns, nr = len(initial.senders), len(initial.receivers)
+    for i, (a, b, c, d) in enumerate(candidates):
+        assert 0 <= a < b <= ns and 0 <= c < d <= nr
+        for e, f, g, h in candidates[i + 1 :]:
+            if a < f and e < b and c < h and g < d:
+                raise AssertionError(f"overlapping candidate products: {a, b, c, d} "
+                                     f"vs {e, f, g, h}")
 
 
 @contextmanager
@@ -230,9 +233,9 @@ def partition_checked(initial):
     rounds = []
     original = rf.filter_step
 
-    def checked(candidates, keep_count, scorer, sides):
-        out = original(candidates, keep_count, scorer, sides)
-        _assert_partition(blocks(out[0], *sides), initial)
+    def checked(candidates, keep_count, score_blocks):
+        out = original(candidates, keep_count, score_blocks)
+        _assert_partition(out[0], initial)
         rounds.append(len(out[0]))
         return out
 
@@ -312,7 +315,8 @@ def test_rev_filter_property_partition_termination_links(ns, nr, k, alpha, rule,
 
     with partition_checked(initial) as rounds:
         res = rev_filter(
-            initial, FilterConfig(k=k, alpha_keep=alpha, split_rule=rule, seed=seed), scorer
+            initial, FilterConfig(k=k, alpha_keep=alpha, split_rule=rule, seed=seed),
+            ListScorer(scorer)
         )
     assert len(rounds) == res.iterations
     assert res.iterations <= math.ceil(math.log2(max(ns, nr)))
@@ -366,6 +370,13 @@ def test_rev_filter_rejects_repeated_ids(initial):
         rev_filter(initial, FilterConfig(k=3), OracleScorer(set()))
 
 
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_rev_filter_rejects_ids_outside_the_feature_rows(bad):
+    scorer = PairScorer(nc.build_ds_model(np.random.default_rng(0), 3, 8), np.ones((5, 3)))
+    with pytest.raises(ValueError, match="5 feature rows"):
+        rev_filter(SRPair((bad, 4), (0, 1)), FilterConfig(k=2), scorer)
+
+
 @pytest.mark.parametrize("alpha", [0.5, math.nan, math.inf])
 def test_filter_config_rejects_bad_alpha_keep(alpha):
     with pytest.raises(ValueError, match="alpha_keep"):
@@ -401,7 +412,7 @@ node_sets = st.sets(st.integers(0, 10**6), min_size=1, max_size=40)
 def test_rev_filter_matches_reference_sorted_id(senders, receivers, k, alpha, seed):
     initial = SRPair(senders=tuple(senders), receivers=tuple(receivers))
     cfg = FilterConfig(k=k, alpha_keep=alpha)
-    got = rev_filter(initial, cfg, table_scorer(seed))
+    got = rev_filter(initial, cfg, ListScorer(table_scorer(seed)))
     assert got == rev_filter_reference(initial, cfg, table_scorer(seed))
     assert got.scorer_failures == 0
 
@@ -416,10 +427,27 @@ def test_rev_filter_matches_reference_when_scorer_raises(senders, receivers, k, 
     link = (initial.senders[pick[0] % len(senders)],
             initial.receivers[pick[1] % len(receivers)])
     cfg = FilterConfig(k=k, alpha_keep=alpha)
-    got = rev_filter(initial, cfg, table_scorer(seed, link))
+    got = rev_filter(initial, cfg, ListScorer(table_scorer(seed, link)))
     assert got == rev_filter_reference(initial, cfg, table_scorer(seed, link))
     # the first scored list always holds the block containing the link
     assert got.scorer_failures >= 1
+
+
+def test_rev_filter_matches_reference_with_trained_scorer():
+    # PairScorer.blocks pools each side's phi rows in sorted_id order, as
+    # the SRPair-list call pools each pair's rows
+    model, pairs, fmap = small_trained_model()
+    scorer = PairScorer(model, fmap)
+    rng = np.random.default_rng(13)
+    for n_merge, k in ((3, 1), (6, 5), (12, 10)):
+        for _ in range(4):
+            chosen = [pairs[int(i)].sr for i in rng.choice(len(pairs), n_merge, replace=False)]
+            initial = SRPair(senders=tuple({s for sr in chosen for s in sr.senders}),
+                             receivers=tuple({r for sr in chosen for r in sr.receivers}))
+            cfg = FilterConfig(k=k)
+            got = rev_filter(initial, cfg, scorer)
+            assert got == rev_filter_reference(initial, cfg, scorer)
+            assert got.scorer_failures == 0 and got.iterations >= 1
 
 
 # ---------------------------------------------------------------------------
