@@ -76,7 +76,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("hidden_dim", 1), ("batch_size", 1), ("epochs", 0)):
+        for name, low in (("hidden_dim", 1), ("batch_size", 1), ("epochs", 0), ("patience", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("lr", "pos_weight"):
@@ -219,6 +219,8 @@ class PairScorer:
     slices of them with ``neural_core.block_logits``, ``SCORE_CHUNK`` blocks
     per call; ``grid`` scores every sender-receiver link with
     ``neural_core.grid_logits`` in blocks of about ``SCORE_CHUNK`` links.
+    Each of them gathers feature rows through ``_rows``, so a node id that
+    is not a row raises ValueError on every path.
     """
 
     def __init__(self, model, features):
@@ -230,23 +232,28 @@ class PairScorer:
         out = []
         for i in range(0, len(srs), SCORE_CHUNK):
             part = srs[i:i + SCORE_CHUNK]
-            out.extend(self._probabilities(
-                nc.batch_logits, [n for sr in part for n in sr.senders],
-                [n for sr in part for n in sr.receivers],
+            out.extend(nc.sigmoid(nc.batch_logits(
+                self.model, self._rows([n for sr in part for n in sr.senders]),
+                self._rows([n for sr in part for n in sr.receivers]),
                 [len(sr.senders) for sr in part], [len(sr.receivers) for sr in part],
-            ).tolist())
+            )).tolist())
         return out
+
+    def _rows(self, ids):
+        """Feature rows of the node ids ``ids``, the one gather every entry
+        point uses. Raises ValueError on an id that is not a feature row."""
+        ids = np.array(ids, dtype=np.intp)
+        if ((ids < 0) | (ids >= len(self.features))).any():
+            raise ValueError(f"node ids must index the {len(self.features)} feature rows")
+        return self.features[ids]
 
     def blocks(self, senders, receivers):
         """Scorer of candidate blocks over the node-id sequences ``senders``
         and ``receivers``, whose feature rows are gathered and encoded here,
         once: it maps a list of ``(s_lo, s_hi, r_lo, r_hi)`` blocks to the
         probabilities of the pairs ``(senders[s_lo:s_hi], receivers[r_lo:r_hi])``,
-        in order. Raises ValueError on an id that is not a feature row."""
-        ids = [np.array(side, dtype=np.intp) for side in (senders, receivers)]
-        if any(((i < 0) | (i >= len(self.features))).any() for i in ids):
-            raise ValueError(f"node ids must index the {len(self.features)} feature rows")
-        encoded = nc.encode_sides(self.model, *(self.features[i] for i in ids))
+        in order."""
+        encoded = nc.encode_sides(self.model, self._rows(senders), self._rows(receivers))
 
         def score(candidates):
             out = []
@@ -260,13 +267,8 @@ class PairScorer:
     def grid(self, senders, receivers):
         """(|senders|, |receivers|) array: entry (i, j) is the probability of
         the 1-1 link (senders[i], receivers[j])."""
-        return self._probabilities(nc.grid_logits, senders, receivers, SCORE_CHUNK)
-
-    def _probabilities(self, kernel, senders, receivers, *args):
-        """Sigmoid of ``kernel`` on the feature rows of the node ids ``senders``
-        and ``receivers``."""
-        return nc.sigmoid(kernel(self.model, self.features[np.array(senders, dtype=np.intp)],
-                                 self.features[np.array(receivers, dtype=np.intp)], *args))
+        return nc.sigmoid(nc.grid_logits(self.model, self._rows(senders),
+                                         self._rows(receivers), SCORE_CHUNK))
 
     def score(self, sr: SRPair) -> float:
         """Probability that the pair bounds a suspicious flow."""

@@ -4,11 +4,14 @@ Subcommands: generate, graphlets, train, finetune, classify, eval-cls,
 filter, bench-rec. Exit codes: 0 success, 1 validation/usage error,
 2 runtime error (for filter, also when the scorer failed on any pair).
 Diagnostics go to stderr; data goes only to the output path (or stdout
-for eval-cls). Every mutating command writes a run manifest next to its
-output recording config hash, seeds, and input digests.
+for eval-cls). Each ``cmd_*`` returns its exit code and what its run
+manifest records: seeds and input paths (eval-cls: None, no manifest).
+``main`` alone times the command, writes that manifest next to its output
+(config hash, seeds, input digests, wall time) and maps errors to exit codes.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -35,10 +38,10 @@ from .io_utils import (
     write_manifest,
 )
 from .neural_core import load_checkpoint, save_checkpoint
-from .rec_eval import BenchmarkConfig, parse_setting, run_benchmark
+from .rec_eval import BenchmarkConfig, check_benchmark, parse_setting, run_benchmark
 from .rev_filter import AugmentConfig, FilterConfig, finetune as finetune_model
 from .rev_filter import make_finetune_set, rev_filter
-from .synth_gen import GenerationError, SynthConfig, SynthDataset, generate
+from .synth_gen import SynthConfig, SynthDataset, generate
 
 SPLIT_RULES = {"sorted": "sorted_id", "random": "seeded_random"}
 
@@ -97,29 +100,12 @@ def _resolved_config(args, skip=("func", "config")):
     return out
 
 
-def _emit_manifest(manifest_path, args, seeds, input_paths, started):
-    write_manifest(
-        manifest_path,
-        command=args.func.__name__.removeprefix("cmd_"),
-        config=_resolved_config(args),
-        seeds=seeds,
-        input_paths=[p for p in input_paths if p],
-        wall_time=time.time() - started,
-        tool_version=__version__,
-    )
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        hidden_dim=args.hidden_dim,
-        pool=args.pool,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        patience=args.patience,
-        pos_weight=args.pos_weight,
-        seed=args.seed,
-    )
+def _config(cls, args, **named):
+    """``cls`` with each field set from the flag of the same name, if the
+    command has one, and from ``named`` for flags named otherwise."""
+    fields = {f.name: getattr(args, f.name)
+              for f in dataclasses.fields(cls) if hasattr(args, f.name)}
+    return cls(**{**fields, **named})
 
 
 def _load_pairs(data_dir):
@@ -137,7 +123,6 @@ def _load_pairs(data_dir):
 
 
 def cmd_generate(args):
-    started = time.time()
     cfg_dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -149,20 +134,12 @@ def cmd_generate(args):
     save_dataset(dataset, args.out_dir)
     _log(f"wrote dataset: {cfg.num_entities} entities, "
          f"{len(dataset.subgraphs)} subgraphs -> {args.out_dir}")
-    write_manifest(
-        os.path.join(args.out_dir, "run_manifest.json"),
-        command="generate",
-        config=cfg.to_json_dict(),
-        seeds={"seed": cfg.seed},
-        input_paths=[args.config] if args.config else [],
-        wall_time=time.time() - started,
-        tool_version=__version__,
-    )
-    return 0
+    return 0, {"manifest_path": os.path.join(args.out_dir, "run_manifest.json"),
+               "config": cfg.to_json_dict(), "seeds": {"seed": cfg.seed},
+               "input_paths": [args.config] if args.config else []}
 
 
 def cmd_graphlets(args):
-    started = time.time()
     subgraphs = read_subgraphs_jsonl(args.subgraphs)
     hist = graphlet_census(subgraphs, node_cap=args.node_cap)
     if hist.skipped:
@@ -170,15 +147,13 @@ def cmd_graphlets(args):
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(hist.to_json_dict(), fh, indent=2)
         fh.write("\n")
-    _emit_manifest(args.out + ".manifest.json", args, {}, [args.subgraphs], started)
-    return 0
+    return 0, {"seeds": {}, "input_paths": [args.subgraphs]}
 
 
 def cmd_train(args):
-    started = time.time()
     if args.arch == "ds" and args.pool == "max":
         raise ValueError("--pool max is a bp-only readout; ds pools are sum and mean")
-    config = _train_config(args)
+    config = _config(TrainConfig, args)
     spec = SplitSpec(seed=args.split_seed, few_shot_fraction=args.few_shot)
     _, pairs, features = _load_pairs(args.data_dir)
     train_pairs, valid_pairs, _ = split(pairs, spec)
@@ -189,20 +164,13 @@ def cmd_train(args):
     if best:
         _log(f"trained {args.arch} on {len(train_pairs)} pairs; "
              f"best valid metric {best['valid_metric']:.4f} at epoch {best['epoch']}")
-    _emit_manifest(
-        args.out + ".manifest.json", args,
-        {"split_seed": args.split_seed, "train_seed": args.seed},
-        _dataset_paths(args.data_dir), started,
-    )
-    return 0
+    return 0, {"seeds": {"split_seed": args.split_seed, "train_seed": args.seed},
+               "input_paths": _dataset_paths(args.data_dir)}
 
 
 def cmd_finetune(args):
-    started = time.time()
-    augment = AugmentConfig(
-        gamma=args.gamma, merge_range=(args.merge_min, args.merge_max), seed=args.seed)
-    config = TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed,
-                         batch_size=args.batch_size, patience=args.patience)
+    augment = _config(AugmentConfig, args, merge_range=(args.merge_min, args.merge_max))
+    config = _config(TrainConfig, args)
     model = load_checkpoint(args.model)
     _, pairs, features = _load_pairs(args.data_dir)
     train_pairs, _, _ = split(pairs, SplitSpec(seed=args.split_seed))
@@ -210,16 +178,11 @@ def cmd_finetune(args):
     tuned, history = finetune_model(model, merged, features, config)
     save_checkpoint(args.out, tuned)
     _log(f"fine-tuned on {len(merged)} merged pairs over {len(history)} epochs")
-    _emit_manifest(
-        args.out + ".manifest.json", args,
-        {"split_seed": args.split_seed, "augment_seed": args.seed},
-        _dataset_paths(args.data_dir) + [args.model], started,
-    )
-    return 0
+    return 0, {"seeds": {"split_seed": args.split_seed, "augment_seed": args.seed},
+               "input_paths": _dataset_paths(args.data_dir) + [args.model]}
 
 
 def cmd_classify(args):
-    started = time.time()
     model = load_checkpoint(args.model)
     graph, _ = load_dataset(args.data_dir, require_subgraphs=False)
     subgraphs = read_subgraphs_jsonl(args.subgraphs, graph.id_remap, graph.num_nodes)
@@ -237,12 +200,8 @@ def cmd_classify(args):
             fh.write(f"{sg_id},{repr(s)},{int(s >= args.threshold)}\n")
     if skipped:
         _log(f"skipped {skipped} subgraphs with empty boundary")
-    _emit_manifest(
-        args.out + ".manifest.json", args, {},
-        _dataset_paths(args.data_dir, subgraphs=False) + [args.subgraphs, args.model],
-        started,
-    )
-    return 0
+    return 0, {"seeds": {}, "input_paths": _dataset_paths(args.data_dir, subgraphs=False)
+               + [args.subgraphs, args.model]}
 
 
 def cmd_eval_cls(args):
@@ -257,7 +216,7 @@ def cmd_eval_cls(args):
         "n_test": len(test_pairs),
         "n_test_positive": sum(p.label for p in test_pairs),
     }, indent=2))
-    return 0
+    return 0, None
 
 
 def _read_id_file(path, graph):
@@ -282,9 +241,7 @@ def _read_id_file(path, graph):
 
 
 def cmd_filter(args):
-    started = time.time()
-    config = FilterConfig(k=args.k, alpha_keep=args.alpha_keep,
-                          split_rule=SPLIT_RULES[args.split], seed=args.seed)
+    config = _config(FilterConfig, args, split_rule=SPLIT_RULES[args.split])
     model = load_checkpoint(args.model)
     graph, _ = load_dataset(args.data_dir, require_subgraphs=False)
     senders = _read_id_file(args.senders, graph)
@@ -303,25 +260,16 @@ def cmd_filter(args):
     _log(f"{result.iterations} iterations, {result.classifier_calls} classifier calls")
     if result.scorer_failures:
         _log(f"warning: scorer failed on {result.scorer_failures} pairs (scored 0)")
-    _emit_manifest(
-        args.out + ".manifest.json", args, {"seed": args.seed},
-        _dataset_paths(args.data_dir, subgraphs=False)
-        + [args.model, args.senders, args.receivers],
-        started,
-    )
-    return 2 if result.scorer_failures else 0
+    return (2 if result.scorer_failures else 0), {
+        "seeds": {"seed": args.seed},
+        "input_paths": _dataset_paths(args.data_dir, subgraphs=False)
+        + [args.model, args.senders, args.receivers]}
 
 
 def cmd_bench_rec(args):
-    started = time.time()
     settings = [parse_setting(s.strip()) for s in args.settings.split(",") if s.strip()]
-    config = BenchmarkConfig(
-        scorer=None,
-        variant=args.variant,
-        alpha_keep=args.alpha_keep,
-        split_rule=SPLIT_RULES[args.split],
-        seed=args.seed,
-    )
+    check_benchmark(settings, args.n_instances)
+    config = _config(BenchmarkConfig, args, scorer=None, split_rule=SPLIT_RULES[args.split])
     model = load_checkpoint(args.model)
     graph, subgraphs = load_dataset(args.data_dir)
     config.scorer = PairScorer(model, graph.features)
@@ -339,9 +287,8 @@ def cmd_bench_rec(args):
     for setting, row in table.items():
         _log(f"{setting}: HR {row['hr_mean']:.4f} +/- {row['hr_se']:.4f}  "
              f"NDCG {row['ndcg_mean']:.4f}  density {row['density_mean']:.4%}")
-    _emit_manifest(args.out + ".manifest.json", args, {"seed": args.seed},
-                   _dataset_paths(args.data_dir) + [args.model], started)
-    return 0
+    return 0, {"seeds": {"seed": args.seed},
+               "input_paths": _dataset_paths(args.data_dir) + [args.model]}
 
 
 def _dataset_paths(data_dir, subgraphs=True):
@@ -455,15 +402,21 @@ def main(argv=None):
     if not getattr(args, "func", None):
         parser.print_help(sys.stderr)
         return 1
+    started = time.time()
     try:
-        return args.func(args)
-    except (GraphLoadError, GenerationError, ValueError) as exc:
+        code, run = args.func(args)
+        if run is not None:
+            write_manifest(
+                run.get("manifest_path") or args.out + ".manifest.json",
+                command=args.subcommand.replace("-", "_"),
+                config=run.get("config") or _resolved_config(args),
+                seeds=run["seeds"], input_paths=run["input_paths"],
+                wall_time=time.time() - started, tool_version=__version__)
+        return code
+    except ValueError as exc:  # GraphLoadError and GenerationError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except TrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

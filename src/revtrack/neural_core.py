@@ -117,8 +117,6 @@ def _segment_pool(kind, rows, lengths):
     starts = np.cumsum(lengths) - lengths
     if kind == "max":
         return np.maximum.reduceat(rows, starts, axis=0)
-    if kind not in ("sum", "mean"):
-        raise ValueError(f"unknown pool {kind!r}")
     pooled = np.add.reduceat(rows, starts, axis=0)
     return pooled / lengths[:, None] if kind == "mean" else pooled
 
@@ -168,6 +166,8 @@ def bce_loss(p, y):
 
 # config entries a checkpoint may omit, and what they default to
 CONFIG_DEFAULTS = {"ds": {"pool": "sum"}, "bp": {"readout": "sum", "epsilon": 0.0}}
+# the config entry naming each architecture's set pool, and its values
+POOLS = {"ds": ("pool", ("sum", "mean")), "bp": ("readout", ("sum", "mean", "max"))}
 
 
 @dataclass
@@ -176,11 +176,18 @@ class Model:
 
     ``config`` holds arch, feature_dim and hidden_dim, then pool (ds) or
     readout and epsilon (bp); ``mlps`` maps names to ``MlpParams`` in
-    parameter order.
+    parameter order. Raises ValueError on an unknown pool or readout
+    (``layer_table`` rejects an unknown arch); layer shapes are not checked.
     """
 
     config: dict
     mlps: dict
+
+    def __post_init__(self):
+        key, allowed = POOLS[self.arch]
+        if self.config[key] not in allowed:
+            raise ValueError(f"unknown {self.arch} {key} {self.config[key]!r}; "
+                             f"expected one of {', '.join(allowed)}")
 
     @property
     def arch(self):
@@ -271,8 +278,6 @@ def _ds_head(model, run, us, ur, ns, nr, saved):
     segment pools, then rho per side, trunk and logit, each layer applied
     with ``run(name, x)``. ``saved`` receives each side's pool inputs."""
     pool = model.config["pool"]
-    if pool not in ("sum", "mean"):
-        raise ValueError(f"unknown pool {pool!r}")
     hs = []
     for side, u, lengths in (("sender", us, ns), ("receiver", ur, nr)):
         pooled = _segment_pool(pool, u, lengths)
@@ -378,8 +383,6 @@ def grid_logits(model, xs, xr, chunk):
             raise ShapeError(f"input dim {x.shape[1]} != expected {model.config['feature_dim']}")
     n_s, n_r = len(xs), len(xr)
     if model.arch == "ds":
-        if model.config["pool"] not in ("sum", "mean"):
-            raise ValueError(f"unknown pool {model.config['pool']!r}")
         trunk = model.mlps["trunk"]
         k = model.mlps["sender_rho"].weights[-1].shape[0]
         h_s, h_r = (mlp_forward(model.mlps[f"{side}_rho"],
@@ -517,20 +520,25 @@ def model_to_checkpoint(model) -> dict:
 
 
 def checkpoint_to_model(ckpt: dict):
+    """The model a checkpoint dict records. Raises ValueError on an
+    unsupported version, a missing entry, or an unknown arch, pool or readout."""
     if ckpt.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {ckpt.get('version')!r}")
-    config = {**ckpt["config"], "arch": ckpt["arch"]}
-    weights = ckpt["weights"]
-    mlps = {}
-    for name, dims, acts in layer_table(config):
-        mlps[name] = MlpParams(
-            weights=[np.asarray(weights[f"{name}.w{i}"], dtype=np.float64)
-                     .reshape(fan_out, fan_in)
-                     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:]))],
-            biases=[np.asarray(weights[f"{name}.b{i}"], dtype=np.float64)
-                    .reshape(fan_out) for i, fan_out in enumerate(dims[1:])],
-            activations=acts,
-        )
+    try:
+        config = {**ckpt["config"], "arch": ckpt["arch"]}
+        weights = ckpt["weights"]
+        mlps = {}
+        for name, dims, acts in layer_table(config):
+            mlps[name] = MlpParams(
+                weights=[np.asarray(weights[f"{name}.w{i}"], dtype=np.float64)
+                         .reshape(fan_out, fan_in)
+                         for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:]))],
+                biases=[np.asarray(weights[f"{name}.b{i}"], dtype=np.float64)
+                        .reshape(fan_out) for i, fan_out in enumerate(dims[1:])],
+                activations=acts,
+            )
+    except KeyError as exc:
+        raise ValueError(f"checkpoint lacks the entry {exc.args[0]!r}") from None
     for key, value in CONFIG_DEFAULTS[config["arch"]].items():
         config.setdefault(key, value)
     return Model(config, mlps)

@@ -33,13 +33,6 @@ class RecTestInstance:
         return SRPair(senders=self.senders, receivers=self.receivers)
 
 
-@dataclass
-class RecMetrics:
-    hr: float
-    ndcg: float
-    k: int
-
-
 def boundary_pools(subgraphs, graph):
     """Split labeled subgraphs into the 1-1 suspicious pool and licit pool.
 
@@ -130,15 +123,6 @@ def ndcg(recommended, truth, k) -> float:
     return dcg / ideal
 
 
-def score_recommendations(recommended, truth, k) -> RecMetrics:
-    """Both top-k metrics for one ranked link list."""
-    return RecMetrics(
-        hr=hit_ratio(recommended, truth, k),
-        ndcg=ndcg(recommended, truth, k),
-        k=k,
-    )
-
-
 # ---------------------------------------------------------------------------
 # benchmark harness
 
@@ -186,6 +170,14 @@ def recommend_links(instance: RecTestInstance, k, config: BenchmarkConfig, seed)
     return [(sr.senders[0], sr.receivers[0]) for sr, _ in result.links]
 
 
+def check_benchmark(settings, n_instances):
+    """Reject a run with no setting or with no instance per setting."""
+    if not settings:
+        raise ValueError("no benchmark setting given")
+    if n_instances < 1:
+        raise ValueError(f"need at least one instance per setting, got {n_instances}")
+
+
 def run_benchmark(dataset, settings, n_instances, config: BenchmarkConfig):
     """Mean HR/NDCG (with standard errors) per (n+, n-, k) setting.
 
@@ -193,8 +185,7 @@ def run_benchmark(dataset, settings, n_instances, config: BenchmarkConfig):
     uses seed config.seed + i, so tables are reproducible and instances are
     shared across variants run with the same seed.
     """
-    if n_instances < 1:
-        raise ValueError(f"need at least one instance per setting, got {n_instances}")
+    check_benchmark(settings, n_instances)
     plus_pool, minus_pool = boundary_pools(dataset.subgraphs, dataset.graph)
     results = {}
     for n_plus, n_minus, k in settings:
@@ -205,12 +196,9 @@ def run_benchmark(dataset, settings, n_instances, config: BenchmarkConfig):
                 plus_pool, minus_pool, n_plus, n_minus, seed_i
             )
             links = recommend_links(instance, k, config, seed_i)
-            rows.append(
-                (score_recommendations(links, instance.truth_links, k), instance.density)
-            )
-        hrs = np.array([m.hr for m, _ in rows])
-        ndcgs = np.array([m.ndcg for m, _ in rows])
-        densities = np.array([d for _, d in rows])
+            truth = instance.truth_links
+            rows.append((hit_ratio(links, truth, k), ndcg(links, truth, k), instance.density))
+        hrs, ndcgs, densities = (np.array(column) for column in zip(*rows))
         se = lambda a: float(a.std(ddof=1) / math.sqrt(len(a))) if len(a) > 1 else 0.0
         results[f"{n_plus}+{n_minus}@{k}"] = {
             "hr_mean": float(hrs.mean()),

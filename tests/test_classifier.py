@@ -272,6 +272,23 @@ def test_score_empty_side_errors():
         PairScorer(model, fmap).score(SRPair(senders=(), receivers=(1,)))
 
 
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_scorer_rejects_ids_outside_the_feature_table(bad):
+    rng = np.random.default_rng(2)
+    scorer = PairScorer(nc.build_ds_model(rng, 3, 4), rng.normal(size=(5, 3)))
+    for call in (
+        lambda: scorer([SRPair(senders=(0,), receivers=(1,)),
+                        SRPair(senders=(bad,), receivers=(0,))]),
+        lambda: scorer.score(SRPair(senders=(0,), receivers=(bad,))),
+        lambda: scorer.grid([bad], [0]),
+        lambda: scorer.grid([0], [1, bad]),
+        lambda: scorer.blocks([0, bad], [1]),
+        lambda: scorer.blocks([0], [bad]),
+    ):
+        with pytest.raises(ValueError, match="must index the 5 feature rows"):
+            call()
+
+
 def test_evaluate_single_class_errors():
     model, _, fmap, test_p = trained_small()
     pos_only = [p for p in test_p if p.label == 1]

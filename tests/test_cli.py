@@ -293,6 +293,64 @@ def test_pipeline_classify_eval_filter_bench(pipeline, capsys, tmp_path):
     assert os.path.exists(str(results) + ".manifest.json")
 
 
+@pytest.fixture(scope="module")
+def runs(pipeline):
+    """graphlets, classify, filter, bench-rec and eval-cls run next to the
+    pipeline's outputs; returns the root and the files eval-cls found and left."""
+    root, data, model, tuned = pipeline
+    _, s_ids, r_ids = _boundary_ids(data)
+    (root / "s.txt").write_text("".join(f"{s}\n" for s in s_ids))
+    (root / "r.txt").write_text("".join(f"{r}\n" for r in r_ids))
+    common = ["--data-dir", str(data)]
+    for argv in (
+        ["graphlets", "--subgraphs", str(data / "subgraphs.jsonl"),
+         "--out", str(root / "graphlets.json")],
+        ["classify", "--model", str(model), *common,
+         "--subgraphs", str(data / "subgraphs.jsonl"), "--out", str(root / "scores.csv")],
+        ["filter", "--model", str(tuned), *common, "--senders", str(root / "s.txt"),
+         "--receivers", str(root / "r.txt"), "--k", "3", "--out", str(root / "links.csv")],
+        ["bench-rec", "--model", str(tuned), *common, "--settings", "1+3@1",
+         "--n-instances", "2", "--seed", "11", "--out", str(root / "results.json")],
+    ):
+        assert main(argv) == 0
+    before = sorted(root.rglob("*"))
+    assert main(["eval-cls", "--model", str(model), *common]) == 0
+    return root, before, sorted(root.rglob("*"))
+
+
+DATASET = {"edges.csv", "nodes.csv", "subgraphs.jsonl"}
+
+
+# command -> (its manifest under the pipeline root, seeds, input file names)
+MANIFESTS = {
+    "generate": ("data/run_manifest.json", {"seed": 4}, {"cfg.json"}),
+    "graphlets": ("graphlets.json.manifest.json", {}, {"subgraphs.jsonl"}),
+    "train": ("model.json.manifest.json", {"split_seed": 0, "train_seed": 0}, DATASET),
+    "finetune": ("tuned.json.manifest.json", {"split_seed": 0, "augment_seed": 0},
+                 DATASET | {"model.json"}),
+    "classify": ("scores.csv.manifest.json", {}, DATASET | {"model.json"}),
+    "filter": ("links.csv.manifest.json", {"seed": 0},
+               {"edges.csv", "nodes.csv", "tuned.json", "s.txt", "r.txt"}),
+    "bench_rec": ("results.json.manifest.json", {"seed": 11}, DATASET | {"tuned.json"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFESTS))
+def test_every_mutating_command_writes_its_manifest(runs, command):
+    root, _, _ = runs
+    path, seeds, inputs = MANIFESTS[command]
+    manifest = json.loads((root / path).read_text())
+    assert manifest["command"] == command
+    assert manifest["seeds"] == seeds
+    assert set(manifest["input_digests"]) == inputs
+    assert manifest["wall_time"] >= 0.0
+
+
+def test_eval_cls_writes_no_manifest(runs):
+    _, before, after = runs
+    assert after == before
+
+
 def _boundary_ids(data):
     graph, subgraphs = io_utils.load_dataset(data)
     from revtrack.rec_eval import boundary_pools
@@ -409,6 +467,7 @@ def test_train_rejects_max_pool_for_ds_before_loading(tmp_path, capsys):
     ("--pos-weight", "inf", "pos_weight"),
     ("--lr", "0", "lr"),
     ("--lr", "nan", "lr"),
+    ("--patience", "-4", "patience"),
 ])
 def test_train_rejects_bad_settings_before_loading(tmp_path, capsys, flag, value, field):
     rc = main(["train", "--arch", "ds", "--data-dir", str(tmp_path / "missing"),
@@ -456,14 +515,48 @@ def test_bench_rec_rejects_bad_alpha_keep_before_loading(tmp_path, capsys, value
     assert not (tmp_path / "r.json").exists()
 
 
-def test_bench_rec_rejects_zero_instances(pipeline, tmp_path, capsys):
-    _, data, _, tuned = pipeline
+def test_bench_rec_rejects_zero_instances(tmp_path, capsys):
     results = tmp_path / "results.json"
-    rc = main(["bench-rec", "--model", str(tuned), "--data-dir", str(data),
-               "--settings", "1+3@1", "--n-instances", "0", "--out", str(results)])
+    rc = main(["bench-rec", "--model", str(tmp_path / "missing.json"),
+               "--data-dir", str(tmp_path / "missing"), "--settings", "1+3@1",
+               "--n-instances", "0", "--out", str(results)])
     assert rc == 1
     assert "at least one instance" in capsys.readouterr().err
     assert not results.exists()
+
+
+def test_bench_rec_rejects_empty_settings_before_loading(tmp_path, capsys):
+    results = tmp_path / "results.json"
+    rc = main(["bench-rec", "--model", str(tmp_path / "missing.json"),
+               "--data-dir", str(tmp_path / "missing"), "--settings", ",",
+               "--out", str(results)])
+    assert rc == 1
+    assert "error: no benchmark setting given" in capsys.readouterr().err
+    assert not results.exists()
+
+
+@pytest.mark.parametrize("edit, shown", [
+    (lambda ckpt: ckpt["config"].update(pool="max"), "unknown ds pool 'max'"),
+    (lambda ckpt: ckpt["weights"].pop("trunk.w0"), "lacks the entry 'trunk.w0'"),
+], ids=["ds-max-pool", "missing-weight"])
+def test_filter_rejects_malformed_checkpoint(pipeline, tmp_path, capsys, edit, shown):
+    _, data, _, tuned = pipeline
+    _, s_ids, r_ids = _boundary_ids(data)
+    ckpt = json.loads(tuned.read_text())
+    edit(ckpt)
+    senders, receivers = tmp_path / "s.txt", tmp_path / "r.txt"
+    senders.write_text("".join(f"{s}\n" for s in s_ids))
+    receivers.write_text("".join(f"{r}\n" for r in r_ids))
+    links_csv = tmp_path / "links.csv"
+    rc = main([
+        "filter", "--model", write_json(tmp_path / "bad.json", ckpt), "--data-dir", str(data),
+        "--senders", str(senders), "--receivers", str(receivers),
+        "--k", "3", "--out", str(links_csv),
+    ])
+    assert rc == 1
+    assert shown in capsys.readouterr().err
+    assert not links_csv.exists()
+    assert not os.path.exists(str(links_csv) + ".manifest.json")
 
 
 def test_train_determinism_via_cli(pipeline, tmp_path):

@@ -351,6 +351,31 @@ def test_checkpoint_rejects_wrong_layer_sizes():
             nc.checkpoint_to_model(ckpt)
 
 
+@pytest.mark.parametrize("arch, edit, shown", [
+    ("ds", lambda ckpt: ckpt["config"].update(pool="max"), "unknown ds pool 'max'"),
+    ("bp", lambda ckpt: ckpt["config"].update(readout="median"), "unknown bp readout 'median'"),
+    ("ds", lambda ckpt: ckpt["weights"].pop("trunk.w0"), "lacks the entry 'trunk.w0'"),
+    ("bp", lambda ckpt: ckpt.pop("config"), "lacks the entry 'config'"),
+    ("ds", lambda ckpt: ckpt["config"].pop("hidden_dim"), "lacks the entry 'hidden_dim'"),
+], ids=["ds-max-pool", "bp-median-readout", "missing-weight", "missing-config",
+        "missing-hidden-dim"])
+def test_checkpoint_load_rejects_bad_config_and_missing_entries(tmp_path, arch, edit, shown):
+    build = nc.build_ds_model if arch == "ds" else nc.build_bp_model
+    ckpt = nc.model_to_checkpoint(build(np.random.default_rng(3), 2, 3))
+    edit(ckpt)
+    (tmp_path / "m.json").write_text(json.dumps(ckpt))
+    with pytest.raises(ValueError, match=shown):
+        nc.load_checkpoint(tmp_path / "m.json")
+
+
+def test_models_reject_unknown_pools():
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValueError, match="unknown ds pool 'max'"):
+        nc.build_ds_model(rng, 2, 3, "max")
+    with pytest.raises(ValueError, match="unknown bp readout 'median'"):
+        nc.build_bp_model(rng, 2, 3, "median")
+
+
 def test_loss_decays_on_separable_toy_set():
     rng = np.random.default_rng(41)
     model = nc.build_ds_model(rng, feature_dim=2, hidden_dim=8)
