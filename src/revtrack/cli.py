@@ -127,9 +127,9 @@ def cmd_generate(args):
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg_dict = json.load(fh)
-    if args.seed is not None:
-        cfg_dict["seed"] = args.seed
     cfg = SynthConfig.from_json_dict(cfg_dict)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     dataset = generate(cfg)
     save_dataset(dataset, args.out_dir)
     _log(f"wrote dataset: {cfg.num_entities} entities, "

@@ -212,7 +212,7 @@ def layer_table(config):
                ("head", [h, h], ["relu"]),
                ("logit", [h, 1], ["identity"])],
     }
-    if config["arch"] not in tables:
+    if not isinstance(config["arch"], str) or config["arch"] not in tables:
         raise ValueError(f"unknown arch {config['arch']!r}")
     return tables[config["arch"]]
 
@@ -520,13 +520,24 @@ def model_to_checkpoint(model) -> dict:
 
 
 def checkpoint_to_model(ckpt: dict):
-    """The model a checkpoint dict records. Raises ValueError on an
-    unsupported version, a missing entry, or an unknown arch, pool or readout."""
+    """The model a checkpoint dict records. Raises ValueError on a checkpoint,
+    config or weights that is not an object, an unsupported version, a missing
+    entry, a feature_dim or hidden_dim that is not a positive integer, or an
+    unknown arch, pool or readout."""
+    if not isinstance(ckpt, dict):
+        raise ValueError(f"checkpoint must be a JSON object, got {type(ckpt).__name__}")
     if ckpt.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {ckpt.get('version')!r}")
+    for key in ("config", "weights"):
+        if not isinstance(ckpt.get(key, {}), dict):
+            raise ValueError(f"checkpoint {key} must be a JSON object")
     try:
         config = {**ckpt["config"], "arch": ckpt["arch"]}
         weights = ckpt["weights"]
+        for key in ("feature_dim", "hidden_dim"):
+            if not (isinstance(config[key], int) and config[key] >= 1):
+                raise ValueError(f"checkpoint {key} must be a positive integer, "
+                                 f"got {config[key]!r}")
         mlps = {}
         for name, dims, acts in layer_table(config):
             mlps[name] = MlpParams(

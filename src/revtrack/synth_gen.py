@@ -28,13 +28,16 @@ signature + noise. Two structured components model real-world texture:
 """
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .graph_core import (
     ILLICIT,
     LICIT,
+    NODE_LABEL_CODES,
+    NODE_LABEL_NAMES,
     SUBGRAPH_LICIT,
     SUBGRAPH_SUSPICIOUS,
     UNKNOWN,
@@ -45,6 +48,7 @@ from .graph_core import (
 )
 
 SCHEME_NAMES = ("peeling_chain", "nested_service", "random_path")
+_RANGES = ("chain_length_range", "fanin_range")
 
 
 class GenerationError(ValueError):
@@ -63,6 +67,13 @@ def default_class_means(feature_dim, separation=2.0):
 
 @dataclass
 class SynthConfig:
+    """Generator settings. Raises ValueError on a negative count or seed, a
+    num_entities or feature_dim below 1, a negative or non-finite sigma or
+    shift, a
+    scheme_mix with an unknown name, a negative weight or a sum other than 1
+    (a missing name weighs 0), class_means that do not give all three labels,
+    or a range that is not two integers 1 <= lo <= hi."""
+
     num_entities: int = 5000
     feature_dim: int = 8
     class_means: dict | None = None  # label code -> vector; None = defaults
@@ -71,21 +82,30 @@ class SynthConfig:
     risky_receiver_shift: float = 2.0
     num_suspicious: int = 300
     num_licit_subgraphs: int = 300
-    scheme_mix: dict = field(
-        default_factory=lambda: {
-            "peeling_chain": 0.25,
-            "nested_service": 0.55,
-            "random_path": 0.20,
-        }
-    )
+    scheme_mix: dict = field(default_factory=lambda: {
+        "peeling_chain": 0.25, "nested_service": 0.55, "random_path": 0.20})
     chain_length_range: tuple = (2, 5)
     fanin_range: tuple = (2, 5)
     background_noise_edges: int = 500
     seed: int = 0
 
     def __post_init__(self):
+        for name, lo in (("num_entities", 1), ("feature_dim", 1), ("num_suspicious", 0),
+                         ("num_licit_subgraphs", 0), ("background_noise_edges", 0),
+                         ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < lo:
+                raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+        for name in ("feature_noise_sigma", "scheme_signature_sigma", "risky_receiver_shift"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.class_means is None:
             self.class_means = default_class_means(self.feature_dim)
+        elif not (isinstance(self.class_means, dict)
+                  and set(self.class_means) == set(NODE_LABEL_NAMES)):
+            raise ValueError("class_means must give a vector for each label ("
+                             + ", ".join(NODE_LABEL_NAMES.values()) + ")")
         else:
             self.class_means = {
                 k: np.broadcast_to(
@@ -93,50 +113,45 @@ class SynthConfig:
                 ).copy()
                 for k, v in self.class_means.items()
             }
-        total = sum(self.scheme_mix.get(s, 0.0) for s in SCHEME_NAMES)
+        if not (isinstance(self.scheme_mix, dict) and set(self.scheme_mix) <= set(SCHEME_NAMES)):
+            raise ValueError(f"scheme_mix must map some of {', '.join(SCHEME_NAMES)} "
+                             f"to weights, got {self.scheme_mix!r}")
+        if not all(isinstance(w, numbers.Real) and w >= 0 for w in self.scheme_mix.values()):
+            raise ValueError(f"scheme_mix weights must be >= 0, got {self.scheme_mix}")
+        total = sum(self.scheme_mix.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"scheme_mix must sum to 1, got {total}")
-        for name, rng_ in (("chain_length_range", self.chain_length_range),
-                           ("fanin_range", self.fanin_range)):
-            lo, hi = rng_
-            if lo < 1 or hi < lo:
-                raise ValueError(f"{name} must satisfy 1 <= lo <= hi, got {rng_}")
-        if self.feature_noise_sigma < 0 or self.scheme_signature_sigma < 0:
-            raise ValueError("noise sigmas must be non-negative")
+        for name in _RANGES:
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(isinstance(x, numbers.Integral) for x in pair)
+                    and 1 <= pair[0] <= pair[1]):
+                raise ValueError(f"{name} must satisfy 1 <= lo <= hi, got {pair}")
 
     def to_json_dict(self) -> dict:
-        from .graph_core import NODE_LABEL_NAMES
-
-        return {
-            "num_entities": self.num_entities,
-            "feature_dim": self.feature_dim,
-            "class_means": {
-                NODE_LABEL_NAMES[k]: list(map(float, v))
-                for k, v in self.class_means.items()
-            },
-            "feature_noise_sigma": self.feature_noise_sigma,
-            "scheme_signature_sigma": self.scheme_signature_sigma,
-            "risky_receiver_shift": self.risky_receiver_shift,
-            "num_suspicious": self.num_suspicious,
-            "num_licit_subgraphs": self.num_licit_subgraphs,
-            "scheme_mix": dict(self.scheme_mix),
-            "chain_length_range": list(self.chain_length_range),
-            "fanin_range": list(self.fanin_range),
-            "background_noise_edges": self.background_noise_edges,
-            "seed": self.seed,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["class_means"] = {NODE_LABEL_NAMES[k]: list(map(float, v))
+                              for k, v in self.class_means.items()}
+        out["scheme_mix"] = dict(self.scheme_mix)
+        for key in _RANGES:
+            out[key] = list(out[key])
+        return out
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "SynthConfig":
-        from .graph_core import NODE_LABEL_CODES
-
+    def from_json_dict(cls, data) -> "SynthConfig":
+        """The config ``to_json_dict`` wrote; a missing key takes its default.
+        Raises ValueError unless ``data`` is an object of config keys."""
+        if not isinstance(data, dict):
+            raise ValueError(f"generator config must be a JSON object, got {data!r}")
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown generator config keys {sorted(unknown)}")
         kwargs = dict(data)
-        if kwargs.get("class_means") is not None:
-            kwargs["class_means"] = {
-                NODE_LABEL_CODES[k]: v for k, v in kwargs["class_means"].items()
-            }
-        for key in ("chain_length_range", "fanin_range"):
-            if key in kwargs:
+        if isinstance(kwargs.get("class_means"), dict):  # __post_init__ rejects unknown names
+            kwargs["class_means"] = {NODE_LABEL_CODES.get(k, k): v
+                                     for k, v in kwargs["class_means"].items()}
+        for key in _RANGES:
+            if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
@@ -145,121 +160,83 @@ class SynthConfig:
 class SynthDataset:
     graph: BackgroundGraph
     subgraphs: list
-    config: SynthConfig | None = None
 
 
-class _Allocator:
-    def __init__(self):
-        self.next_id = 0
-
-    def take(self):
-        v = self.next_id
-        self.next_id += 1
-        return v
-
-    def take_many(self, n):
-        ids = list(range(self.next_id, self.next_id + n))
-        self.next_id += n
-        return ids
-
-
-def _build_scheme(rng, alloc, scheme, config):
-    """Create one scheme; returns (subgraph_nodes, internal_edges,
-    boundary_edges, senders, receivers, member_ids)."""
-    lo, hi = config.chain_length_range
-
+def _build_scheme(rng, start, scheme, config):
+    """Create one scheme from the ids ``start``, ``start + 1``, ...; returns
+    (subgraph_nodes, internal_edges, boundary_edges, senders, receivers,
+    next free id)."""
     if scheme == "nested_service":
         fan = int(rng.integers(config.fanin_range[0], config.fanin_range[1] + 1))
-        senders = alloc.take_many(fan)
-        hops = alloc.take_many(fan)
-        service = alloc.take()
-        receiver = alloc.take()
+        senders = list(range(start, start + fan))
+        hops = list(range(start + fan, start + 2 * fan))
+        service, receiver = start + 2 * fan, start + 2 * fan + 1
         internal = [(h, service) for h in hops]
-        boundary = [(s, h) for s, h in zip(senders, hops)] + [(service, receiver)]
-        nodes = hops + [service]
-        return nodes, internal, boundary, senders, [receiver], nodes
+        boundary = list(zip(senders, hops)) + [(service, receiver)]
+        return hops + [service], internal, boundary, senders, [receiver], receiver + 1
 
+    lo, hi = config.chain_length_range
     m = int(rng.integers(lo, hi + 1))
-    chain = alloc.take_many(m)
-    sender = alloc.take()
-    receiver = alloc.take()
+    chain = list(range(start, start + m))
+    sender, receiver = start + m, start + m + 1
     internal = [(chain[i], chain[i + 1]) for i in range(m - 1)]
     if scheme == "peeling_chain":
         internal += [(chain[i], chain[-1]) for i in range(m - 2)]
     boundary = [(sender, chain[0]), (chain[-1], receiver)]
-    return chain, internal, boundary, [sender], [receiver], chain
+    return chain, internal, boundary, [sender], [receiver], receiver + 1
 
 
 def generate(config: SynthConfig) -> SynthDataset:
     """Generate a dataset; deterministic for a given config (seed included)."""
     rng = np.random.default_rng(config.seed)
-    alloc = _Allocator()
-    mix_probs = np.array([config.scheme_mix[s] for s in SCHEME_NAMES])
+    n, d = config.num_entities, config.feature_dim
+    mix_probs = np.array([config.scheme_mix.get(s, 0.0) for s in SCHEME_NAMES])
 
-    labels = {}
-    signatures = {}  # node -> signature vector
-    risky_receivers = set()
     all_edges = set()
     subgraphs = []
-    scheme_member_nodes = set()
-
-    plan = [(True, i) for i in range(config.num_suspicious)] + [
-        (False, i) for i in range(config.num_licit_subgraphs)
-    ]
+    schemes = []  # (senders, receivers, nodes, suspicious, signature or None)
+    next_id = 0
+    plan = ([(True, i) for i in range(config.num_suspicious)]
+            + [(False, i) for i in range(config.num_licit_subgraphs)])
     for suspicious, idx in plan:
         scheme = SCHEME_NAMES[int(rng.choice(len(SCHEME_NAMES), p=mix_probs))]
-        nodes, internal, boundary, senders, receivers, members = _build_scheme(
-            rng, alloc, scheme, config
+        nodes, internal, boundary, senders, receivers, next_id = _build_scheme(
+            rng, next_id, scheme, config
         )
-        sender_label = ILLICIT if suspicious else LICIT
-        for s in senders:
-            labels[s] = sender_label
-        for r in receivers:
-            labels[r] = LICIT
-            if suspicious:
-                risky_receivers.add(r)
-        for v in members:
-            labels[v] = UNKNOWN
+        z = None
         if config.scheme_signature_sigma > 0:
-            z = rng.normal(
-                scale=config.scheme_signature_sigma, size=config.feature_dim
-            )
-            for v in senders + receivers + members:
-                signatures[v] = z
+            z = rng.normal(scale=config.scheme_signature_sigma, size=d)
+        schemes.append((senders, receivers, nodes, suspicious, z))
         all_edges.update(internal)
         all_edges.update(boundary)
-        scheme_member_nodes.update(nodes)
-        prefix = "sus" if suspicious else "lic"
-        subgraphs.append(
-            Subgraph(
-                id=f"{prefix}-{idx:04d}",
-                nodes=tuple(nodes),
-                edges=tuple(internal),
-                label=SUBGRAPH_SUSPICIOUS if suspicious else SUBGRAPH_LICIT,
-            )
-        )
+        subgraphs.append(Subgraph(
+            id=f"{'sus' if suspicious else 'lic'}-{idx:04d}", nodes=tuple(nodes),
+            edges=tuple(internal),
+            label=SUBGRAPH_SUSPICIOUS if suspicious else SUBGRAPH_LICIT))
 
-    if alloc.next_id > config.num_entities:
-        raise GenerationError(
-            f"num_entities={config.num_entities} too small for the requested "
-            f"subgraphs; requires at least {alloc.next_id}"
-        )
+    if next_id > n:
+        raise GenerationError(f"num_entities={n} too small for the requested "
+                              f"subgraphs; requires at least {next_id}")
 
+    # One array per entity attribute. Scheme intermediates stay UNKNOWN.
+    labels = np.full(n, UNKNOWN, dtype=np.int8)
+    member = np.zeros(n, dtype=bool)
+    risky = np.zeros(n, dtype=bool)
+    sig = np.zeros((n, d))
+    for senders, receivers, nodes, suspicious, z in schemes:
+        labels[senders] = ILLICIT if suspicious else LICIT
+        labels[receivers] = LICIT
+        member[nodes] = True
+        risky[receivers] = suspicious
+        if z is not None:
+            sig[senders + receivers + nodes] = z
     # Leftover entities form the licit/unknown background population.
-    for v in range(alloc.next_id, config.num_entities):
-        labels[v] = LICIT if rng.random() < 0.5 else UNKNOWN
+    labels[next_id:] = np.where(rng.random(n - next_id) < 0.5, LICIT, UNKNOWN)
 
     # Noise edges among non-member licit/unknown entities. Members are
     # excluded so no subgraph gains or loses a source, sink, sender, or
     # receiver; illicit entities are excluded by label.
-    pool = np.array(
-        sorted(
-            v
-            for v in range(config.num_entities)
-            if v not in scheme_member_nodes and labels[v] != ILLICIT
-        ),
-        dtype=np.int64,
-    )
+    pool = np.flatnonzero(~member & (labels != ILLICIT))
     added = 0
     attempts = 0
     max_attempts = 20 * config.background_noise_edges + 100
@@ -272,25 +249,16 @@ def generate(config: SynthConfig) -> SynthDataset:
             all_edges.add((u, v))
             added += 1
 
-    means = np.stack(
-        [config.class_means[labels[v]] for v in range(config.num_entities)]
-    )
+    # Rows in label-code order, so the label column indexes the table.
+    means = np.stack([config.class_means[c] for c in (LICIT, ILLICIT, UNKNOWN)])[labels]
     # Receivers of suspicious flows: licit-labeled services whose behavior
     # skews toward the illicit population.
     axis = config.class_means[ILLICIT] - config.class_means[LICIT]
     norm = float(np.linalg.norm(axis))
-    if risky_receivers and config.risky_receiver_shift > 0 and norm > 0:
-        shift = config.risky_receiver_shift * axis / norm
-        for r in risky_receivers:
-            means[r] = means[r] + shift
-    sig = np.zeros((config.num_entities, config.feature_dim))
-    for v, z in signatures.items():
-        sig[v] = z
-    noise = config.feature_noise_sigma * rng.standard_normal(
-        (config.num_entities, config.feature_dim)
-    )
+    if config.risky_receiver_shift > 0 and norm > 0:
+        means[risky] += config.risky_receiver_shift * axis / norm
+    noise = config.feature_noise_sigma * rng.standard_normal((n, d))
     features = means + sig + noise
-    label_arr = np.array([labels[v] for v in range(config.num_entities)], dtype=np.int8)
 
-    graph = build_graph(config.num_entities, all_edges, features, label_arr)
-    return SynthDataset(graph=graph, subgraphs=subgraphs, config=config)
+    graph = build_graph(n, all_edges, features, labels)
+    return SynthDataset(graph=graph, subgraphs=subgraphs)

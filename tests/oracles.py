@@ -22,11 +22,12 @@ from revtrack.graph_core import (
     GraphLoadError,
     Subgraph,
     _classify_graphlet,
+    build_graph,
     extract_boundary,
 )
 from revtrack.rec_eval import RecTestInstance, _instance_from_pools, boundary_pools
 from revtrack.rev_filter import FilterConfig, FilterResult, keep_schedule
-from revtrack.synth_gen import SynthDataset
+from revtrack.synth_gen import SCHEME_NAMES, GenerationError, SynthConfig, SynthDataset
 
 
 def load_graph_rows(edge_rows, node_rows):
@@ -349,3 +350,154 @@ def rev_filter_reference(initial: SRPair, config: FilterConfig, scorer) -> Filte
         classifier_calls=calls,
         scorer_failures=failures,
     )
+
+
+class _Allocator:
+    def __init__(self):
+        self.next_id = 0
+
+    def take(self):
+        v = self.next_id
+        self.next_id += 1
+        return v
+
+    def take_many(self, n):
+        ids = list(range(self.next_id, self.next_id + n))
+        self.next_id += n
+        return ids
+
+
+def _build_scheme_reference(rng, alloc, scheme, config):
+    """Create one scheme; returns (subgraph_nodes, internal_edges,
+    boundary_edges, senders, receivers, member_ids)."""
+    lo, hi = config.chain_length_range
+
+    if scheme == "nested_service":
+        fan = int(rng.integers(config.fanin_range[0], config.fanin_range[1] + 1))
+        senders = alloc.take_many(fan)
+        hops = alloc.take_many(fan)
+        service = alloc.take()
+        receiver = alloc.take()
+        internal = [(h, service) for h in hops]
+        boundary = [(s, h) for s, h in zip(senders, hops)] + [(service, receiver)]
+        nodes = hops + [service]
+        return nodes, internal, boundary, senders, [receiver], nodes
+
+    m = int(rng.integers(lo, hi + 1))
+    chain = alloc.take_many(m)
+    sender = alloc.take()
+    receiver = alloc.take()
+    internal = [(chain[i], chain[i + 1]) for i in range(m - 1)]
+    if scheme == "peeling_chain":
+        internal += [(chain[i], chain[-1]) for i in range(m - 2)]
+    boundary = [(sender, chain[0]), (chain[-1], receiver)]
+    return chain, internal, boundary, [sender], [receiver], chain
+
+
+def generate_reference(config: SynthConfig) -> SynthDataset:
+    """Dict-and-set reference for ``synth_gen.generate``: one id allocator,
+    per-entity label and signature dicts, and Python loops over all entities
+    to build the feature and label arrays. Draws the same random numbers in
+    the same order, so the two give identical datasets."""
+    rng = np.random.default_rng(config.seed)
+    alloc = _Allocator()
+    mix_probs = np.array([config.scheme_mix[s] for s in SCHEME_NAMES])
+
+    labels = {}
+    signatures = {}  # node -> signature vector
+    risky_receivers = set()
+    all_edges = set()
+    subgraphs = []
+    scheme_member_nodes = set()
+
+    plan = [(True, i) for i in range(config.num_suspicious)] + [
+        (False, i) for i in range(config.num_licit_subgraphs)
+    ]
+    for suspicious, idx in plan:
+        scheme = SCHEME_NAMES[int(rng.choice(len(SCHEME_NAMES), p=mix_probs))]
+        nodes, internal, boundary, senders, receivers, members = _build_scheme_reference(
+            rng, alloc, scheme, config
+        )
+        sender_label = ILLICIT if suspicious else LICIT
+        for s in senders:
+            labels[s] = sender_label
+        for r in receivers:
+            labels[r] = LICIT
+            if suspicious:
+                risky_receivers.add(r)
+        for v in members:
+            labels[v] = UNKNOWN
+        if config.scheme_signature_sigma > 0:
+            z = rng.normal(
+                scale=config.scheme_signature_sigma, size=config.feature_dim
+            )
+            for v in senders + receivers + members:
+                signatures[v] = z
+        all_edges.update(internal)
+        all_edges.update(boundary)
+        scheme_member_nodes.update(nodes)
+        prefix = "sus" if suspicious else "lic"
+        subgraphs.append(
+            Subgraph(
+                id=f"{prefix}-{idx:04d}",
+                nodes=tuple(nodes),
+                edges=tuple(internal),
+                label=SUBGRAPH_SUSPICIOUS if suspicious else SUBGRAPH_LICIT,
+            )
+        )
+
+    if alloc.next_id > config.num_entities:
+        raise GenerationError(
+            f"num_entities={config.num_entities} too small for the requested "
+            f"subgraphs; requires at least {alloc.next_id}"
+        )
+
+    # Leftover entities form the licit/unknown background population.
+    for v in range(alloc.next_id, config.num_entities):
+        labels[v] = LICIT if rng.random() < 0.5 else UNKNOWN
+
+    # Noise edges among non-member licit/unknown entities. Members are
+    # excluded so no subgraph gains or loses a source, sink, sender, or
+    # receiver; illicit entities are excluded by label.
+    pool = np.array(
+        sorted(
+            v
+            for v in range(config.num_entities)
+            if v not in scheme_member_nodes and labels[v] != ILLICIT
+        ),
+        dtype=np.int64,
+    )
+    added = 0
+    attempts = 0
+    max_attempts = 20 * config.background_noise_edges + 100
+    while added < config.background_noise_edges and attempts < max_attempts:
+        attempts += 1
+        if len(pool) < 2:
+            break
+        u, v = (int(x) for x in rng.choice(pool, size=2, replace=False))
+        if (u, v) not in all_edges:
+            all_edges.add((u, v))
+            added += 1
+
+    means = np.stack(
+        [config.class_means[labels[v]] for v in range(config.num_entities)]
+    )
+    # Receivers of suspicious flows: licit-labeled services whose behavior
+    # skews toward the illicit population.
+    axis = config.class_means[ILLICIT] - config.class_means[LICIT]
+    norm = float(np.linalg.norm(axis))
+    if risky_receivers and config.risky_receiver_shift > 0 and norm > 0:
+        shift = config.risky_receiver_shift * axis / norm
+        for r in risky_receivers:
+            means[r] = means[r] + shift
+    sig = np.zeros((config.num_entities, config.feature_dim))
+    for v, z in signatures.items():
+        sig[v] = z
+    noise = config.feature_noise_sigma * rng.standard_normal(
+        (config.num_entities, config.feature_dim)
+    )
+    features = means + sig + noise
+    label_arr = np.array([labels[v] for v in range(config.num_entities)], dtype=np.int8)
+
+    graph = build_graph(config.num_entities, all_edges, features, label_arr)
+    return SynthDataset(graph=graph, subgraphs=subgraphs)

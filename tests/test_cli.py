@@ -214,6 +214,34 @@ def test_generation_error_exit_code(tmp_path, capsys):
     assert "requires at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, shown", [
+    (dict(tiny_config(), feature_dim=0), "feature_dim must be an integer >= 1"),
+    (dict(tiny_config(), num_entities=0), "num_entities must be an integer >= 1"),
+    (dict(tiny_config(), num_suspicious=-3), "num_suspicious must be an integer >= 0"),
+    (dict(tiny_config(), background_noise_edges=-5), "background_noise_edges must be"),
+    (dict(tiny_config(), feature_noise_sigma=float("nan")), "feature_noise_sigma must be"),
+    (dict(tiny_config(), bogus=1), "unknown generator config keys ['bogus']"),
+    ([1], "generator config must be a JSON object"),
+    (dict(tiny_config(), scheme_mix={"peeling_chain": 1.0, "zigzag": 0.0}), "scheme_mix must"),
+    (dict(tiny_config(), scheme_mix={"peeling_chain": 1.5, "nested_service": -0.5}),
+     "scheme_mix weights must be >= 0"),
+    (dict(tiny_config(), class_means={"licit": 0.0, "illicit": 1.0}), "class_means must"),
+    (dict(tiny_config(), class_means={"licit": 0, "illicit": 1, "unknown": 0, "other": 2}),
+     "class_means must"),
+    (dict(tiny_config(), fanin_range=3), "fanin_range must satisfy"),
+], ids=["feature-dim-0", "no-entities", "negative-count", "negative-noise-edges",
+        "nan-sigma", "unknown-key", "not-an-object", "unknown-scheme", "negative-weight",
+        "missing-class-mean", "unknown-class-mean", "scalar-range"])
+def test_bad_generate_config_exits_1(tmp_path, capsys, config, shown):
+    out_dir = tmp_path / "x"
+    rc = main(["generate", "--config", write_json(tmp_path / "c.json", config),
+               "--seed", "3", "--out-dir", str(out_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and shown in err
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 
@@ -538,12 +566,16 @@ def test_bench_rec_rejects_empty_settings_before_loading(tmp_path, capsys):
 @pytest.mark.parametrize("edit, shown", [
     (lambda ckpt: ckpt["config"].update(pool="max"), "unknown ds pool 'max'"),
     (lambda ckpt: ckpt["weights"].pop("trunk.w0"), "lacks the entry 'trunk.w0'"),
-], ids=["ds-max-pool", "missing-weight"])
+    (None, "checkpoint must be a JSON object"),
+], ids=["ds-max-pool", "missing-weight", "not-an-object"])
 def test_filter_rejects_malformed_checkpoint(pipeline, tmp_path, capsys, edit, shown):
     _, data, _, tuned = pipeline
     _, s_ids, r_ids = _boundary_ids(data)
     ckpt = json.loads(tuned.read_text())
-    edit(ckpt)
+    if edit is None:  # the file holds a JSON list
+        ckpt = []
+    else:
+        edit(ckpt)
     senders, receivers = tmp_path / "s.txt", tmp_path / "r.txt"
     senders.write_text("".join(f"{s}\n" for s in s_ids))
     receivers.write_text("".join(f"{r}\n" for r in r_ids))

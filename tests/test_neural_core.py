@@ -368,6 +368,22 @@ def test_checkpoint_load_rejects_bad_config_and_missing_entries(tmp_path, arch, 
         nc.load_checkpoint(tmp_path / "m.json")
 
 
+def test_checkpoint_rejects_wrong_json_shapes():
+    good = nc.model_to_checkpoint(nc.build_ds_model(np.random.default_rng(3), 2, 3))
+    for ckpt, shown in [
+        ([], "checkpoint must be a JSON object"),
+        ({**good, "weights": []}, "checkpoint weights must be a JSON object"),
+        ({**good, "config": []}, "checkpoint config must be a JSON object"),
+        ({**good, "config": {**good["config"], "hidden_dim": "4"}},
+         "hidden_dim must be a positive integer, got '4'"),
+        ({**good, "config": {**good["config"], "feature_dim": 0}},
+         "feature_dim must be a positive integer, got 0"),
+        ({**good, "arch": ["ds"]}, r"unknown arch \['ds'\]"),
+    ]:
+        with pytest.raises(ValueError, match=shown):
+            nc.checkpoint_to_model(ckpt)
+
+
 def test_models_reject_unknown_pools():
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError, match="unknown ds pool 'max'"):

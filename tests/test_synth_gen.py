@@ -1,7 +1,13 @@
 """Synthetic dataset generator: scheme shapes, label soundness, determinism."""
 
+import dataclasses
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revtrack.graph_core import (
     ILLICIT,
@@ -11,12 +17,13 @@ from revtrack.graph_core import (
     extract_boundary,
 )
 from revtrack.synth_gen import (
+    SCHEME_NAMES,
     GenerationError,
     SynthConfig,
     default_class_means,
     generate,
 )
-from oracles import infer_label, validate_against
+from oracles import generate_reference, infer_label, validate_against
 
 
 def one_scheme_config(scheme, **overrides):
@@ -32,6 +39,18 @@ def one_scheme_config(scheme, **overrides):
     )
     base.update(overrides)
     return SynthConfig(**base)
+
+
+def assert_same_dataset(a, b):
+    """Equal CSR arrays, labels and subgraphs, and bitwise-equal features."""
+    for name in ("num_nodes", "out_indptr", "out_indices", "in_indptr", "in_indices",
+                 "node_labels"):
+        assert np.array_equal(getattr(a.graph, name), getattr(b.graph, name)), name
+    assert a.graph.features.shape == b.graph.features.shape
+    assert a.graph.features.tobytes() == b.graph.features.tobytes()
+    assert [(s.id, s.nodes, s.edges, s.label) for s in a.subgraphs] == [
+        (s.id, s.nodes, s.edges, s.label) for s in b.subgraphs
+    ]
 
 
 def test_peeling_chain_shape():
@@ -100,14 +119,7 @@ def test_subgraphs_valid_against_graph():
 def test_seed_determinism():
     cfg = dict(num_entities=800, num_suspicious=20, num_licit_subgraphs=20,
                background_noise_edges=100, seed=42)
-    a = generate(SynthConfig(**cfg))
-    b = generate(SynthConfig(**cfg))
-    assert np.array_equal(a.graph.edge_list(), b.graph.edge_list())
-    assert np.array_equal(a.graph.features, b.graph.features)
-    assert np.array_equal(a.graph.node_labels, b.graph.node_labels)
-    assert [(s.id, s.nodes, s.edges, s.label) for s in a.subgraphs] == [
-        (s.id, s.nodes, s.edges, s.label) for s in b.subgraphs
-    ]
+    assert_same_dataset(generate(SynthConfig(**cfg)), generate(SynthConfig(**cfg)))
 
 
 def test_different_seed_differs():
@@ -161,10 +173,80 @@ def test_scheme_mix_must_sum_to_one():
                                 "random_path": 0.2})
 
 
+def test_scheme_mix_missing_name_weighs_zero():
+    explicit = one_scheme_config("nested_service", num_suspicious=6, num_licit_subgraphs=4)
+    implicit = dataclasses.replace(explicit, scheme_mix={"nested_service": 1.0})
+    assert_same_dataset(generate(implicit), generate(explicit))
+
+
 def test_config_json_roundtrip():
-    cfg = SynthConfig(num_entities=123, seed=9, chain_length_range=(3, 4))
+    cfg = SynthConfig(
+        num_entities=123, feature_dim=3,
+        class_means={UNKNOWN: [0.0, 0.25, -0.25], LICIT: [0.5, -1.0, 2.0], ILLICIT: 1.5},
+        feature_noise_sigma=0.5, scheme_signature_sigma=0.0, risky_receiver_shift=1.25,
+        num_suspicious=7, num_licit_subgraphs=0,
+        scheme_mix={"random_path": 0.5, "peeling_chain": 0.5},
+        chain_length_range=(3, 4), fanin_range=(1, 1), background_noise_edges=0, seed=9,
+    )
     data = cfg.to_json_dict()
-    back = SynthConfig.from_json_dict(data)
-    assert back.num_entities == 123
-    assert back.chain_length_range == (3, 4)
+    assert list(data) == [f.name for f in dataclasses.fields(SynthConfig)]
+    defaults = SynthConfig().to_json_dict()
+    assert [key for key in data if data[key] == defaults[key]] == []
+    assert data["class_means"] == {"unknown": [0.0, 0.25, -0.25], "licit": [0.5, -1.0, 2.0],
+                                   "illicit": [1.5, 1.5, 1.5]}
+    back = SynthConfig.from_json_dict(json.loads(json.dumps(data)))
+    assert back.chain_length_range == (3, 4) and back.fanin_range == (1, 1)
+    assert back.scheme_mix == cfg.scheme_mix
+    assert list(back.class_means) == [UNKNOWN, LICIT, ILLICIT]
     assert back.to_json_dict() == data
+
+
+def test_config_rejects_bad_values():
+    for bad in (dict(num_entities=0), dict(feature_dim=0), dict(num_suspicious=-3),
+                dict(background_noise_edges=-5), dict(feature_noise_sigma=float("nan")),
+                dict(scheme_signature_sigma=-0.1), dict(risky_receiver_shift="big"),
+                dict(risky_receiver_shift=-1.0), dict(num_licit_subgraphs=2.5),
+                dict(scheme_mix={"peeling_chain": 1.5, "random_path": -0.5}),
+                dict(scheme_mix={"peeling_chain": 1.0, "zigzag": 0.0}),
+                dict(class_means={LICIT: 0.0, ILLICIT: 1.0}),
+                dict(fanin_range=(3, 2)), dict(chain_length_range=(0, 2))):
+        with pytest.raises(ValueError):
+            SynthConfig(**bad)
+
+
+@st.composite
+def small_configs(draw):
+    """Small configs over every field, including budgets that are too small."""
+    d = draw(st.integers(1, 4))
+    mix = draw(st.sampled_from(SCHEME_NAMES + (None,)))
+    mix = None if mix is None else {name: float(name == mix) for name in SCHEME_NAMES}
+    vector = st.floats(-3, 3) | st.lists(st.floats(-3, 3), min_size=d, max_size=d)
+    means = draw(st.none() | st.fixed_dictionaries(
+        {LICIT: vector, ILLICIT: vector, UNKNOWN: vector}))
+
+    def lo_hi(top):
+        lo = draw(st.integers(1, top))
+        return (lo, draw(st.integers(lo, top)))
+
+    return SynthConfig(
+        num_entities=draw(st.integers(1, 160)), feature_dim=d, class_means=means,
+        feature_noise_sigma=draw(st.sampled_from([0.0, 0.97]) | st.floats(0, 2)),
+        scheme_signature_sigma=draw(st.sampled_from([0.0, 0.25]) | st.floats(0, 2)),
+        risky_receiver_shift=draw(st.sampled_from([0.0, 2.0]) | st.floats(0, 3)),
+        num_suspicious=draw(st.integers(0, 8)), num_licit_subgraphs=draw(st.integers(0, 8)),
+        **({} if mix is None else {"scheme_mix": mix}),
+        chain_length_range=lo_hi(5), fanin_range=lo_hi(4),
+        background_noise_edges=draw(st.integers(0, 60)), seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_configs())
+def test_generate_matches_reference(cfg):
+    try:
+        expected = generate_reference(cfg)
+    except GenerationError as exc:
+        with pytest.raises(GenerationError, match=f"^{re.escape(str(exc))}$"):
+            generate(cfg)
+        return
+    assert_same_dataset(generate(cfg), expected)
