@@ -77,6 +77,8 @@ def _inject_config(argv, parser):
         return argv
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
     sub = parser.sub_map[argv[0]]
     valid = {opt for action in sub._actions for opt in action.option_strings}
     out = list(argv)
@@ -140,6 +142,8 @@ def cmd_generate(args):
 
 
 def cmd_graphlets(args):
+    if args.node_cap < 1:
+        raise ValueError(f"node_cap must be an integer >= 1, got {args.node_cap}")
     subgraphs = read_subgraphs_jsonl(args.subgraphs)
     hist = graphlet_census(subgraphs, node_cap=args.node_cap)
     if hist.skipped:
@@ -395,7 +399,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         argv = _inject_config(argv, parser)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError includes JSONDecodeError
         print(f"error: cannot read config file: {exc}", file=sys.stderr)
         return 1
     args = parser.parse_args(argv)

@@ -6,6 +6,7 @@ and carry their own edge lists; all boundary logic (sources, sinks, senders,
 receivers) is derived from those.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -382,16 +383,29 @@ def graphlet_census(subgraphs, node_cap: int = 200) -> GraphletHistogram:
     Directions are dropped and parallel edges merged before counting.
     Subgraphs larger than ``node_cap`` nodes are skipped (counted in the
     histogram's ``skipped`` field) to bound enumeration cost.
+
+    Each distinct shape is enumerated once and its counts are added once
+    per subgraph of that shape. A shape is the node count and the set of
+    undirected, self-loop-free edges with each node replaced by its rank in
+    the sorted ``sg.nodes``; ranks keep node order, so the enumeration of a
+    shape walks the same tree as that of any subgraph it stands for.
     """
     hist = GraphletHistogram()
+    shapes = Counter()
     for sg in subgraphs:
         if sg.num_nodes > node_cap:
             hist.skipped += 1
             continue
-        adj = {v: set() for v in sg.nodes}
-        for u, v in sg.edges:
-            if u != v:
-                adj[u].add(v)
-                adj[v].add(u)
-        _count_graphlets_one(sg.nodes, adj, hist.counts)
+        rank = {v: i for i, v in enumerate(sg.nodes)}
+        edges = frozenset(tuple(sorted((rank[u], rank[v]))) for u, v in sg.edges if u != v)
+        shapes[sg.num_nodes, edges] += 1
+    for (n, edges), copies in shapes.items():
+        adj = [set() for _ in range(n)]
+        for a, b in edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        counts = dict.fromkeys(GRAPHLET_TYPES, 0)
+        _count_graphlets_one(range(n), adj, counts)
+        for g, c in counts.items():
+            hist.counts[g] += copies * c
     return hist

@@ -121,15 +121,18 @@ def read_nodes_csv(path):
 
 
 def write_subgraphs_jsonl(path, subgraphs):
+    """One compact JSON record (id, label, nodes, edges) per subgraph and line.
+
+    Each line is formatted directly and equals ``json.dumps(record,
+    separators=(",", ":"))``: only the id and label need ``json.dumps``,
+    because ``Subgraph`` makes every node id an int.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for sg in subgraphs:
-            record = {
-                "id": sg.id,
-                "label": sg.label,
-                "nodes": [int(n) for n in sg.nodes],
-                "edges": [[int(u), int(v)] for u, v in sg.edges],
-            }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        fh.writelines(
+            f'{{"id":{json.dumps(sg.id)},"label":{json.dumps(sg.label)},'
+            f'"nodes":[{",".join(map(str, sg.nodes))}],'
+            f'"edges":[{",".join(f"[{u},{v}]" for u, v in sg.edges)}]}}\n'
+            for sg in subgraphs)
 
 
 def dense_node_ids(ids, source, id_remap=None, num_nodes=None):

@@ -2,16 +2,19 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revtrack import classifier, io_utils
 from revtrack.cli import main
 from revtrack.graph_core import ILLICIT, LICIT, UNKNOWN, Subgraph, build_graph
 from revtrack.neural_core import load_checkpoint
 from revtrack.synth_gen import SynthConfig, SynthDataset, generate
-from oracles import validate_against
+from oracles import graphlet_census_bruteforce, validate_against
 
 
 def tiny_config(seed=1):
@@ -205,6 +208,53 @@ def test_graphlets_command(tmp_path):
     assert hist["counts"]["triangle"] == 1
     assert hist["counts"]["edge"] == 3
     assert os.path.exists(str(out) + ".manifest.json")
+
+
+def test_graphlets_command_matches_bruteforce(tmp_path):
+    data = tmp_path / "data"
+    assert main(["generate", "--config", write_json(tmp_path / "cfg.json", tiny_config()),
+                 "--out-dir", str(data)]) == 0
+    sub_path = data / "subgraphs.jsonl"
+    out = tmp_path / "hist.json"
+    assert main(["graphlets", "--subgraphs", str(sub_path), "--out", str(out)]) == 0
+    subgraphs = io_utils.read_subgraphs_jsonl(sub_path)
+    hist = json.loads(out.read_text())
+    assert hist["counts"] == graphlet_census_bruteforce(subgraphs).counts
+    assert hist["skipped_subgraphs"] == 0 < hist["total"]
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_graphlets_rejects_node_cap_below_1_before_reading(tmp_path, capsys, cap):
+    out = tmp_path / "hist.json"
+    rc = main(["graphlets", "--subgraphs", str(tmp_path / "missing.jsonl"),
+               "--out", str(out), "--node-cap", cap])
+    assert rc == 1
+    assert f"error: node_cap must be an integer >= 1, got {cap}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not os.path.exists(str(out) + ".manifest.json")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(), st.sampled_from([None, "licit", "suspicious"]),
+       st.lists(st.integers(0, 2**62), min_size=1, max_size=6, unique=True),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=8))
+def test_subgraph_writer_matches_json_dumps(sg_id, label, nodes, edge_ranks):
+    ids = ['"', "\\", "é", "\u2028", "\x00", sg_id]
+    subgraphs = [
+        Subgraph(id=i, nodes=tuple(nodes), label=label,
+                 edges=tuple((nodes[u % len(nodes)], nodes[v % len(nodes)])
+                             for u, v in edge_ranks))
+        for i in ids
+    ]
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "subgraphs.jsonl")
+        io_utils.write_subgraphs_jsonl(path, subgraphs)
+        with open(path, "rb") as fh:
+            written = fh.read()
+    assert written == "".join(
+        json.dumps({"id": sg.id, "label": sg.label, "nodes": list(sg.nodes),
+                    "edges": [list(e) for e in sg.edges]}, separators=(",", ":")) + "\n"
+        for sg in subgraphs).encode("utf-8")
 
 
 def test_generation_error_exit_code(tmp_path, capsys):
@@ -613,6 +663,18 @@ def test_train_logs_the_saved_epoch_of_a_tie(pipeline, tmp_path, capsys, monkeyp
         "train", "--arch", "ds", "--data-dir", str(data), "--out", str(tmp_path / "m.json"),
     ]) == 0
     assert "best valid metric 1.0000 at epoch 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [[1], "x", 3, None])
+def test_config_file_must_hold_an_object(tmp_path, capsys, data):
+    model = tmp_path / "m.json"
+    rc = main(["train", "--config", write_json(tmp_path / "c.json", data),
+               "--data-dir", str(tmp_path / "missing"), "--out", str(model)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file: ")
+    assert "config must be a JSON object" in err
+    assert not model.exists()
 
 
 def test_config_file_flags_win(pipeline, tmp_path, capsys):

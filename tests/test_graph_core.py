@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revtrack.graph_core import (
+    GRAPHLET_TYPES,
     ILLICIT,
     LICIT,
     NODE_LABEL_CODES,
@@ -399,3 +400,52 @@ def test_census_matches_isomorphism_oracle():
     brute = graphlet_census_bruteforce(sgs)
     oracle = isomorphism_census(sgs)
     assert fast.counts == brute.counts == oracle
+
+
+@st.composite
+def _repeated_shapes(draw):
+    """Subgraphs that repeat a few shapes, each copy under its own
+    relabelling: increasing (node order kept) or any injection into
+    [0, 10**6). Edge lists hold self-loops and antiparallel pairs."""
+    shapes = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 7))
+        shapes.append((n, draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                   st.integers(0, n - 1)), max_size=15))))
+    subgraphs = []
+    for i in range(draw(st.integers(0, 8))):
+        n, edges = draw(st.sampled_from(shapes))
+        ids = draw(st.lists(st.integers(0, 10**6 - 1), min_size=n, max_size=n, unique=True))
+        if draw(st.booleans()):
+            ids.sort()
+        subgraphs.append(Subgraph(id=f"s{i}", nodes=tuple(ids),
+                                  edges=tuple((ids[u], ids[v]) for u, v in edges)))
+    return subgraphs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_repeated_shapes(), st.integers(1, 8))
+def test_census_per_shape_matches_bruteforce(subgraphs, node_cap):
+    hist = graphlet_census(subgraphs, node_cap=node_cap)
+    kept = [sg for sg in subgraphs if sg.num_nodes <= node_cap]
+    assert hist.counts == graphlet_census_bruteforce(kept).counts
+    assert list(hist.counts) == list(GRAPHLET_TYPES)
+    assert hist.skipped == len(subgraphs) - len(kept)
+
+
+@pytest.mark.parametrize("copies", [1, 2, 7])
+def test_census_of_copies_is_copies_times_one_census(copies):
+    # a diamond with a tail and a loose pair: edges, paths, stars, triangles
+    # and 4-node shapes all occur
+    edges = ((0, 1), (1, 2), (0, 2), (0, 3), (2, 3), (3, 4), (5, 6))
+    one = graphlet_census_bruteforce([Subgraph(id="one", nodes=tuple(range(7)),
+                                               edges=edges)]).counts
+    # even copies keep node order, odd ones reverse it
+    relabel = [(lambda v, i=i: 100 * i + (v if i % 2 == 0 else 6 - v)) for i in range(copies)]
+    many = graphlet_census([
+        Subgraph(id=f"c{i}", nodes=tuple(map(f, range(7))),
+                 edges=tuple((f(u), f(v)) for u, v in edges))
+        for i, f in enumerate(relabel)
+    ])
+    assert many.counts == {g: copies * c for g, c in one.items()}
+    assert many.skipped == 0
