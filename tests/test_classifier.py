@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from revtrack import classifier
+from revtrack import classifier, io_utils
 from revtrack import neural_core as nc
 from revtrack.classifier import (
     LabeledPair,
@@ -25,7 +25,9 @@ from revtrack.classifier import (
     train,
 )
 from revtrack.graph_core import Subgraph, build_graph
+from revtrack.rec_eval import boundary_pools
 from revtrack.synth_gen import SynthConfig, generate
+from oracles import boundary_pools_reference, make_pairs_reference
 
 
 def small_dataset(seed=11, n_sus=30, n_lic=30):
@@ -70,6 +72,44 @@ def test_make_pairs_skips_empty_boundary():
     pairs, _, stats = make_pairs(graph, [isolated, unlabeled])
     assert pairs == []
     assert stats == {"empty_boundary": 1, "unlabeled": 1}
+
+
+def assert_boundary_stages_match_reference(graph, subgraphs):
+    pairs, features, stats = make_pairs(graph, subgraphs)
+    ref_pairs, _, ref_stats = make_pairs_reference(graph, subgraphs)
+    assert features is graph.features
+    assert pairs == ref_pairs and stats == ref_stats
+    assert boundary_pools(subgraphs, graph) == boundary_pools_reference(subgraphs, graph)
+
+
+def test_boundary_stages_match_reference_on_c05_sized_data():
+    ds = generate(SynthConfig(num_entities=40000, feature_dim=8, num_suspicious=2500,
+                              num_licit_subgraphs=2500, background_noise_edges=4000,
+                              seed=101))
+    # unlabeled subgraphs and an empty boundary side must be skipped alike
+    extra = [Subgraph(id="u", nodes=ds.subgraphs[0].nodes, edges=ds.subgraphs[0].edges),
+             Subgraph(id="all", nodes=range(ds.graph.num_nodes), edges=(), label="licit")]
+    assert_boundary_stages_match_reference(ds.graph, ds.subgraphs + extra)
+
+
+def test_boundary_stages_match_reference_on_remapped_ids(tmp_path):
+    ds = small_dataset(seed=5, n_sus=40, n_lic=40)
+    io_utils.save_dataset(ds, str(tmp_path))
+    n = ds.graph.num_nodes
+    sparse = lambda v: 10**9 + (v * 7919) % 10007 * 3   # injective, not monotone
+    assert n < 10007
+    edges = io_utils.read_edges_csv(str(tmp_path / "edges.csv"))
+    io_utils.write_edges_csv(str(tmp_path / "edges.csv"), np.vectorize(sparse)(edges))
+    head, *rows = (tmp_path / "nodes.csv").read_text().splitlines()
+    (tmp_path / "nodes.csv").write_text("\n".join(
+        [head] + [f"{sparse(int(r.split(',', 1)[0]))},{r.split(',', 1)[1]}" for r in rows]))
+    records = [json.loads(line) for line in (tmp_path / "subgraphs.jsonl").read_text().splitlines()]
+    (tmp_path / "subgraphs.jsonl").write_text("".join(json.dumps({
+        **r, "nodes": [sparse(v) for v in r["nodes"]],
+        "edges": [[sparse(u), sparse(v)] for u, v in r["edges"]]}) + "\n" for r in records))
+    graph, subgraphs = io_utils.load_dataset(str(tmp_path))
+    assert graph.id_remap is not None and len(subgraphs) == 80
+    assert_boundary_stages_match_reference(graph, subgraphs)
 
 
 # ---------------------------------------------------------------------------

@@ -470,7 +470,8 @@ def test_classify_rejects_subgraph_ids_outside_graph(pipeline, tmp_path, capsys,
         "--subgraphs", str(sub_path), "--out", str(tmp_path / "scores.csv"),
     ])
     assert rc == 1
-    assert f"subgraphs.jsonl:1: node id {bad} " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"subgraphs.jsonl:1: node id {bad} " in err
 
 
 @pytest.mark.parametrize("record, shown", [

@@ -17,6 +17,7 @@ from revtrack.graph_core import (
     UNKNOWN,
     GraphLoadError,
     Subgraph,
+    boundary_table,
     break_cycles,
     build_graph,
     extract_boundary,
@@ -24,7 +25,13 @@ from revtrack.graph_core import (
     load_graph,
 )
 from revtrack.io_utils import read_edges_csv, read_nodes_csv
-from oracles import graphlet_census_bruteforce, load_graph_rows, topological_order
+from revtrack import graph_core
+from oracles import (
+    extract_boundary_reference,
+    graphlet_census_bruteforce,
+    load_graph_rows,
+    topological_order,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +349,76 @@ def test_extract_boundary_matches_naive_oracle():
         assert b.sinks == sinks
         assert b.senders == senders
         assert b.receivers == receivers
+
+
+@st.composite
+def graph_and_subgraphs(draw):
+    """A random background graph and random subgraphs of it: cycles,
+    self-loops, repeated edges, edges the graph lacks, edgeless subgraphs."""
+    n = draw(st.integers(1, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    graph = make_graph(n, [(u, v) for u, v in draw(st.lists(pair, max_size=40)) if u != v])
+    subgraphs = []
+    for i in range(draw(st.integers(0, 6))):
+        nodes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        node = st.sampled_from(nodes)
+        edges = draw(st.lists(st.tuples(node, node), max_size=12))
+        subgraphs.append(Subgraph(id=f"s{i}", nodes=nodes, edges=edges + edges[:3]))
+    return graph, subgraphs
+
+
+def table_rows(table, i):
+    return [frozenset(idx[ptr[i]:ptr[i + 1]].tolist()) for idx, ptr in table]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_subgraphs())
+def test_boundary_table_matches_reference(case):
+    graph, subgraphs = case
+    table = boundary_table(graph, subgraphs)
+    for idx, ptr in table:
+        assert ptr[0] == 0 and len(ptr) == len(subgraphs) + 1
+        assert ptr[-1] == len(idx)
+        for i in range(len(subgraphs)):
+            assert np.all(np.diff(idx[ptr[i]:ptr[i + 1]]) > 0)
+    for i, sg in enumerate(subgraphs):
+        ref = extract_boundary_reference(graph, sg)
+        assert table_rows(table, i) == [ref.sources, ref.sinks, ref.senders, ref.receivers]
+        assert extract_boundary(graph, sg) == ref
+
+
+def test_boundary_table_of_no_subgraphs():
+    table = boundary_table(chain_graph(), [])
+    for idx, ptr in table:
+        assert idx.tolist() == [] and ptr.tolist() == [0]
+
+
+def test_boundary_table_breaks_only_cyclic_subgraphs(monkeypatch):
+    rng = np.random.default_rng(5)
+    graph, _, adj = rand_background(rng, 30, 90)
+    subgraphs = [rand_subgraph(rng, adj, 30, int(rng.integers(2, 9)), f"s{i}")
+                 for i in range(60)]
+    cyclic = [sg.id for sg in subgraphs if topological_order(sg.nodes, sg.edges) is None]
+    assert 0 < len(cyclic) < len(subgraphs)
+    broken = []
+    monkeypatch.setattr(graph_core, "break_cycles",
+                        lambda sg: broken.append(sg.id) or break_cycles(sg))
+    table = boundary_table(graph, subgraphs)
+    assert broken == cyclic
+    for i, sg in enumerate(subgraphs):
+        ref = extract_boundary_reference(graph, sg)
+        assert table_rows(table, i) == [ref.sources, ref.sinks, ref.senders, ref.receivers]
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 99])
+def test_boundary_rejects_node_ids_outside_the_graph(bad):
+    graph = chain_graph()
+    good = Subgraph(id="good", nodes=(1, 2), edges=((1, 2),))
+    wrong = Subgraph(id="wrong", nodes=(bad, 2), edges=())
+    for call in (lambda: boundary_table(graph, [good, wrong, good]),
+                 lambda: extract_boundary(graph, wrong)):
+        with pytest.raises(ValueError, match=f"subgraph 'wrong': node id {bad} "):
+            call()
 
 
 # ---------------------------------------------------------------------------
