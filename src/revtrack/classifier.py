@@ -109,14 +109,20 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def by_class(pairs):
+    """The pairs of each class present, positives first, each in input order."""
+    groups = ([p for p in pairs if p.label == 1], [p for p in pairs if p.label == 0])
+    return [group for group in groups if group]
+
+
 def split(pairs, spec: SplitSpec):
     """Stratified seeded split into (train, valid, test).
 
-    Each class is shuffled once; validation and test take rounded fractions
-    (at least one element per split when the class has three or more
-    members, prioritizing train, then test). The few-shot fraction then
-    keeps a prefix of each class of train, so smaller fractions are nested
-    inside larger ones under the same seed.
+    Each class of n pairs is shuffled once; validation and test take
+    round-half-up(0.1 n) each, at least one each when n >= 3 (test takes
+    one of a class of two). The few-shot fraction then keeps a prefix of
+    each class of train, so smaller fractions are nested inside larger ones
+    under the same seed.
     """
     if len(pairs) < 10:
         raise ValueError(f"need at least 10 pairs to split, got {len(pairs)}")
@@ -124,27 +130,11 @@ def split(pairs, spec: SplitSpec):
         raise ValueError("no positive pairs; cannot build a labeled split")
     rng = np.random.default_rng(spec.seed)
     train, valid, test = [], [], []
-    for label in (1, 0):
-        group = [p for p in pairs if p.label == label]
-        if not group:
-            continue
-        order = rng.permutation(len(group))
-        shuffled = [group[i] for i in order]
+    for group in by_class(pairs):
+        shuffled = [group[i] for i in rng.permutation(len(group))]
         n = len(group)
-        n_valid = _round_half_up(VALID_FRAC * n)
-        n_test = _round_half_up(TEST_FRAC * n)
-        if n >= 3:
-            n_valid = max(n_valid, 1)
-            n_test = max(n_test, 1)
-            while n - n_valid - n_test < 1:
-                if n_valid >= n_test and n_valid > 1:
-                    n_valid -= 1
-                else:
-                    n_test -= 1
-        elif n == 2:
-            n_valid, n_test = 0, 1
-        else:
-            n_valid, n_test = 0, 0
+        n_valid = max(_round_half_up(VALID_FRAC * n), int(n >= 3))
+        n_test = max(_round_half_up(TEST_FRAC * n), int(n >= 2))
         valid.extend(shuffled[:n_valid])
         test.extend(shuffled[n_valid : n_valid + n_test])
         train.extend(shuffled[n_valid + n_test :])
@@ -156,10 +146,7 @@ def split(pairs, spec: SplitSpec):
 def few_shot_subsample(train, fraction):
     """Per-class prefix of size round-half-up(fraction * class size), min 1."""
     out = []
-    for label in (1, 0):
-        group = [p for p in train if p.label == label]
-        if not group:
-            continue
+    for group in by_class(train):
         keep = min(len(group), max(1, _round_half_up(fraction * len(group))))
         out.extend(group[:keep])
     return out
@@ -230,12 +217,9 @@ class PairScorer:
         """Suspiciousness probabilities of the pairs ``srs``, in order."""
         out = []
         for i in range(0, len(srs), SCORE_CHUNK):
-            part = srs[i:i + SCORE_CHUNK]
+            s_ids, r_ids, ns, nr = _stack(srs[i:i + SCORE_CHUNK])
             out.extend(nc.sigmoid(nc.batch_logits(
-                self.model, self._rows([n for sr in part for n in sr.senders]),
-                self._rows([n for sr in part for n in sr.receivers]),
-                [len(sr.senders) for sr in part], [len(sr.receivers) for sr in part],
-            )).tolist())
+                self.model, self._rows(s_ids), self._rows(r_ids), ns, nr)).tolist())
         return out
 
     def _rows(self, ids):
@@ -278,11 +262,13 @@ class PairScorer:
 # training
 
 
-def _as_batch(pairs, features):
-    return [
-        (features[list(p.sr.senders)], features[list(p.sr.receivers)], p.label)
-        for p in pairs
-    ]
+def _stack(srs):
+    """Sender ids, receiver ids and side sizes ``ns``, ``nr`` of the pairs
+    ``srs``, stacked pair by pair as ``neural_core.batch_logits`` takes them."""
+    return (np.array([n for sr in srs for n in sr.senders], dtype=np.intp),
+            np.array([n for sr in srs for n in sr.receivers], dtype=np.intp),
+            np.array([len(sr.senders) for sr in srs], dtype=np.int64),
+            np.array([len(sr.receivers) for sr in srs], dtype=np.int64))
 
 
 def _validation_metric(model, valid_pairs, features):
@@ -305,7 +291,10 @@ def train_model(model, train_pairs, valid_pairs, features, config: TrainConfig):
     if not train_pairs:
         raise ValueError("empty training set")
     rng = np.random.default_rng(config.seed + 1)
-    train_batchable = _as_batch(train_pairs, features)
+    s_ids, r_ids, ns, nr = _stack([p.sr for p in train_pairs])
+    xs, xr = features[s_ids], features[r_ids]
+    s_end, r_end = np.cumsum(ns), np.cumsum(nr)
+    labels = np.array([p.label for p in train_pairs], dtype=np.float64)
 
     state = nc.init_adam(nc.parameters(model), lr=config.lr)
     best_metric = -np.inf
@@ -314,11 +303,14 @@ def train_model(model, train_pairs, valid_pairs, features, config: TrainConfig):
     history = []
 
     for epoch in range(config.epochs):
-        order = rng.permutation(len(train_batchable))
+        order = rng.permutation(len(train_pairs))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = [train_batchable[i] for i in order[start : start + config.batch_size]]
-            loss, grads = nc.backward(model, batch, pos_weight=config.pos_weight)
+            batch = order[start : start + config.batch_size]
+            loss, grads = nc.backward(
+                model, xs[nc.segment_rows(s_end[batch] - ns[batch], s_end[batch])],
+                xr[nc.segment_rows(r_end[batch] - nr[batch], r_end[batch])],
+                ns[batch], nr[batch], labels[batch], config.pos_weight)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"loss became non-finite at epoch {epoch}; "
@@ -329,10 +321,10 @@ def train_model(model, train_pairs, valid_pairs, features, config: TrainConfig):
         metric = (
             _validation_metric(model, valid_pairs, features)
             if valid_pairs
-            else -epoch_loss / len(train_batchable)
+            else -epoch_loss / len(train_pairs)
         )
         history.append(
-            {"epoch": epoch, "train_loss": epoch_loss / len(train_batchable),
+            {"epoch": epoch, "train_loss": epoch_loss / len(train_pairs),
              "valid_metric": metric}
         )
         # ties favor the longer-trained weights: the validation metric
@@ -353,9 +345,7 @@ def train_model(model, train_pairs, valid_pairs, features, config: TrainConfig):
 def train(arch, train_pairs, valid_pairs, features, config: TrainConfig = None):
     """Train a fresh classifier of the given architecture ("ds" or "bp")."""
     config = config or TrainConfig()
-    if not any(p.label == 1 for p in train_pairs) or not any(
-        p.label == 0 for p in train_pairs
-    ):
+    if len(by_class(train_pairs)) < 2:
         raise ValueError("training set must contain both classes")
     rng = np.random.default_rng(config.seed)
     if arch == "ds":

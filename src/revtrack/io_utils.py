@@ -238,9 +238,7 @@ def write_manifest(manifest_path, command, config, seeds, input_paths, wall_time
         "command": command,
         "config_hash": config_hash(config),
         "seeds": seeds,
-        "input_digests": {
-            os.path.basename(p): sha256_file(p) for p in sorted(input_paths)
-        },
+        "input_digests": {p: sha256_file(p) for p in sorted(input_paths)},
         "tool_version": tool_version,
         "wall_time": wall_time,
     }

@@ -112,6 +112,12 @@ def mlp_backward(params: MlpParams, cache, d_out):
 # set pooling
 
 
+def segment_rows(lo, hi):
+    """Indices of the row ranges ``lo[i]:hi[i]``, concatenated in order."""
+    lengths = hi - lo
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - lo, lengths)
+
+
 def _segment_pool(kind, rows, lengths):
     """Pool each run of ``lengths[i]`` consecutive rows into one row."""
     starts = np.cumsum(lengths) - lengths
@@ -313,9 +319,7 @@ def block_logits(model, encoded, blocks):
     for u, lo, hi in ((encoded[0], b[:, 0], b[:, 1]), (encoded[1], b[:, 2], b[:, 3])):
         if not ((0 <= lo) & (lo < hi) & (hi <= len(u))).all():
             raise ValueError("every block needs a nonempty slice of each side")
-        lengths = hi - lo
-        rows = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - lo, lengths)
-        gathered.append((u[rows], lengths))
+        gathered.append((u[segment_rows(lo, hi)], hi - lo))
     (us, ns), (ur, nr) = gathered
     if model.arch == "ds":
         return _ds_head(model, lambda name, x: mlp_forward(model.mlps[name], x),
@@ -434,30 +438,21 @@ def set_parameters(model, arrays):
             i += 2
 
 
-def backward(model, batch, pos_weight=1.0):
-    """Mean-BCE loss and its exact gradients over a batch.
+def backward(model, xs, xr, ns, nr, y, pos_weight=1.0):
+    """Mean-BCE loss and its exact gradients over a batch of pairs.
 
-    ``batch`` is a list of (sender_feats, receiver_feats, label) triples;
-    one ``batch_logits``/``batch_backward`` pass covers all of them, so
-    results are bitwise reproducible. Returns (loss, grads) with grads in
-    parameters() order.
+    ``xs``, ``xr``, ``ns`` and ``nr`` stack the batch as ``batch_logits``
+    takes it, and ``y`` holds the pairs' labels; one ``batch_logits``/
+    ``batch_backward`` pass covers all of them, so results are bitwise
+    reproducible. Returns (loss, grads) with grads in parameters() order.
     """
-    n = len(batch)
-    y = np.array([label for _, _, label in batch], dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     cache = {}
-    z = batch_logits(
-        model,
-        np.concatenate([xs for xs, _, _ in batch]),
-        np.concatenate([xr for _, xr, _ in batch]),
-        [len(xs) for xs, _, _ in batch],
-        [len(xr) for _, xr, _ in batch],
-        cache,
-    )
-    p = sigmoid(z)
+    p = sigmoid(batch_logits(model, xs, xr, ns, nr, cache))
     w = np.where(y == 1, pos_weight, 1.0)
     loss = float(np.sum(w * bce_loss(p, y)))
-    d_logits = w * (np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP) - y) / n
-    return loss / n, batch_backward(model, cache, d_logits)
+    d_logits = w * (np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP) - y) / len(y)
+    return loss / len(y), batch_backward(model, cache, d_logits)
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +517,9 @@ def model_to_checkpoint(model) -> dict:
 def checkpoint_to_model(ckpt: dict):
     """The model a checkpoint dict records. Raises ValueError on a checkpoint,
     config or weights that is not an object, an unsupported version, a missing
-    entry, a feature_dim or hidden_dim that is not a positive integer, or an
-    unknown arch, pool or readout."""
+    entry, a weight entry holding null, NaN or Infinity, a feature_dim or
+    hidden_dim that is not a positive integer, or an unknown arch, pool or
+    readout."""
     if not isinstance(ckpt, dict):
         raise ValueError(f"checkpoint must be a JSON object, got {type(ckpt).__name__}")
     if ckpt.get("version") != CHECKPOINT_VERSION:
@@ -538,14 +534,19 @@ def checkpoint_to_model(ckpt: dict):
             if not (isinstance(config[key], int) and config[key] >= 1):
                 raise ValueError(f"checkpoint {key} must be a positive integer, "
                                  f"got {config[key]!r}")
+
+        def entry(key, *shape):
+            values = np.asarray(weights[key], dtype=np.float64).reshape(shape)
+            if not np.isfinite(values).all():
+                raise ValueError(f"checkpoint entry {key!r} holds a non-finite value")
+            return values
+
         mlps = {}
         for name, dims, acts in layer_table(config):
             mlps[name] = MlpParams(
-                weights=[np.asarray(weights[f"{name}.w{i}"], dtype=np.float64)
-                         .reshape(fan_out, fan_in)
+                weights=[entry(f"{name}.w{i}", fan_out, fan_in)
                          for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:]))],
-                biases=[np.asarray(weights[f"{name}.b{i}"], dtype=np.float64)
-                        .reshape(fan_out) for i, fan_out in enumerate(dims[1:])],
+                biases=[entry(f"{name}.b{i}", fan_out) for i, fan_out in enumerate(dims[1:])],
                 activations=acts,
             )
     except KeyError as exc:

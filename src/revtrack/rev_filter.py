@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import LabeledPair, SRPair, TrainConfig, train_model
+from .classifier import LabeledPair, SRPair, TrainConfig, by_class, train_model
 
 logger = logging.getLogger(__name__)
 
@@ -250,36 +250,26 @@ def make_finetune_set(pairs, config: AugmentConfig):
     return out
 
 
-def default_finetune_config(seed=0) -> TrainConfig:
-    return TrainConfig(epochs=30, lr=1e-4, seed=seed)
-
-
 def _holdout_split(pairs, valid_frac, seed):
+    """Stratified seeded (train, valid) split: valid takes round(valid_frac * n)
+    (half to even) of each shuffled class of n, at least one when n >= 2."""
     rng = np.random.default_rng(seed)
     train, valid = [], []
-    for label in (1, 0):
-        group = [p for p in pairs if p.label == label]
-        if not group:
-            continue
-        order = rng.permutation(len(group))
-        shuffled = [group[i] for i in order]
-        n_valid = int(round(valid_frac * len(group)))
-        if len(group) >= 2:
-            n_valid = max(n_valid, 1)
-        n_valid = min(n_valid, len(group) - 1)
+    for group in by_class(pairs):
+        shuffled = [group[i] for i in rng.permutation(len(group))]
+        n_valid = max(int(round(valid_frac * len(group))), int(len(group) >= 2))
         valid.extend(shuffled[:n_valid])
         train.extend(shuffled[n_valid:])
     return train, valid
 
 
-def finetune(model, augmented_pairs, features, config: TrainConfig = None):
+def finetune(model, augmented_pairs, features, config: TrainConfig):
     """Continue training a copy of ``model`` on merged pairs.
 
     Returns (tuned, history); the input model is left unchanged. A
     stratified tenth of the augmented set is held out for early stopping.
     With epochs=0 the returned model equals the input.
     """
-    config = config or default_finetune_config()
     start = copy.deepcopy(model)
     if config.epochs == 0:
         return start, []

@@ -4,7 +4,9 @@ The pair-at-a-time forward and reverse passes the classifier used before
 ``neural_core.batch_logits``: each pair is encoded on its own, each pool is
 a plain ``sum``/``mean``/``max`` over the set's rows, and ``backward``
 accumulates gradients pair by pair. ``tests/test_neural_core.py`` checks the
-kernel against it.
+kernel against it. Both take a batch as a list of (sender_feats,
+receiver_feats, label) triples; ``stack`` turns one into the arguments of
+``neural_core.backward``.
 """
 
 import numpy as np
@@ -180,3 +182,12 @@ def backward(model, batch, pos_weight=1.0):
         for acc, g in zip(totals, _backward_one(model, cache, d_logit)):
             acc += g
     return loss / n, totals
+
+
+def stack(batch):
+    """``(xs, xr, ns, nr, y)``, the stacked batch ``neural_core.backward``
+    takes, of a list of (sender_feats, receiver_feats, label) triples."""
+    return (np.concatenate([xs for xs, _, _ in batch]),
+            np.concatenate([xr for _, xr, _ in batch]),
+            [len(xs) for xs, _, _ in batch], [len(xr) for _, xr, _ in batch],
+            [label for _, _, label in batch])

@@ -54,6 +54,7 @@ from oracles import (
     plant_rec_instance,
     topological_order,
 )
+import pairwise_reference as ref
 
 
 def report(criterion, passed, detail):
@@ -233,7 +234,7 @@ def _mean_loss(model, batch):
 
 
 def _fd_max_rel_error(model, batch, h=1e-4):
-    _, grads = nc.backward(model, batch)
+    _, grads = nc.backward(model, *ref.stack(batch))
     worst = 0.0
     for p, g in zip(nc.parameters(model), grads):
         flat_p, flat_g = p.ravel(), g.ravel()

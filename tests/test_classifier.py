@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from revtrack import classifier, io_utils
 from revtrack import neural_core as nc
+from revtrack import rev_filter as rf
 from revtrack.classifier import (
     LabeledPair,
     PairScorer,
@@ -194,6 +195,26 @@ def test_split_minimum_size_and_positives():
         split(fake_pairs(0, 20), SplitSpec())
 
 
+def test_per_class_split_sizes_follow_their_rules_for_every_class_size():
+    # in exact integers, round-half-up(n / 10) is (n + 5) // 10, and
+    # round-half-even(n / 10) rounds q + r / 10 up when r > 5, or r == 5 and q is odd
+    pos, neg = fake_pairs(2000, 0), fake_pairs(0, 9)
+    for n in range(1, 2001):
+        group = pos[:n]
+        parts = split(group + neg[:max(0, 10 - n)], SplitSpec(seed=n))
+        n_valid = max((n + 5) // 10, int(n >= 3))
+        n_test = max((n + 5) // 10, int(n >= 2))
+        assert [sum(p.label for p in part) for part in parts] == [
+            n - n_valid - n_test, n_valid, n_test]
+        assert n - n_valid - n_test >= 1
+        q, r = divmod(n, 10)
+        n_held = max(q + int(r > 5 or (r == 5 and q % 2 == 1)), int(n >= 2))
+        train_p, valid_p = rf._holdout_split(group, 0.1, seed=n)
+        assert (len(train_p), len(valid_p)) == (n - n_held, n_held) and train_p
+        for fraction, kept in ((0.25, (n + 2) // 4), (0.5, (n + 1) // 2)):
+            assert len(few_shot_subsample(group, fraction)) == max(1, kept)
+
+
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -271,6 +292,33 @@ def test_train_deterministic_checkpoints():
     a, _, _, _ = trained_small(seed=4)
     b, _, _, _ = trained_small(seed=4)
     assert json.dumps(nc.model_to_checkpoint(a)) == json.dumps(nc.model_to_checkpoint(b))
+
+
+def test_train_model_batches_hold_every_pair_once_per_epoch(monkeypatch):
+    rng = np.random.default_rng(8)
+    features = rng.normal(size=(40, 3))
+    pairs = [LabeledPair(sr=SRPair(tuple(rng.choice(40, int(rng.integers(1, 6)), replace=False)),
+                                   tuple(rng.choice(40, int(rng.integers(1, 6)), replace=False))),
+                         label=i % 2) for i in range(23)]
+    batches = []
+    backward = nc.backward
+
+    def record(model, xs, xr, ns, nr, y, pos_weight):
+        batches.append((xs, xr, ns, nr, y))
+        return backward(model, xs, xr, ns, nr, y, pos_weight)
+
+    monkeypatch.setattr(nc, "backward", record)
+    model = nc.build_ds_model(rng, 3, 4)
+    classifier.train_model(model, pairs, [], features, TrainConfig(epochs=2, batch_size=5))
+    expected = sorted((features[list(p.sr.senders)].tobytes(),
+                       features[list(p.sr.receivers)].tobytes(), p.label) for p in pairs)
+    assert len(batches) == 2 * 5
+    for epoch in (batches[:5], batches[5:]):
+        seen = [(s.tobytes(), r.tobytes(), label)
+                for xs, xr, ns, nr, y in epoch
+                for s, r, label in zip(np.split(xs, np.cumsum(ns)[:-1]),
+                                       np.split(xr, np.cumsum(nr)[:-1]), y)]
+        assert sorted(seen) == expected
 
 
 def test_train_model_trains_in_place_and_keeps_best_epoch():

@@ -183,7 +183,7 @@ def test_generate_and_manifest(tmp_path):
     assert manifest["command"] == "generate"
     assert manifest["seeds"] == {"seed": 1}
     assert manifest["tool_version"]
-    assert "cfg.json" in manifest["input_digests"]
+    assert list(manifest["input_digests"]) == [cfg]
 
 
 def test_generate_seed_flag_wins(tmp_path):
@@ -396,19 +396,19 @@ def runs(pipeline):
     return root, before, sorted(root.rglob("*"))
 
 
-DATASET = {"edges.csv", "nodes.csv", "subgraphs.jsonl"}
+DATASET = {"data/edges.csv", "data/nodes.csv", "data/subgraphs.jsonl"}
 
 
-# command -> (its manifest under the pipeline root, seeds, input file names)
+# command -> (its manifest under the pipeline root, seeds, input paths under the root)
 MANIFESTS = {
     "generate": ("data/run_manifest.json", {"seed": 4}, {"cfg.json"}),
-    "graphlets": ("graphlets.json.manifest.json", {}, {"subgraphs.jsonl"}),
+    "graphlets": ("graphlets.json.manifest.json", {}, {"data/subgraphs.jsonl"}),
     "train": ("model.json.manifest.json", {"split_seed": 0, "train_seed": 0}, DATASET),
     "finetune": ("tuned.json.manifest.json", {"split_seed": 0, "augment_seed": 0},
                  DATASET | {"model.json"}),
     "classify": ("scores.csv.manifest.json", {}, DATASET | {"model.json"}),
     "filter": ("links.csv.manifest.json", {"seed": 0},
-               {"edges.csv", "nodes.csv", "tuned.json", "s.txt", "r.txt"}),
+               {"data/edges.csv", "data/nodes.csv", "tuned.json", "s.txt", "r.txt"}),
     "bench_rec": ("results.json.manifest.json", {"seed": 11}, DATASET | {"tuned.json"}),
 }
 
@@ -420,13 +420,30 @@ def test_every_mutating_command_writes_its_manifest(runs, command):
     manifest = json.loads((root / path).read_text())
     assert manifest["command"] == command
     assert manifest["seeds"] == seeds
-    assert set(manifest["input_digests"]) == inputs
+    assert set(manifest["input_digests"]) == {str(root / path) for path in inputs}
     assert manifest["wall_time"] >= 0.0
 
 
 def test_eval_cls_writes_no_manifest(runs):
     _, before, after = runs
     assert after == before
+
+
+def test_manifest_keeps_inputs_that_share_a_basename_apart(pipeline, tmp_path):
+    _, data, _, tuned = pipeline
+    _, s_ids, r_ids = _boundary_ids(data)
+    senders, receivers = tmp_path / "q1" / "ids.txt", tmp_path / "q2" / "ids.txt"
+    for path, ids in ((senders, s_ids), (receivers, r_ids)):
+        path.parent.mkdir()
+        path.write_text("".join(f"{i}\n" for i in ids))
+    links_csv = tmp_path / "links.csv"
+    assert main(["filter", "--model", str(tuned), "--data-dir", str(data),
+                 "--senders", str(senders), "--receivers", str(receivers),
+                 "--k", "3", "--out", str(links_csv)]) == 0
+    digests = json.loads((tmp_path / "links.csv.manifest.json").read_text())["input_digests"]
+    assert len(digests) == 5
+    for path in (senders, receivers):
+        assert digests[str(path)] == io_utils.sha256_file(path)
 
 
 def _boundary_ids(data):
@@ -618,7 +635,12 @@ def test_bench_rec_rejects_empty_settings_before_loading(tmp_path, capsys):
     (lambda ckpt: ckpt["config"].update(pool="max"), "unknown ds pool 'max'"),
     (lambda ckpt: ckpt["weights"].pop("trunk.w0"), "lacks the entry 'trunk.w0'"),
     (None, "checkpoint must be a JSON object"),
-], ids=["ds-max-pool", "missing-weight", "not-an-object"])
+    (lambda ckpt: ckpt["weights"].update({"logit.b0": [None]}),
+     "entry 'logit.b0' holds a non-finite value"),
+    (lambda ckpt: ckpt["weights"].update(
+        {"trunk.w0": [float("nan")] * len(ckpt["weights"]["trunk.w0"])}),
+     "entry 'trunk.w0' holds a non-finite value"),
+], ids=["ds-max-pool", "missing-weight", "not-an-object", "null-weight", "nan-weight"])
 def test_filter_rejects_malformed_checkpoint(pipeline, tmp_path, capsys, edit, shown):
     _, data, _, tuned = pipeline
     _, s_ids, r_ids = _boundary_ids(data)

@@ -167,7 +167,7 @@ def mean_loss(model, batch):
 
 
 def fd_max_rel_error(model, batch, h=1e-4):
-    _, grads = nc.backward(model, batch)
+    _, grads = nc.backward(model, *ref.stack(batch))
     worst = 0.0
     for p, g in zip(nc.parameters(model), grads):
         flat_p, flat_g = p.ravel(), g.ravel()
@@ -241,7 +241,7 @@ def test_saturated_gradient_small():
     # push the logit bias so p ~= 1 with label 1: gradient should vanish
     model.mlps["logit"].biases[0][0] = 30.0
     batch = [(np.ones((1, 2)), np.ones((1, 2)), 1)]
-    _, grads = nc.backward(model, batch)
+    _, grads = nc.backward(model, *ref.stack(batch))
     assert max(np.max(np.abs(g)) for g in grads) < 1e-6
 
 
@@ -368,6 +368,15 @@ def test_checkpoint_load_rejects_bad_config_and_missing_entries(tmp_path, arch, 
         nc.load_checkpoint(tmp_path / "m.json")
 
 
+@pytest.mark.parametrize("bad", [None, float("nan"), float("inf"), -float("inf")],
+                         ids=["null", "nan", "inf", "-inf"])
+def test_checkpoint_rejects_non_finite_weights(bad):
+    ckpt = nc.model_to_checkpoint(nc.build_ds_model(np.random.default_rng(3), 2, 3))
+    ckpt["weights"]["trunk.w0"][1] = bad
+    with pytest.raises(ValueError, match="entry 'trunk.w0' holds a non-finite value"):
+        nc.checkpoint_to_model(json.loads(json.dumps(ckpt)))
+
+
 def test_checkpoint_rejects_wrong_json_shapes():
     good = nc.model_to_checkpoint(nc.build_ds_model(np.random.default_rng(3), 2, 3))
     for ckpt, shown in [
@@ -405,12 +414,13 @@ def test_loss_decays_on_separable_toy_set():
         xs = center + 0.1 * rng.normal(size=(2, 2))
         xr = 0.1 * rng.normal(size=(1, 2))
         batch.append((xs, xr, y))
-    loss0, _ = nc.backward(model, batch)
+    stacked = ref.stack(batch)
+    loss0, _ = nc.backward(model, *stacked)
     state = nc.init_adam(nc.parameters(model), lr=1e-3)
     for _ in range(200):
-        loss, grads = nc.backward(model, batch)
+        loss, grads = nc.backward(model, *stacked)
         nc.set_parameters(model, nc.adam_step(state, nc.parameters(model), grads))
-    final, _ = nc.backward(model, batch)
+    final, _ = nc.backward(model, *stacked)
     assert final < 0.1 * loss0
     nc.assert_finite(model)
 
@@ -454,7 +464,7 @@ def test_kernel_matches_pairwise_reference(arch, pool, monkeypatch):
            for _ in range(48)]
     batch = [(features[list(sr.senders)], features[list(sr.receivers)], i % 3 == 0)
              for i, sr in enumerate(srs)]
-    loss, grads = nc.backward(model, batch, pos_weight=2.5)
+    loss, grads = nc.backward(model, *ref.stack(batch), pos_weight=2.5)
     ref_loss, ref_grads = ref.backward(model, batch, pos_weight=2.5)
     assert_close(loss, ref_loss)
     assert len(grads) == len(ref_grads) == len(nc.parameters(model))
