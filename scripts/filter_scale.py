@@ -1,0 +1,81 @@
+"""Time rev_filter on large 1+n@10 instances of the benchmark fixture.
+
+    python3 scripts/filter_scale.py --minus 400 1600 --instances 4 --reps 5 --out scale.json
+
+Run from the root of a checkout; the benchmark fixture (the C05 dataset and
+its fine-tuned ds model) is built under .bench_build on first use, as
+bench/run_bench.py builds it. Instance i of setting 1+n@10 is drawn by the
+benchmark's own sampler from ``default_rng(seed + i)``. Each instance runs
+``--reps`` times under each split rule with a fresh scorer, as the
+benchmark's filter workload does, and its time is the fastest repetition.
+Prints one line per setting (median over instances) and writes every
+instance's sizes, times, links, scores and counts to ``--out``, so two
+checkouts' results can be compared link by link.
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+from statistics import median
+from time import perf_counter
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402  (puts this checkout's src on the path)
+from revtrack import classifier, io_utils, neural_core, rec_eval  # noqa: E402
+from revtrack import rev_filter as rf  # noqa: E402
+
+SPLIT_RULES = ("sorted_id", "seeded_random")
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--minus", type=int, nargs="+", required=True)
+    p.add_argument("--instances", type=int, default=4)
+    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
+    args = p.parse_args(argv)
+
+    workloads.ensure_fixture()
+    graph, subgraphs = io_utils.load_dataset(str(workloads.FIXTURE_DIR / "data"))
+    model = neural_core.load_checkpoint(str(workloads.FIXTURE_DIR / "tuned.json"))
+    _, fmap, _ = classifier.make_pairs(graph, subgraphs)
+    plus, minus = rec_eval.boundary_pools(subgraphs, graph)
+    rows = []
+    for n_minus in args.minus:
+        for i in range(args.instances):
+            query = workloads.sample_query(np.random.default_rng(args.seed + i),
+                                           plus, minus, n_minus)
+            for rule in SPLIT_RULES:
+                times = []
+                for _ in range(args.reps):
+                    t0 = perf_counter()
+                    result = rf.rev_filter(query.initial_pair,
+                                           rf.FilterConfig(k=workloads.K, split_rule=rule),
+                                           classifier.PairScorer(model, fmap))
+                    times.append(perf_counter() - t0)
+                rows.append({
+                    "n_minus": n_minus, "instance": i, "split_rule": rule,
+                    "senders": len(query.senders), "receivers": len(query.receivers),
+                    "ms": min(times) * 1e3,
+                    "links": [[sr.senders[0], sr.receivers[0]] for sr, _ in result.links],
+                    "scores": [score for _, score in result.links],
+                    "iterations": result.iterations,
+                    "classifier_calls": result.classifier_calls,
+                    "scorer_failures": result.scorer_failures,
+                })
+        mine = [r for r in rows if r["n_minus"] == n_minus]
+        print(f"1+{n_minus}@{workloads.K}: median {median(r['ms'] for r in mine):.1f} ms "
+              f"over {len(mine)} instance-rules, "
+              f"|S|x|R| median {median(r['senders'] for r in mine):.0f}"
+              f"x{median(r['receivers'] for r in mine):.0f}")
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(rows, fh, indent=1)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -194,6 +194,15 @@ def f1_at_threshold(scores, labels, threshold=0.5):
 SCORE_CHUNK = 1024
 
 
+def _feature_rows(features, ids):
+    """Feature rows of the node ids ``ids``, the one gather that scoring and
+    training use. Raises ValueError on an id that is not a feature row."""
+    ids = np.array(ids, dtype=np.intp)
+    if ((ids < 0) | (ids >= len(features))).any():
+        raise ValueError(f"node ids must index the {len(features)} feature rows")
+    return features[ids]
+
+
 class PairScorer:
     """Scores SRPairs, candidate blocks of two node sets, or their 1-1 link
     grid against a fixed model.
@@ -205,8 +214,8 @@ class PairScorer:
     slices of them with ``neural_core.block_logits``, ``SCORE_CHUNK`` blocks
     per call; ``grid`` scores every sender-receiver link with
     ``neural_core.grid_logits`` in blocks of about ``SCORE_CHUNK`` links.
-    Each of them gathers feature rows through ``_rows``, so a node id that
-    is not a row raises ValueError on every path.
+    Each of them gathers feature rows through ``_feature_rows``, so a node
+    id that is not a row raises ValueError on every path.
     """
 
     def __init__(self, model, features):
@@ -218,25 +227,19 @@ class PairScorer:
         out = []
         for i in range(0, len(srs), SCORE_CHUNK):
             s_ids, r_ids, ns, nr = _stack(srs[i:i + SCORE_CHUNK])
-            out.extend(nc.sigmoid(nc.batch_logits(
-                self.model, self._rows(s_ids), self._rows(r_ids), ns, nr)).tolist())
+            xs, xr = (_feature_rows(self.features, ids) for ids in (s_ids, r_ids))
+            out.extend(nc.sigmoid(nc.batch_logits(self.model, xs, xr, ns, nr)).tolist())
         return out
-
-    def _rows(self, ids):
-        """Feature rows of the node ids ``ids``, the one gather every entry
-        point uses. Raises ValueError on an id that is not a feature row."""
-        ids = np.array(ids, dtype=np.intp)
-        if ((ids < 0) | (ids >= len(self.features))).any():
-            raise ValueError(f"node ids must index the {len(self.features)} feature rows")
-        return self.features[ids]
 
     def blocks(self, senders, receivers):
         """Scorer of candidate blocks over the node-id sequences ``senders``
         and ``receivers``, whose feature rows are gathered and encoded here,
-        once: it maps a list of ``(s_lo, s_hi, r_lo, r_hi)`` blocks to the
-        probabilities of the pairs ``(senders[s_lo:s_hi], receivers[r_lo:r_hi])``,
-        in order."""
-        encoded = nc.encode_sides(self.model, self._rows(senders), self._rows(receivers))
+        once (ds: into per-side prefix sums of the phi rows): it maps a list
+        of ``(s_lo, s_hi, r_lo, r_hi)`` blocks to the probabilities of the
+        pairs ``(senders[s_lo:s_hi], receivers[r_lo:r_hi])``, in order, as
+        calling the scorer on those pairs does up to summation order."""
+        encoded = nc.encode_sides(self.model, _feature_rows(self.features, senders),
+                                  _feature_rows(self.features, receivers))
 
         def score(candidates):
             out = []
@@ -250,8 +253,8 @@ class PairScorer:
     def grid(self, senders, receivers):
         """(|senders|, |receivers|) array: entry (i, j) is the probability of
         the 1-1 link (senders[i], receivers[j])."""
-        return nc.sigmoid(nc.grid_logits(self.model, self._rows(senders),
-                                         self._rows(receivers), SCORE_CHUNK))
+        return nc.sigmoid(nc.grid_logits(self.model, _feature_rows(self.features, senders),
+                                         _feature_rows(self.features, receivers), SCORE_CHUNK))
 
     def score(self, sr: SRPair) -> float:
         """Probability that the pair bounds a suspicious flow."""
@@ -286,13 +289,15 @@ def train_model(model, train_pairs, valid_pairs, features, config: TrainConfig):
     Trains ``model`` in place and returns (model, history), the model holding
     the weights of its best epoch, which are kept as in-memory copies.
     Deterministic for a fixed config: batch order comes from a seeded
-    shuffle and gradients accumulate in batch index order.
+    shuffle and gradients accumulate in batch index order. Raises
+    ValueError on an empty training set or a node id that is not a feature
+    row.
     """
     if not train_pairs:
         raise ValueError("empty training set")
     rng = np.random.default_rng(config.seed + 1)
     s_ids, r_ids, ns, nr = _stack([p.sr for p in train_pairs])
-    xs, xr = features[s_ids], features[r_ids]
+    xs, xr = _feature_rows(features, s_ids), _feature_rows(features, r_ids)
     s_end, r_end = np.cumsum(ns), np.cumsum(nr)
     labels = np.array([p.label for p in train_pairs], dtype=np.float64)
 

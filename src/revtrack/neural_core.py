@@ -13,7 +13,8 @@ is its hand-written reverse pass; gradients are exact up to floating point
 (see the finite-difference tests). Two forward passes score many pairs over
 one sender set and one receiver set, encoding each node once (ds):
 ``grid_logits`` every 1-1 link, and ``block_logits`` candidate blocks of
-slices of the two sides, pooled from ``encode_sides``' rows.
+slices of the two sides, each slice's pool the difference of two rows of
+the prefix sums that ``encode_sides`` builds per side.
 
 A ``Model`` is its config (the dict a checkpoint records) plus its named
 layer stacks, which ``layer_table`` lists once per architecture. Training
@@ -258,8 +259,12 @@ def batch_logits(model, xs, xr, ns, nr, cache=None):
     saved = {"mlps": {name: [] for name in model.mlps}}
     run = lambda name, x: mlp_forward(model.mlps[name], x, saved["mlps"][name])
     if model.arch == "ds":
-        out = _ds_head(model, run, run("sender_phi", xs), run("receiver_phi", xr), ns, nr,
-                       saved)
+        pooled = []
+        for side, x, lengths in (("sender", xs, ns), ("receiver", xr, nr)):
+            u = run(f"{side}_phi", x)
+            pooled.append(_segment_pool(cfg["pool"], u, lengths))
+            saved[side] = (u, lengths, pooled[-1])
+        out = _ds_head(run, *pooled)
     else:
         # one GIN-style round: each receiver adds its pair's sender sum
         scale = 1.0 + cfg["epsilon"]
@@ -279,28 +284,31 @@ def batch_logits(model, xs, xr, ns, nr, cache=None):
     return out
 
 
-def _ds_head(model, run, us, ur, ns, nr, saved):
-    """ds logits from the phi rows of each pair's senders and receivers:
-    segment pools, then rho per side, trunk and logit, each layer applied
-    with ``run(name, x)``. ``saved`` receives each side's pool inputs."""
-    pool = model.config["pool"]
-    hs = []
-    for side, u, lengths in (("sender", us, ns), ("receiver", ur, nr)):
-        pooled = _segment_pool(pool, u, lengths)
-        saved[side] = (u, lengths, pooled)
-        hs.append(run(f"{side}_rho", pooled))
-    return run("logit", run("trunk", np.hstack(hs)))[:, 0]
+def _ds_head(run, pooled_s, pooled_r):
+    """ds logits from each pair's pooled sender and receiver phi rows: rho
+    per side, then trunk and logit, each layer applied with ``run(name, x)``."""
+    return run("logit", run("trunk", np.hstack([run("sender_rho", pooled_s),
+                                                run("receiver_rho", pooled_r)])))[:, 0]
 
 
 def encode_sides(model, xs, xr):
-    """Per-node encodings of a sender and a receiver feature-row set, for
-    ``block_logits``: the phi rows of each side (ds), or the raw rows (bp),
-    since a bp receiver's state depends on its pair's sender sum."""
+    """Per-side tables of a sender and a receiver feature-row set, for
+    ``block_logits``. ds: the prefix sums of each side's phi rows, an
+    (n + 1, h) table whose row i sums phi over the first i rows (row 0 is
+    zero), so a slice's sum pool is the difference of two rows. phi ends in
+    a ReLU, so the sums only grow and a difference's rounding error stays
+    on the scale of the side's total times machine epsilon. bp: the raw
+    rows, since a bp receiver's state depends on its pair's sender sum."""
     xs, xr = (np.asarray(x, dtype=np.float64) for x in (xs, xr))
     if model.arch == "bp":
         return xs, xr
-    return (mlp_forward(model.mlps["sender_phi"], xs),
-            mlp_forward(model.mlps["receiver_phi"], xr))
+    tables = []
+    for side, x in (("sender", xs), ("receiver", xr)):
+        u = mlp_forward(model.mlps[f"{side}_phi"], x)
+        table = np.zeros((len(u) + 1, u.shape[1]))
+        np.cumsum(u, axis=0, out=table[1:])
+        tables.append(table)
+    return tuple(tables)
 
 
 def block_logits(model, encoded, blocks):
@@ -308,23 +316,28 @@ def block_logits(model, encoded, blocks):
 
     ``encoded`` is ``encode_sides`` of the sides' feature rows; block i,
     ``(s_lo, s_hi, r_lo, r_hi)``, is the pair of sender rows
-    ``s_lo:s_hi`` and receiver rows ``r_lo:r_hi``. Each side's rows are
-    gathered block by block and pooled with the segment reduction of
-    ``batch_logits``, so a block scores as ``batch_logits`` scores its pair,
-    while each node is encoded once (ds) however many blocks hold it.
-    Raises ValueError unless every block holds a nonempty slice of each side.
+    ``s_lo:s_hi`` and receiver rows ``r_lo:r_hi``. ds: a slice's pool is
+    the difference of two rows of its side's prefix-sum table (divided by
+    its length for ``mean``), which rho, trunk and logit take as in
+    ``batch_logits``, so a block costs the same however many rows it holds.
+    bp: each block's rows are gathered and go through ``batch_logits``.
+    Either way a block scores as ``batch_logits`` scores its pair, up to
+    summation order. Raises ValueError unless every block holds a nonempty
+    slice of each side.
     """
     b = np.asarray(blocks, dtype=np.int64).reshape(-1, 4)
-    gathered = []
-    for u, lo, hi in ((encoded[0], b[:, 0], b[:, 1]), (encoded[1], b[:, 2], b[:, 3])):
-        if not ((0 <= lo) & (lo < hi) & (hi <= len(u))).all():
+    ds = model.arch == "ds"
+    slices = ((encoded[0], b[:, 0], b[:, 1]), (encoded[1], b[:, 2], b[:, 3]))
+    for table, lo, hi in slices:  # a ds table has a row more than its side
+        if not ((0 <= lo) & (lo < hi) & (hi <= len(table) - ds)).all():
             raise ValueError("every block needs a nonempty slice of each side")
-        gathered.append((u[segment_rows(lo, hi)], hi - lo))
-    (us, ns), (ur, nr) = gathered
-    if model.arch == "ds":
-        return _ds_head(model, lambda name, x: mlp_forward(model.mlps[name], x),
-                        us, ur, ns, nr, {})
-    return batch_logits(model, us, ur, ns, nr)
+    if not ds:
+        (us, ns), (ur, nr) = ((u[segment_rows(lo, hi)], hi - lo) for u, lo, hi in slices)
+        return batch_logits(model, us, ur, ns, nr)
+    pooled = [table[hi] - table[lo] for table, lo, hi in slices]
+    if model.config["pool"] == "mean":
+        pooled = [p / (hi - lo)[:, None] for p, (_, lo, hi) in zip(pooled, slices)]
+    return _ds_head(lambda name, x: mlp_forward(model.mlps[name], x), *pooled)
 
 
 def batch_backward(model, cache, d_logits):

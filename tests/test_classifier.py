@@ -377,6 +377,19 @@ def test_scorer_rejects_ids_outside_the_feature_table(bad):
             call()
 
 
+@pytest.mark.parametrize("bad", [-1, 7])
+def test_training_rejects_ids_outside_the_feature_table(bad):
+    rng = np.random.default_rng(3)
+    model, features = nc.build_ds_model(rng, 3, 4), rng.normal(size=(5, 3))
+    pairs = [LabeledPair(SRPair((bad,), (0,)), 1)] + [
+        LabeledPair(SRPair((i,), (i + 1,)), i % 2) for i in range(4)] * 5
+    config = TrainConfig(epochs=1)
+    for call in (lambda: classifier.train_model(model, pairs[:1], [], features, config),
+                 lambda: rf.finetune(model, pairs, features, config)):
+        with pytest.raises(ValueError, match="must index the 5 feature rows"):
+            call()
+
+
 def test_evaluate_single_class_errors():
     model, _, fmap, test_p = trained_small()
     pos_only = [p for p in test_p if p.label == 1]

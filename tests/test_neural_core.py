@@ -530,7 +530,32 @@ def test_blocks_match_pair_scoring(arch, pool, monkeypatch):
                 patched.setattr(classifier, "SCORE_CHUNK", 7)
                 assert_close(scorer.blocks(senders, receivers)(candidates), expected)
     encoded = nc.encode_sides(model, features[:4], features[:3])
+    # hi = n + 1 indexes the last row of a ds prefix-sum table, yet no side row
     for bad in ((0, 0, 0, 1), (0, 1, 2, 1), (-1, 1, 0, 1), (0, 5, 0, 1), (0, 1, 0, 4)):
+        with pytest.raises(ValueError, match="nonempty slice"):
+            nc.block_logits(model, encoded, [(0, 1, 0, 1), bad])
+
+
+@settings(max_examples=40, deadline=None)
+@given(pool=st.sampled_from(["sum", "mean"]), n_s=st.integers(1, 4000),
+       n_r=st.integers(1, 4000), seed=st.integers(0, 2**32 - 1))
+def test_prefix_sum_blocks_match_kernel_on_gathered_pairs(pool, n_s, n_r, seed):
+    rng = np.random.default_rng(seed)
+    model = jiggled_model(rng, "ds", pool)
+    xs, xr = rng.normal(size=(n_s, 3)), rng.normal(size=(n_r, 3))
+
+    def slices(n, far_end):  # 30 random slices, then per flag the last row or the whole side
+        lo = rng.integers(0, n, 30)
+        hi = lo + 1 + (rng.random(30) * (n - lo)).astype(np.int64)
+        return np.append(lo, np.where(far_end, n - 1, 0)), np.append(hi, [n] * len(far_end))
+
+    (s_lo, s_hi), (r_lo, r_hi) = slices(n_s, [1, 1, 0, 0]), slices(n_r, [1, 0, 1, 0])
+    blocks = np.column_stack([s_lo, s_hi, r_lo, r_hi])
+    expected = nc.batch_logits(model, xs[nc.segment_rows(s_lo, s_hi)],
+                               xr[nc.segment_rows(r_lo, r_hi)], s_hi - s_lo, r_hi - r_lo)
+    encoded = nc.encode_sides(model, xs, xr)
+    assert_close(nc.block_logits(model, encoded, blocks), expected)
+    for bad in ((n_s - 1, n_s + 1, 0, 1), (0, 1, 0, n_r + 1), (n_s, n_s, 0, 1)):
         with pytest.raises(ValueError, match="nonempty slice"):
             nc.block_logits(model, encoded, [(0, 1, 0, 1), bad])
 
