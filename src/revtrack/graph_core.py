@@ -176,11 +176,13 @@ def build_graph(num_nodes, edges, features, node_labels=None, id_remap=None):
 
     ``edges`` is an (m, 2) integer array or an iterable of pairs with
     endpoints in [0, num_nodes). Duplicates collapse to one edge; a
-    self-loop is an error.
+    self-loop or a feature that is nan or infinite is an error.
     """
     features = np.array(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != num_nodes:
         raise GraphLoadError(f"features must be ({num_nodes}, d), got {features.shape}")
+    if not np.isfinite(features).all():
+        raise GraphLoadError("features must be finite, not nan or inf")
     if not isinstance(edges, np.ndarray):
         edges = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)

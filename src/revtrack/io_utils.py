@@ -3,12 +3,17 @@
 Floats are serialized with repr (shortest round-trip form), so load(save(x))
 reproduces binary64 values exactly and reruns with equal seeds produce
 byte-identical files.
+
+The readers parse a CSV body straight from the open file, so loading never
+holds a table's text; only a table that fails to parse is read again, to
+name the line at fault. A node feature that is nan or infinite is rejected.
 """
 
 import hashlib
 import json
 import logging
 import os
+import warnings
 
 import numpy as np
 
@@ -35,7 +40,7 @@ def write_edges_csv(path, edges):
 
 
 def _read_body(path):
-    """(header line, remaining text) of a CSV file."""
+    """(header line, remaining text) of a CSV file; only error paths call it."""
     with open(path, encoding="utf-8") as fh:
         return fh.readline().strip(), fh.read()
 
@@ -53,35 +58,48 @@ def _reject_first_bad_line(path, text, n_fields, has_label=False):
             raise GraphLoadError(f"{path}:{line_no}: unknown label {parts[-1].rstrip()!r}")
 
 
-def _load_rows(path, text, dtype, n_fields):
-    """The non-empty lines of ``text``, the body of ``path``, as a ``dtype``
-    array. Ids parse as integers, never through float. A parse error names
-    the file line of the first line that does not parse."""
+def _parse(lines, dtype):
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _load_rows(path, fh, dtype, n_fields):
+    """The body of ``path`` as a ``dtype`` array, one element per non-empty
+    line, parsed straight from ``fh`` (open just past the header line). Ids
+    parse as integers, never through float.
+
+    Only when the parse fails is the file read again as one text, to name
+    the file line of the first line that does not parse; a body of blank
+    lines is no rows.
+    """
+    try:
+        with warnings.catch_warnings():
+            # an empty body is no rows, not a defect
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return _parse(fh, dtype)
+    except ValueError as exc:  # UnicodeDecodeError too: the re-read raises it again
+        error = exc
+    _, text = _read_body(path)
     if not text.strip():
         return np.zeros(0, dtype)
-    parse = lambda lines: np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                                     ndmin=1)
-    try:
-        return parse(text.split("\n"))
-    except ValueError as exc:
-        _reject_first_bad_line(path, text, n_fields)
-        for line_no, line in enumerate(text.split("\n"), start=2):
-            try:
-                if line.strip():
-                    parse([line])
-            except ValueError as line_exc:
-                # numpy counts rows of its one-line input, not file lines
-                reason = str(line_exc).split(" at row ")[0]
-                raise GraphLoadError(f"{path}:{line_no}: {reason}") from None
-        raise GraphLoadError(f"{path}: {exc}") from None
+    _reject_first_bad_line(path, text, n_fields)
+    for line_no, line in enumerate(text.split("\n"), start=2):
+        try:
+            if line.strip():
+                _parse([line], dtype)
+        except ValueError as line_exc:
+            # numpy counts rows of its one-line input, not file lines
+            reason = str(line_exc).split(" at row ")[0]
+            raise GraphLoadError(f"{path}:{line_no}: {reason}") from None
+    raise GraphLoadError(f"{path}: {error}") from None
 
 
 def read_edges_csv(path):
     """The (src, dst) rows of an edges file as an (m, 2) int64 array."""
-    header, text = _read_body(path)
-    if header != "src,dst":
-        raise GraphLoadError(f"{path}: expected header 'src,dst', got {header!r}")
-    return _load_rows(path, text, np.dtype([("edge", np.int64, (2,))]), 2)["edge"]
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "src,dst":
+            raise GraphLoadError(f"{path}: expected header 'src,dst', got {header!r}")
+        return _load_rows(path, fh, np.dtype([("edge", np.int64, (2,))]), 2)["edge"]
 
 
 def write_nodes_csv(path, graph):
@@ -100,24 +118,33 @@ def read_nodes_csv(path):
     """Columns of a nodes file: (ids, (n, d) features, label codes or None).
 
     The label codes are None when no row names a label; otherwise a row
-    with an empty label field gets UNKNOWN.
+    with an empty label field gets UNKNOWN. A feature that is nan or
+    infinite is an error naming its file line.
     """
-    header, text = _read_body(path)
-    header = header.split(",")
-    if header[0] != "id":
-        raise GraphLoadError(f"{path}: first column must be 'id'")
-    has_label = header[-1] == "label"
-    fields = [("id", np.int64), ("f", np.float64, (len(header) - 1 - has_label,))]
-    fields += [("label", object)] * has_label
-    rows = _load_rows(path, text, np.dtype(fields), len(header))
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        if header[0] != "id":
+            raise GraphLoadError(f"{path}: first column must be 'id'")
+        has_label = header[-1] == "label"
+        fields = [("id", np.int64), ("f", np.float64, (len(header) - 1 - has_label,))]
+        fields += [("label", object)] * has_label
+        rows = _load_rows(path, fh, np.dtype(fields), len(header))
+    codes = None
     names = np.char.rstrip(rows["label"].astype(str)) if has_label else np.array([""])
-    if not (names != "").any():
-        return rows["id"], rows["f"], None
-    if not np.isin(names, ["", *NODE_LABEL_CODES]).all():
-        _reject_first_bad_line(path, text, len(header), has_label=True)
-    codes = np.select([names == n for n in NODE_LABEL_CODES], [*NODE_LABEL_CODES.values()],
-                      UNKNOWN)
-    return rows["id"], rows["f"], codes.astype(np.int8)
+    if (names != "").any():
+        if not np.isin(names, ["", *NODE_LABEL_CODES]).all():
+            _reject_first_bad_line(path, _read_body(path)[1], len(header), has_label=True)
+        codes = np.select([names == n for n in NODE_LABEL_CODES],
+                          [*NODE_LABEL_CODES.values()], UNKNOWN).astype(np.int8)
+    bad = np.argwhere(~np.isfinite(rows["f"]))
+    if bad.size:
+        row, col = bad[0]
+        # row i of the table is the i-th non-empty line of the body
+        line_no = [n for n, line in enumerate(_read_body(path)[1].split("\n"), start=2)
+                   if line][row]
+        raise GraphLoadError(
+            f"{path}:{line_no}: feature {header[1 + col]!r} is {rows['f'][row, col]}")
+    return rows["id"], rows["f"], codes
 
 
 def write_subgraphs_jsonl(path, subgraphs):

@@ -94,6 +94,78 @@ def load_graph_rows(edge_rows, node_rows):
     return graph, {"duplicate_edges": duplicates, "self_loops_dropped": self_loops}
 
 
+def _csv_body(path):
+    """(header line, remaining text) of a CSV file."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.readline().strip(), fh.read()
+
+
+def _reject_first_bad_line(path, text, n_fields, has_label=False):
+    """Raise naming the first line of ``text`` (line 2 of ``path`` on) with
+    other than ``n_fields`` fields or an unknown label."""
+    for line_no, line in enumerate(text.split("\n"), start=2):
+        parts = line.split(",")
+        if line and len(parts) != n_fields:
+            raise GraphLoadError(
+                f"{path}:{line_no}: expected {n_fields} fields, got {len(parts)}"
+            )
+        if line and has_label and parts[-1].rstrip() not in ("", *NODE_LABEL_CODES):
+            raise GraphLoadError(f"{path}:{line_no}: unknown label {parts[-1].rstrip()!r}")
+
+
+def _text_rows(path, text, dtype, n_fields):
+    """The non-empty lines of ``text``, the body of ``path``, as a ``dtype``
+    array. Ids parse as integers, never through float. A parse error names
+    the file line of the first line that does not parse."""
+    if not text.strip():
+        return np.zeros(0, dtype)
+    parse = lambda lines: np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                                     ndmin=1)
+    try:
+        return parse(text.split("\n"))
+    except ValueError as exc:
+        _reject_first_bad_line(path, text, n_fields)
+        for line_no, line in enumerate(text.split("\n"), start=2):
+            try:
+                if line.strip():
+                    parse([line])
+            except ValueError as line_exc:
+                # numpy counts rows of its one-line input, not file lines
+                reason = str(line_exc).split(" at row ")[0]
+                raise GraphLoadError(f"{path}:{line_no}: {reason}") from None
+        raise GraphLoadError(f"{path}: {exc}") from None
+
+
+def read_edges_csv_text(path):
+    """Whole-text reference for ``io_utils.read_edges_csv``: reads the body
+    into one string and parses its list of lines."""
+    header, text = _csv_body(path)
+    if header != "src,dst":
+        raise GraphLoadError(f"{path}: expected header 'src,dst', got {header!r}")
+    return _text_rows(path, text, np.dtype([("edge", np.int64, (2,))]), 2)["edge"]
+
+
+def read_nodes_csv_text(path):
+    """Whole-text reference for ``io_utils.read_nodes_csv``, without its
+    check for non-finite features."""
+    header, text = _csv_body(path)
+    header = header.split(",")
+    if header[0] != "id":
+        raise GraphLoadError(f"{path}: first column must be 'id'")
+    has_label = header[-1] == "label"
+    fields = [("id", np.int64), ("f", np.float64, (len(header) - 1 - has_label,))]
+    fields += [("label", object)] * has_label
+    rows = _text_rows(path, text, np.dtype(fields), len(header))
+    names = np.char.rstrip(rows["label"].astype(str)) if has_label else np.array([""])
+    if not (names != "").any():
+        return rows["id"], rows["f"], None
+    if not np.isin(names, ["", *NODE_LABEL_CODES]).all():
+        _reject_first_bad_line(path, text, len(header), has_label=True)
+    codes = np.select([names == n for n in NODE_LABEL_CODES], [*NODE_LABEL_CODES.values()],
+                      UNKNOWN)
+    return rows["id"], rows["f"], codes.astype(np.int8)
+
+
 def has_edge(graph: BackgroundGraph, u: int, v: int) -> bool:
     nbrs = graph.out_neighbors(u)
     i = int(np.searchsorted(nbrs, v))

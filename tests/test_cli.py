@@ -14,6 +14,7 @@ from revtrack.cli import main
 from revtrack.graph_core import ILLICIT, LICIT, UNKNOWN, Subgraph, build_graph
 from revtrack.neural_core import load_checkpoint
 from revtrack.synth_gen import SynthConfig, SynthDataset, generate
+import oracles
 from oracles import graphlet_census_bruteforce, validate_against
 
 
@@ -127,15 +128,120 @@ def test_nodes_csv_rejects_bad_label(tmp_path):
     ("id,f_0\n0,1.0\n", "src,dst\n0,1e0\n", "could not convert string '1e0' to int64"),
     ("id,f_0\n0,1.0\n\n1.5,1.0\n", "src,dst\n",
      "nodes.csv:4: could not convert string '1.5' to int64"),
+    *[(f"id,f_0,f_1\n0,1.0,2.0\n\n1,2.0,{v}\n2,0.0,0.0\n", "src,dst\n0,1\n",
+       f"nodes.csv:4: feature 'f_1' is {v}\n") for v in ("nan", "inf", "-inf")],
 ], ids=["nodes-header", "edges-header", "ragged-node", "ragged-edge", "unknown-label", "dangling",
         "duplicate-id", "no-nodes", "float-node-id", "float-edge-end",
-        "blank-line-before-bad-id"])
+        "blank-line-before-bad-id", "nan-feature", "inf-feature", "minus-inf-feature"])
 def test_bad_tables_exit_1_naming_the_defect(tmp_path, capsys, nodes, edges, message):
     (tmp_path / "nodes.csv").write_text(nodes)
     (tmp_path / "edges.csv").write_text(edges)
     rc = main(["eval-cls", "--model", str(tmp_path / "m.json"), "--data-dir", str(tmp_path)])
     assert rc == 1
     assert message in capsys.readouterr().err
+
+
+FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", "5e-324", "1e16", "0", "-7", " 2.5", "1.5e-3 "]))
+NODE_DEFECTS = ["1.5", "", "abc", " ", "1,2", "licit", "Licit", "x"]
+EDGE_DEFECTS = ["1e0", "", "0,1,2", "a", " "]
+
+
+@st.composite
+def _table(draw, node_table):
+    """(header, rows) of a nodes or edges table with sparse and negative
+    ids, edge-case floats, empty or padded labels and, sometimes, one
+    defective field or line."""
+    n = draw(st.integers(0, 6))
+    ids = st.integers(-(2**62), 2**62).map(str)
+    if node_table:
+        dim = draw(st.integers(0, 3))
+        label = draw(st.booleans())
+        header = ["id"] + [f"f_{j}" for j in range(dim)] + ["label"] * label
+        cells = [ids] + [FIELDS] * dim
+        cells += [st.sampled_from(["", "licit", "illicit", "unknown", "licit "])] * label
+    else:
+        header, cells = ["src", "dst"], [ids, ids]
+    rows = [[draw(c) for c in cells] for _ in range(n)]
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(
+            st.sampled_from(NODE_DEFECTS if node_table else EDGE_DEFECTS))
+    return header, [",".join(r) for r in rows]
+
+
+def _csv_text(draw, header, lines):
+    """The file text: empty or whitespace lines, CRLF and a missing final
+    newline drawn; an empty body is sometimes whitespace."""
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "", "  "])))
+    if not lines and draw(st.booleans()):
+        lines = [" ", "\t"]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join([",".join(header)] + lines)
+    return text + eol * draw(st.booleans())
+
+
+def _outcome(read, path):
+    try:
+        return "rows", read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_readers_match_the_whole_text_reference(data):
+    with tempfile.TemporaryDirectory() as root:
+        for name, node_table, read, reference in [
+                ("nodes.csv", True, io_utils.read_nodes_csv, oracles.read_nodes_csv_text),
+                ("edges.csv", False, io_utils.read_edges_csv, oracles.read_edges_csv_text)]:
+            header, lines = data.draw(_table(node_table))
+            path = os.path.join(root, name)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(_csv_text(data.draw, header, lines))
+            (kind, got), (want_kind, want) = _outcome(read, path), _outcome(reference, path)
+            if "rows" not in (kind, want_kind):
+                assert (kind, got) == (want_kind, want)
+                continue
+            assert kind == want_kind == "rows", (kind, got, want_kind, want)
+            # ids, features and label codes (or the edge array), compared bit for bit
+            for col, want_col in zip(*((got, want) if node_table else ((got,), (want,)))):
+                assert (col is None) == (want_col is None)
+                if col is not None:
+                    assert (col.dtype, col.shape) == (want_col.dtype, want_col.shape)
+                    assert col.tobytes() == want_col.tobytes()
+
+
+def test_good_tables_never_read_the_body_as_text(tmp_path, monkeypatch):
+    ds = generate(SynthConfig(**tiny_config()))
+    io_utils.save_dataset(ds, tmp_path / "data")
+    calls = []
+    read_body = io_utils._read_body
+    monkeypatch.setattr(io_utils, "_read_body", lambda path: calls.append(path) or read_body(path))
+    graph, _ = io_utils.load_dataset(tmp_path / "data")
+    assert calls == []
+    assert np.array_equal(graph.features, ds.graph.features)
+    bad = tmp_path / "nodes.csv"
+    bad.write_text("id,f_0\n0,1.0\n\n1.5,1.0\n")
+    with pytest.raises(io_utils.GraphLoadError) as excinfo:
+        io_utils.read_nodes_csv(bad)
+    assert str(excinfo.value) == f"{bad}:4: could not convert string '1.5' to int64"
+    assert calls == [bad]
+
+
+@pytest.mark.parametrize("rows_before", [1, 20000], ids=["first-chunk", "past-first-chunk"])
+def test_non_utf8_nodes_file_exits_1_with_the_decoder_message(tmp_path, capsys, rows_before):
+    path = tmp_path / "nodes.csv"
+    path.write_bytes(b"id,f_0\n" + b"".join(b"%d,1.0\n" % i for i in range(rows_before))
+                     + b"99999,\xff1.0\n")
+    (tmp_path / "edges.csv").write_text("src,dst\n")
+    with pytest.raises(UnicodeDecodeError) as excinfo:
+        oracles.read_nodes_csv_text(path)
+    rc = main(["eval-cls", "--model", str(tmp_path / "m.json"), "--data-dir", str(tmp_path)])
+    assert rc == 1
+    assert f"error: {excinfo.value}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("node_ids, bad", [((10, 20, 30), 40), ((0, 1, 2), -1)],

@@ -167,6 +167,14 @@ def test_load_graph_densifies_sparse_ids():
     assert list(graph.node_labels) == [LICIT, UNKNOWN, ILLICIT]
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_build_graph_rejects_non_finite_features(value):
+    features = np.zeros((3, 2))
+    features[1, 0] = value
+    with pytest.raises(GraphLoadError, match="features must be finite"):
+        build_graph(3, [(0, 1)], features)
+
+
 def _write_tables(root, edge_rows, node_rows, dim, label_column):
     """Write edge and node rows as the two CSV files; returns their paths."""
     edges_path, nodes_path = os.path.join(root, "edges.csv"), os.path.join(root, "nodes.csv")
@@ -216,8 +224,13 @@ def test_array_loader_matches_row_reference(tables, label_column):
         want = load_graph_rows(edge_rows, node_rows)
     except GraphLoadError as exc:
         want = str(exc)
+    infinite = [(line_no, j, x) for line_no, (_, feats, _) in enumerate(node_rows, start=2)
+                for j, x in enumerate(feats) if np.isinf(x)]
     with tempfile.TemporaryDirectory() as root:
         edges_path, nodes_path = _write_tables(root, edge_rows, node_rows, dim, label_column)
+        if infinite:  # the reader rejects the first one, before the graph is built
+            line_no, j, x = infinite[0]
+            want = f"{nodes_path}:{line_no}: feature 'f_{j}' is {x}"
         try:
             got = load_graph(read_edges_csv(edges_path), *read_nodes_csv(nodes_path))
         except GraphLoadError as exc:
