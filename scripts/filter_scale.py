@@ -1,6 +1,8 @@
 """Time rev_filter on large 1+n@10 instances of the benchmark fixture.
 
     python3 scripts/filter_scale.py --minus 400 1600 --instances 4 --reps 5 --out scale.json
+    python3 scripts/filter_scale.py --minus 400 1600 --instances 4 --reps 5 \
+        --out new.json --compare ../other-checkout/scale.json
 
 Run from the root of a checkout; the benchmark fixture (the C05 dataset and
 its fine-tuned ds model) is built under .bench_build on first use, as
@@ -9,8 +11,11 @@ benchmark's own sampler from ``default_rng(seed + i)``. Each instance runs
 ``--reps`` times under each split rule with a fresh scorer, as the
 benchmark's filter workload does, and its time is the fastest repetition.
 Prints one line per setting (median over instances) and writes every
-instance's sizes, times, links, scores and counts to ``--out``, so two
-checkouts' results can be compared link by link.
+instance's sizes, times, links, scores and counts to ``--out``.
+``--compare OTHER.json`` then checks this run against another checkout's
+``--out`` file: it exits 1 unless both hold the same instances with
+identical links, iterations and classifier_calls, and prints the largest
+score difference.
 """
 
 import argparse
@@ -37,6 +42,8 @@ def main(argv=None):
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
+    p.add_argument("--compare", metavar="OTHER.json",
+                   help="another checkout's --out file to check this run against")
     args = p.parse_args(argv)
 
     workloads.ensure_fixture()
@@ -75,6 +82,31 @@ def main(argv=None):
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(rows, fh, indent=1)
         fh.write("\n")
+    if args.compare:
+        worst = compare(rows, args.compare)
+        print(f"same links, iterations and classifier_calls as {args.compare} on "
+              f"{len(rows)} instance-rules; largest score difference {worst:.3g}")
+
+
+def compare(rows, other_path):
+    """Largest absolute score difference between ``rows`` and the rows of
+    another run saved at ``other_path``. Exits 1 unless both hold the same
+    instances with identical links, iterations and classifier_calls."""
+    def by_instance(table):
+        return {(r["n_minus"], r["instance"], r["split_rule"]): r for r in table}
+
+    with open(other_path, encoding="utf-8") as fh:
+        mine, other = by_instance(rows), by_instance(json.load(fh))
+    if mine.keys() != other.keys():
+        sys.exit(f"error: {other_path} holds other instances than this run")
+    worst = 0.0
+    for key, row in mine.items():
+        for field in ("links", "iterations", "classifier_calls"):
+            if row[field] != other[key][field]:
+                sys.exit(f"error: 1+{key[0]}@{workloads.K} instance {key[1]} ({key[2]}): "
+                         f"{field} differ from {other_path}")
+        worst = max([worst] + [abs(a - b) for a, b in zip(row["scores"], other[key]["scores"])])
+    return worst
 
 
 if __name__ == "__main__":

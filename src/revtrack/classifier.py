@@ -234,10 +234,11 @@ class PairScorer:
     def blocks(self, senders, receivers):
         """Scorer of candidate blocks over the node-id sequences ``senders``
         and ``receivers``, whose feature rows are gathered and encoded here,
-        once (ds: into per-side prefix sums of the phi rows): it maps a list
-        of ``(s_lo, s_hi, r_lo, r_hi)`` blocks to the probabilities of the
-        pairs ``(senders[s_lo:s_hi], receivers[r_lo:r_hi])``, in order, as
-        calling the scorer on those pairs does up to summation order."""
+        once (ds: into per-side prefix sums of rho's pre-activation, see
+        ``neural_core.encode_sides``): it maps a list of ``(s_lo, s_hi,
+        r_lo, r_hi)`` blocks to the probabilities of the pairs
+        ``(senders[s_lo:s_hi], receivers[r_lo:r_hi])``, in order, as calling
+        the scorer on those pairs does up to rounding order."""
         encoded = nc.encode_sides(self.model, _feature_rows(self.features, senders),
                                   _feature_rows(self.features, receivers))
 

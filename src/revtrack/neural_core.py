@@ -13,8 +13,11 @@ is its hand-written reverse pass; gradients are exact up to floating point
 (see the finite-difference tests). Two forward passes score many pairs over
 one sender set and one receiver set, encoding each node once (ds):
 ``grid_logits`` every 1-1 link, and ``block_logits`` candidate blocks of
-slices of the two sides, each slice's pool the difference of two rows of
-the prefix sums that ``encode_sides`` builds per side.
+slices of the two sides. ``encode_sides`` builds per side the prefix sums
+of rho's pre-activation (rho's first layer is affine and commutes with a
+sum pool), so a slice's rho input is the difference of two table rows plus
+rho's bias, and no block runs rho's product. Dense layers add the bias and
+apply the ReLU in place on each fresh matmul output.
 
 A ``Model`` is its config (the dict a checkpoint records) plus its named
 layer stacks, which ``layer_table`` lists once per architecture. Training
@@ -59,35 +62,30 @@ def init_mlp(rng, dims, activations):
     return MlpParams(weights=weights, biases=biases, activations=list(activations))
 
 
-def _act(name, z):
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "identity":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _act_grad(name, z, da):
-    if name == "relu":
-        return da * (z > 0)
-    return da
-
-
 def mlp_forward(params: MlpParams, x, cache=None):
-    """Apply the layer stack to a vector or a row-matrix of inputs."""
+    """Apply the layer stack to a vector or a row-matrix of inputs.
+
+    Each layer adds its bias to, and applies its ReLU on, the fresh matmul
+    output in place. A list ``cache`` receives each layer's (input,
+    activation): a ReLU output is > 0 exactly where its pre-activation is,
+    -0.0 and NaN included, which is all ``mlp_backward`` reads of it.
+    """
     single = np.ndim(x) == 1
     a = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if a.shape[1] != params.weights[0].shape[1]:
         raise ShapeError(
             f"input dim {a.shape[1]} != expected {params.weights[0].shape[1]}"
         )
-    for i, (w, b, act) in enumerate(
-        zip(params.weights, params.biases, params.activations)
-    ):
-        z = a @ w.T + b
+    for w, b, act in zip(params.weights, params.biases, params.activations):
+        z = a @ w.T
+        z += b
+        if act == "relu":
+            np.maximum(z, 0.0, out=z)
+        elif act != "identity":
+            raise ValueError(f"unknown activation {act!r}")
         if cache is not None:
             cache.append((a, z))
-        a = _act(act, z)
+        a = z
     return a[0] if single else a
 
 
@@ -101,8 +99,8 @@ def mlp_backward(params: MlpParams, cache, d_out):
     d_ws = [None] * len(params.weights)
     d_bs = [None] * len(params.weights)
     for i in range(len(params.weights) - 1, -1, -1):
-        a_prev, z = cache[i]
-        d_z = _act_grad(params.activations[i], z, d_a)
+        a_prev, a = cache[i]
+        d_z = d_a * (a > 0) if params.activations[i] == "relu" else d_a
         d_ws[i] = d_z.T @ a_prev
         d_bs[i] = d_z.sum(axis=0)
         d_a = d_z @ params.weights[i]
@@ -150,12 +148,11 @@ def _segment_pool_backward(kind, rows, lengths, pooled, d_pooled):
 
 
 def sigmoid(z):
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) otherwise, so exp never
+    overflows; both branches share e = exp(-|z|) and one division."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(np.minimum(z, -z))  # -|z|, but a NaN keeps its own sign
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 
@@ -259,12 +256,13 @@ def batch_logits(model, xs, xr, ns, nr, cache=None):
     saved = {"mlps": {name: [] for name in model.mlps}}
     run = lambda name, x: mlp_forward(model.mlps[name], x, saved["mlps"][name])
     if model.arch == "ds":
-        pooled = []
+        embedded = []
         for side, x, lengths in (("sender", xs, ns), ("receiver", xr, nr)):
             u = run(f"{side}_phi", x)
-            pooled.append(_segment_pool(cfg["pool"], u, lengths))
-            saved[side] = (u, lengths, pooled[-1])
-        out = _ds_head(run, *pooled)
+            pooled = _segment_pool(cfg["pool"], u, lengths)
+            saved[side] = (u, lengths, pooled)
+            embedded.append(run(f"{side}_rho", pooled))
+        out = run("logit", run("trunk", np.hstack(embedded)))[:, 0]
     else:
         # one GIN-style round: each receiver adds its pair's sender sum
         scale = 1.0 + cfg["epsilon"]
@@ -284,30 +282,28 @@ def batch_logits(model, xs, xr, ns, nr, cache=None):
     return out
 
 
-def _ds_head(run, pooled_s, pooled_r):
-    """ds logits from each pair's pooled sender and receiver phi rows: rho
-    per side, then trunk and logit, each layer applied with ``run(name, x)``."""
-    return run("logit", run("trunk", np.hstack([run("sender_rho", pooled_s),
-                                                run("receiver_rho", pooled_r)])))[:, 0]
-
-
 def encode_sides(model, xs, xr):
     """Per-side tables of a sender and a receiver feature-row set, for
-    ``block_logits``. ds: the prefix sums of each side's phi rows, an
-    (n + 1, h) table whose row i sums phi over the first i rows (row 0 is
-    zero), so a slice's sum pool is the difference of two rows. phi ends in
-    a ReLU, so the sums only grow and a difference's rounding error stays
-    on the scale of the side's total times machine epsilon. bp: the raw
-    rows, since a bp receiver's state depends on its pair's sender sum."""
+    ``block_logits``. ds: each side's prefix sums of rho's pre-activation,
+    ``[0; cumsum(phi(x))] @ W_rho.T``, an (n + 1, h) table whose row i is
+    rho's linear map of the sum of phi over the first i rows. A linear map
+    commutes with a sum, so a slice's sum pool, projected, is the
+    difference of two rows, and rho's product runs once per side here
+    instead of once per block. phi ends in a ReLU, so the sums of phi only
+    grow, but projected rows can be negative: a difference's rounding
+    error stays on the scale of machine epsilon times |W_rho| applied to
+    the side's phi total, which bounds the sum of |W_rho phi| over its
+    rows. bp: the raw rows, since a bp receiver's state depends on its
+    pair's sender sum."""
     xs, xr = (np.asarray(x, dtype=np.float64) for x in (xs, xr))
     if model.arch == "bp":
         return xs, xr
     tables = []
     for side, x in (("sender", xs), ("receiver", xr)):
         u = mlp_forward(model.mlps[f"{side}_phi"], x)
-        table = np.zeros((len(u) + 1, u.shape[1]))
-        np.cumsum(u, axis=0, out=table[1:])
-        tables.append(table)
+        sums = np.zeros((len(u) + 1, u.shape[1]))
+        np.cumsum(u, axis=0, out=sums[1:])
+        tables.append(sums @ model.mlps[f"{side}_rho"].weights[0].T)
     return tuple(tables)
 
 
@@ -316,14 +312,15 @@ def block_logits(model, encoded, blocks):
 
     ``encoded`` is ``encode_sides`` of the sides' feature rows; block i,
     ``(s_lo, s_hi, r_lo, r_hi)``, is the pair of sender rows
-    ``s_lo:s_hi`` and receiver rows ``r_lo:r_hi``. ds: a slice's pool is
-    the difference of two rows of its side's prefix-sum table (divided by
-    its length for ``mean``), which rho, trunk and logit take as in
-    ``batch_logits``, so a block costs the same however many rows it holds.
-    bp: each block's rows are gathered and go through ``batch_logits``.
-    Either way a block scores as ``batch_logits`` scores its pair, up to
-    summation order. Raises ValueError unless every block holds a nonempty
-    slice of each side.
+    ``s_lo:s_hi`` and receiver rows ``r_lo:r_hi``. ds: a slice's rho
+    pre-activation is the difference of two rows of its side's table
+    (divided by its length for ``mean``) plus rho's bias; both sides fill
+    one (blocks, 2h) array, which takes rho's ReLU in place and goes
+    through trunk and logit as in ``batch_logits``, so a block costs the
+    same however many rows it holds. bp: each block's rows are gathered
+    and go through ``batch_logits``. Either way a block scores as
+    ``batch_logits`` scores its pair, up to rounding order. Raises
+    ValueError unless every block holds a nonempty slice of each side.
     """
     b = np.asarray(blocks, dtype=np.int64).reshape(-1, 4)
     ds = model.arch == "ds"
@@ -334,10 +331,16 @@ def block_logits(model, encoded, blocks):
     if not ds:
         (us, ns), (ur, nr) = ((u[segment_rows(lo, hi)], hi - lo) for u, lo, hi in slices)
         return batch_logits(model, us, ur, ns, nr)
-    pooled = [table[hi] - table[lo] for table, lo, hi in slices]
-    if model.config["pool"] == "mean":
-        pooled = [p / (hi - lo)[:, None] for p, (_, lo, hi) in zip(pooled, slices)]
-    return _ds_head(lambda name, x: mlp_forward(model.mlps[name], x), *pooled)
+    k = encoded[0].shape[1]
+    joint = np.empty((len(b), 2 * k))
+    for half, (table, lo, hi), side in zip((joint[:, :k], joint[:, k:]), slices,
+                                           ("sender", "receiver")):
+        np.subtract(table[hi], table[lo], out=half)
+        if model.config["pool"] == "mean":
+            half /= (hi - lo)[:, None]
+        half += model.mlps[f"{side}_rho"].biases[0]
+    np.maximum(joint, 0.0, out=joint)
+    return mlp_forward(model.mlps["logit"], mlp_forward(model.mlps["trunk"], joint))[:, 0]
 
 
 def batch_backward(model, cache, d_logits):
@@ -410,7 +413,8 @@ def grid_logits(model, xs, xr, chunk):
         rest = MlpParams(trunk.weights[1:], trunk.biases[1:], trunk.activations[1:])
 
         def block(lo, hi):
-            a = _act(trunk.activations[0], z_s[lo:hi, None] + z_r[None])
+            a = z_s[lo:hi, None] + z_r[None]
+            np.maximum(a, 0.0, out=a)  # the first trunk layer's ReLU
             return mlp_forward(model.mlps["logit"],
                                mlp_forward(rest, a.reshape(-1, a.shape[-1])))[:, 0]
     else:

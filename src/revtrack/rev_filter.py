@@ -157,8 +157,9 @@ def rev_filter(initial: SRPair, config: FilterConfig, scorer) -> FilterResult:
     candidates are blocks of their slices (see ``expand``). A slice of a
     uniform permutation is in uniform order, so each split is a uniform
     balanced one. ``scorer.blocks(senders, receivers)`` is called once, on
-    the fixed sides (see ``PairScorer.blocks``, which pools a ds block from
-    per-side prefix sums, so a round costs O(blocks), not O(rows)); the
+    the fixed sides (see ``PairScorer.blocks``, which takes a ds block's rho
+    pre-activation from per-side prefix sums projected by rho once per
+    query, so a round costs O(blocks), not O(rows), and no rho product); the
     function it returns maps a list of blocks to the probabilities of their
     pairs, and each round over budget and the final ranking call it once.
     If the initial product holds fewer than k links, all are returned. ``classifier_calls`` counts

@@ -26,6 +26,7 @@ from revtrack.graph_core import (
     break_cycles,
     build_graph,
 )
+from revtrack.neural_core import ShapeError
 from revtrack.rec_eval import RecTestInstance, _instance_from_pools, boundary_pools
 from revtrack.rev_filter import FilterConfig, FilterResult, keep_schedule
 from revtrack.synth_gen import SCHEME_NAMES, GenerationError, SynthConfig, SynthDataset
@@ -649,3 +650,37 @@ def generate_reference(config: SynthConfig) -> SynthDataset:
 
     graph = build_graph(config.num_entities, all_edges, features, label_arr)
     return SynthDataset(graph=graph, subgraphs=subgraphs)
+
+
+# ---------------------------------------------------------------------------
+# neural_core references: out-of-place dense layers and the masked sigmoid
+
+
+def mlp_forward_reference(params, x, cache=None):
+    """``neural_core.mlp_forward`` as plain out-of-place layers: each layer
+    computes ``a @ w.T + b`` into a new array, caches (input,
+    pre-activation) and applies its activation into another new array."""
+    single = np.ndim(x) == 1
+    a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if a.shape[1] != params.weights[0].shape[1]:
+        raise ShapeError(f"input dim {a.shape[1]} != expected {params.weights[0].shape[1]}")
+    for w, b, act in zip(params.weights, params.biases, params.activations):
+        if act not in ("relu", "identity"):
+            raise ValueError(f"unknown activation {act!r}")
+        z = a @ w.T + b
+        if cache is not None:
+            cache.append((a, z))
+        a = np.maximum(z, 0.0) if act == "relu" else z
+    return a[0] if single else a
+
+
+def sigmoid_reference(z):
+    """``neural_core.sigmoid`` with each sign branch computed on its own
+    masked subset of ``z``."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out if out.ndim else float(out)

@@ -13,6 +13,7 @@ from revtrack import classifier
 from revtrack import neural_core as nc
 from revtrack.classifier import PairScorer, SRPair
 from revtrack.rev_filter import expand
+from oracles import mlp_forward_reference, sigmoid_reference
 
 
 def identity_mlp(dim):
@@ -44,6 +45,52 @@ def test_mlp_relu_hand_computed():
 def test_mlp_wrong_dim():
     with pytest.raises(nc.ShapeError):
         nc.mlp_forward(identity_mlp(2), np.array([1.0, 2.0, 3.0]))
+
+
+def bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def flat_backward(params, cache, d_out):
+    (d_ws, d_bs), d_in = nc.mlp_backward(params, cache, d_out)
+    return bits(*d_ws, *d_bs, d_in)
+
+
+def test_in_place_layers_match_out_of_place_reference_bitwise():
+    # the first layer's pre-activations hold exact zeros, nan and +-inf; the
+    # cache keeps each ReLU's output, whose > 0 mask is its pre-activation's
+    rng = np.random.default_rng(5)
+    stack = nc.MlpParams(
+        weights=[np.array([[1.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
+                 rng.normal(size=(3, 4)), rng.normal(size=(1, 3))],
+        biases=[np.zeros(4), rng.normal(size=3), np.zeros(1)],
+        activations=["relu", "relu", "identity"])
+    x = np.array([[1.0, 1.0], [0.0, 0.0], [np.inf, 0.0], [0.0, np.nan], [-np.inf, 2.0],
+                  [3.0, -2.0]])
+    d_out = rng.normal(size=(len(x), 1))
+    got_cache, want_cache = [], []
+    with np.errstate(invalid="ignore"):
+        got = nc.mlp_forward(stack, x, got_cache)
+        want = mlp_forward_reference(stack, x, want_cache)
+        z = want_cache[0][1]
+        assert (z == 0).any() and np.isnan(z).any() and np.isposinf(z).any()
+        assert np.isneginf(z).any()
+        assert bits(got) == bits(want)
+        assert bits(*(a for a, _ in got_cache)) == bits(*(a for a, _ in want_cache))
+        assert flat_backward(stack, got_cache, d_out) == flat_backward(stack, want_cache, d_out)
+    # a product of -0.0 sums to +0.0 in the matmul, so -0.0 enters by hand
+    z = np.array([[0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -1.5]])
+    relu = nc.MlpParams([rng.normal(size=(7, 3))], [np.zeros(7)], ["relu"])
+    a_prev, d_out = rng.normal(size=(1, 3)), rng.normal(size=(1, 7))
+    assert flat_backward(relu, [(a_prev, np.maximum(z, 0.0))], d_out) == flat_backward(
+        relu, [(a_prev, z)], d_out)
+
+
+def test_unknown_activation_raises():
+    stack = nc.MlpParams([np.eye(2)], [np.zeros(2)], ["tanh"])
+    for forward in (nc.mlp_forward, mlp_forward_reference):
+        with pytest.raises(ValueError, match="unknown activation 'tanh'"):
+            forward(stack, np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +189,27 @@ def test_bipartite_permutation_invariant():
 def test_bipartite_empty_side_errors():
     with pytest.raises(ValueError):
         nc.forward_logit(plain_bipartite(), np.zeros((0, 1)), [[1.0]])
+
+
+# ---------------------------------------------------------------------------
+# sigmoid against the masked two-branch reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=64))
+def test_sigmoid_matches_masked_reference_bitwise(z):
+    z = np.array(z, dtype=np.float64)
+    assert bits(nc.sigmoid(z)) == bits(sigmoid_reference(z))
+
+
+def test_sigmoid_scalars_and_special_values_match_reference():
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 800.0, -800.0, 1.3]
+    for z in special:
+        got, want = nc.sigmoid(z), sigmoid_reference(z)
+        assert type(got) is type(want) is float and bits(got) == bits(want)
+    z = np.random.default_rng(83).normal(scale=40.0, size=(300, 7))
+    z[0] = special[:7]
+    assert bits(nc.sigmoid(z)) == bits(sigmoid_reference(z))
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +572,28 @@ def test_kernel_property_invariance(arch_pool, sizes, seed):
     alone = [nc.forward_logit(model, xs[i], xr[j]) for i, j in zip(s_rows, r_rows)]
     assert_close(alone, logits)
 
+
+
+@pytest.mark.parametrize("arch, pool", POOLS)
+def test_kernel_gradients_match_out_of_place_layers_bitwise(arch, pool, monkeypatch):
+    # zero biases and zero feature rows put pre-activations exactly on the
+    # ReLU kink in every layer those rows reach
+    rng = np.random.default_rng(79)
+    model = (nc.build_ds_model(rng, 3, 8, pool=pool) if arch == "ds"
+             else nc.build_bp_model(rng, 3, 8, readout=pool, epsilon=0.3))
+    features = rng.normal(size=(40, 3))
+    features[:8] = 0.0
+    batch = [(features[rng.choice(40, int(rng.integers(1, 6)), replace=False)],
+              features[rng.choice(16, int(rng.integers(1, 6)), replace=False)], i % 2)
+             for i in range(24)]
+    stacked = ref.stack(batch)
+    loss, grads = nc.backward(model, *stacked)
+    monkeypatch.setattr(nc, "mlp_forward", mlp_forward_reference)
+    ref_loss, ref_grads = nc.backward(model, *stacked)
+    cache = {}  # the reference caches pre-activations
+    nc.batch_logits(model, *stacked[:4], cache)
+    assert any((z == 0).any() for entries in cache["mlps"].values() for _, z in entries)
+    assert bits(loss, *grads) == bits(ref_loss, *ref_grads)
 
 
 # ---------------------------------------------------------------------------

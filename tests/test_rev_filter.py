@@ -35,7 +35,7 @@ from revtrack.rev_filter import (
     truncated_exp_pmf,
 )
 from revtrack.synth_gen import SynthConfig, generate
-from oracles import ListScorer, rev_filter_reference
+from oracles import ListScorer, mlp_forward_reference, rev_filter_reference
 
 
 class OracleScorer(ListScorer):
@@ -434,27 +434,31 @@ def test_rev_filter_matches_reference_when_scorer_raises(senders, receivers, k, 
 
 
 def test_rev_filter_matches_reference_with_trained_scorer():
-    # PairScorer.blocks pools a slice as a difference of prefix sums of phi
-    # rows, the SRPair-list call as their direct sum: links and counts are
-    # exact, scores agree up to summation order
-    model, pairs, fmap = small_trained_model()
-    scorer = PairScorer(model, fmap)
-    rng = np.random.default_rng(13)
-    for n_merge, k in ((3, 1), (6, 5), (12, 10)):
-        for _ in range(4):
-            chosen = [pairs[int(i)].sr for i in rng.choice(len(pairs), n_merge, replace=False)]
-            initial = SRPair(senders=tuple({s for sr in chosen for s in sr.senders}),
-                             receivers=tuple({r for sr in chosen for r in sr.receivers}))
-            cfg = FilterConfig(k=k)
-            got = rev_filter(initial, cfg, scorer)
-            want = rev_filter_reference(initial, cfg, scorer)
-            assert [sr for sr, _ in got.links] == [sr for sr, _ in want.links]
-            assert (got.iterations, got.classifier_calls, got.scorer_failures) == (
-                want.iterations, want.classifier_calls, want.scorer_failures)
-            got_scores, want_scores = (np.array([s for _, s in r.links]) for r in (got, want))
-            assert np.all(np.abs(got_scores - want_scores)
-                          <= 1e-12 * np.maximum(1.0, np.abs(want_scores)))
-            assert got.scorer_failures == 0 and got.iterations >= 1
+    # PairScorer.blocks takes a slice's rho pre-activation as a difference of
+    # two rows of rho-projected prefix sums of phi (mean: divided after the
+    # projection), the SRPair-list call pools first and projects after:
+    # links and counts are exact, scores agree up to rounding order
+    for pool in ("sum", "mean"):
+        model, pairs, fmap = small_trained_model(pool)
+        scorer = PairScorer(model, fmap)
+        rng = np.random.default_rng(13)
+        for n_merge, k in ((3, 1), (6, 5), (12, 10)):
+            for _ in range(4):
+                chosen = [pairs[int(i)].sr
+                          for i in rng.choice(len(pairs), n_merge, replace=False)]
+                initial = SRPair(senders=tuple({s for sr in chosen for s in sr.senders}),
+                                 receivers=tuple({r for sr in chosen for r in sr.receivers}))
+                cfg = FilterConfig(k=k)
+                got = rev_filter(initial, cfg, scorer)
+                want = rev_filter_reference(initial, cfg, scorer)
+                assert [sr for sr, _ in got.links] == [sr for sr, _ in want.links]
+                assert (got.iterations, got.classifier_calls, got.scorer_failures) == (
+                    want.iterations, want.classifier_calls, want.scorer_failures)
+                got_scores, want_scores = (np.array([s for _, s in r.links])
+                                           for r in (got, want))
+                assert np.all(np.abs(got_scores - want_scores)
+                              <= 1e-12 * np.maximum(1.0, np.abs(want_scores)))
+                assert got.scorer_failures == 0 and got.iterations >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -541,15 +545,42 @@ def test_merge_deterministic():
 # finetune
 
 
-def small_trained_model():
+def small_pairs():
     ds = generate(
         SynthConfig(num_entities=2500, num_suspicious=30, num_licit_subgraphs=30, seed=2)
     )
     pairs, fmap, _ = make_pairs(ds.graph, ds.subgraphs)
+    return pairs, fmap
+
+
+def small_trained_model(pool="sum"):
+    pairs, fmap = small_pairs()
     train_p, valid_p, _ = split(pairs, SplitSpec(seed=1))
     model, _ = train("ds", train_p, valid_p, fmap,
-                     TrainConfig(hidden_dim=8, epochs=8, patience=4, seed=0))
+                     TrainConfig(hidden_dim=8, pool=pool, epochs=8, patience=4, seed=0))
     return model, pairs, fmap
+
+
+@pytest.mark.parametrize("arch, pool", [("ds", "sum"), ("ds", "mean"), ("bp", "sum"),
+                                        ("bp", "max")])
+def test_train_finetune_checkpoints_match_out_of_place_layers(arch, pool, tmp_path,
+                                                              monkeypatch):
+    pairs, fmap = small_pairs()
+    train_p, valid_p, _ = split(pairs, SplitSpec(seed=1))
+    merged = make_finetune_set(train_p, AugmentConfig(seed=5))
+
+    def chain(name):
+        model, _ = train(arch, train_p, valid_p, fmap,
+                         TrainConfig(hidden_dim=8, pool=pool, epochs=3, seed=0))
+        tuned, _ = finetune(model, merged, fmap, TrainConfig(epochs=2, lr=1e-3, seed=7))
+        paths = [tmp_path / f"{name}-{stage}.json" for stage in ("trained", "tuned")]
+        for path, m in zip(paths, (model, tuned)):
+            nc.save_checkpoint(str(path), m)
+        return [path.read_bytes() for path in paths]
+
+    got = chain("in-place")
+    monkeypatch.setattr(nc, "mlp_forward", mlp_forward_reference)
+    assert chain("reference") == got
 
 
 def test_finetune_zero_epochs_identity():
