@@ -1,21 +1,24 @@
-"""Time rev_filter on large 1+n@10 instances of the benchmark fixture.
+"""Time rev_filter on large 1+n@k instances of the benchmark fixture.
 
     python3 scripts/filter_scale.py --minus 400 1600 --instances 4 --reps 5 --out scale.json
     python3 scripts/filter_scale.py --minus 400 1600 --instances 4 --reps 5 \
         --out new.json --compare ../other-checkout/scale.json
+    python3 scripts/filter_scale.py --minus 400 --k 300 --reps 1 --out k300.json
 
 Run from the root of a checkout; the benchmark fixture (the C05 dataset and
 its fine-tuned ds model) is built under .bench_build on first use, as
-bench/run_bench.py builds it. Instance i of setting 1+n@10 is drawn by the
-benchmark's own sampler from ``default_rng(seed + i)``. Each instance runs
-``--reps`` times under each split rule with a fresh scorer, as the
-benchmark's filter workload does, and its time is the fastest repetition.
+bench/run_bench.py builds it. Instance i of setting 1+n@k is drawn by the
+benchmark's own sampler from ``default_rng(seed + i)``; ``--k`` defaults to
+the benchmark's 10, and k >= 300 makes rounds of more than
+``classifier.SCORE_CHUNK`` blocks. Each instance runs ``--reps`` times
+under each split rule with a fresh scorer, as the benchmark's filter
+workload does, and its time is the fastest repetition.
 Prints one line per setting (median over instances) and writes every
 instance's sizes, times, links, scores and counts to ``--out``.
 ``--compare OTHER.json`` then checks this run against another checkout's
 ``--out`` file: it exits 1 unless both hold the same instances with
-identical links, iterations and classifier_calls, and prints the largest
-score difference.
+identical links, iterations, classifier_calls and scorer_failures, and
+prints the largest score difference.
 """
 
 import argparse
@@ -41,6 +44,7 @@ def main(argv=None):
     p.add_argument("--instances", type=int, default=4)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k", type=int, default=workloads.K, help="links per query")
     p.add_argument("--out", required=True)
     p.add_argument("--compare", metavar="OTHER.json",
                    help="another checkout's --out file to check this run against")
@@ -61,7 +65,7 @@ def main(argv=None):
                 for _ in range(args.reps):
                     t0 = perf_counter()
                     result = rf.rev_filter(query.initial_pair,
-                                           rf.FilterConfig(k=workloads.K, split_rule=rule),
+                                           rf.FilterConfig(k=args.k, split_rule=rule),
                                            classifier.PairScorer(model, fmap))
                     times.append(perf_counter() - t0)
                 rows.append({
@@ -75,7 +79,7 @@ def main(argv=None):
                     "scorer_failures": result.scorer_failures,
                 })
         mine = [r for r in rows if r["n_minus"] == n_minus]
-        print(f"1+{n_minus}@{workloads.K}: median {median(r['ms'] for r in mine):.1f} ms "
+        print(f"1+{n_minus}@{args.k}: median {median(r['ms'] for r in mine):.1f} ms "
               f"over {len(mine)} instance-rules, "
               f"|S|x|R| median {median(r['senders'] for r in mine):.0f}"
               f"x{median(r['receivers'] for r in mine):.0f}")
@@ -84,14 +88,16 @@ def main(argv=None):
         fh.write("\n")
     if args.compare:
         worst = compare(rows, args.compare)
-        print(f"same links, iterations and classifier_calls as {args.compare} on "
-              f"{len(rows)} instance-rules; largest score difference {worst:.3g}")
+        print(f"same links, iterations, classifier_calls and scorer_failures as "
+              f"{args.compare} on {len(rows)} instance-rules; "
+              f"largest score difference {worst:.3g}")
 
 
 def compare(rows, other_path):
     """Largest absolute score difference between ``rows`` and the rows of
     another run saved at ``other_path``. Exits 1 unless both hold the same
-    instances with identical links, iterations and classifier_calls."""
+    instances with identical links, iterations, classifier_calls and
+    scorer_failures."""
     def by_instance(table):
         return {(r["n_minus"], r["instance"], r["split_rule"]): r for r in table}
 
@@ -101,9 +107,9 @@ def compare(rows, other_path):
         sys.exit(f"error: {other_path} holds other instances than this run")
     worst = 0.0
     for key, row in mine.items():
-        for field in ("links", "iterations", "classifier_calls"):
+        for field in ("links", "iterations", "classifier_calls", "scorer_failures"):
             if row[field] != other[key][field]:
-                sys.exit(f"error: 1+{key[0]}@{workloads.K} instance {key[1]} ({key[2]}): "
+                sys.exit(f"error: 1+{key[0]} instance {key[1]} ({key[2]}): "
                          f"{field} differ from {other_path}")
         worst = max([worst] + [abs(a - b) for a, b in zip(row["scores"], other[key]["scores"])])
     return worst

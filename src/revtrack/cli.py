@@ -13,6 +13,7 @@ manifest records: seeds and input paths (eval-cls: None, no manifest).
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -191,7 +192,13 @@ def cmd_finetune(args):
                "input_paths": _dataset_paths(args.data_dir) + [args.model]}
 
 
+def _check_threshold(threshold):
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+
+
 def cmd_classify(args):
+    _check_threshold(args.threshold)
     model = load_checkpoint(args.model)
     graph, _ = load_dataset(args.data_dir, require_subgraphs=False)
     subgraphs = read_subgraphs_jsonl(args.subgraphs, graph.id_remap, graph.num_nodes)
@@ -213,6 +220,7 @@ def cmd_classify(args):
 
 
 def cmd_eval_cls(args):
+    _check_threshold(args.threshold)
     _, pairs, features = _load_pairs(args.data_dir)
     model = load_checkpoint(args.model)
     _, _, test_pairs = split(pairs, SplitSpec(seed=args.split_seed))

@@ -203,15 +203,13 @@ def read_subgraphs_jsonl(path, id_remap=None, num_nodes=None):
             for e in edges:
                 if not isinstance(e, list) or len(e) != 2:
                     raise GraphLoadError(f"{where}: edge {e!r} is not a [src, dst] pair")
-            subgraphs.append(
-                Subgraph(
-                    id=str(record["id"]),
-                    nodes=dense_node_ids(nodes, where, id_remap, num_nodes),
-                    edges=tuple(dense_node_ids(e, where, id_remap, num_nodes)
-                                for e in edges),
-                    label=record.get("label"),
-                )
-            )
+            nodes = dense_node_ids(nodes, where, id_remap, num_nodes)
+            edges = tuple(dense_node_ids(e, where, id_remap, num_nodes) for e in edges)
+            try:
+                subgraphs.append(Subgraph(id=str(record["id"]), nodes=nodes, edges=edges,
+                                          label=record.get("label")))
+            except ValueError as exc:  # no nodes, an edge off them, an unknown label
+                raise GraphLoadError(f"{where}: {exc}") from exc
     return subgraphs
 
 

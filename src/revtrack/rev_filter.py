@@ -72,49 +72,40 @@ def expand(candidates):
 
     A candidate ``(s_lo, s_hi, r_lo, r_hi)`` holds half-open slices of the
     side tuples that ``rev_filter`` fixes. Each side splits at its ceiling
-    half ``(lo + hi + 1) // 2``; children replace their parent in (S1,R1),
-    (S1,R2), (S2,R1), (S2,R2) order, empty ones dropped, so a 1-1 candidate
-    is its own only child. The children's blocks partition the parent's.
+    half; children, as rows of an (n, 4) int64 array, replace their parent
+    in (S1,R1), (S1,R2), (S2,R1), (S2,R2) order, empty ones dropped, so a
+    1-1 candidate is its own only child. Their blocks partition the parent's.
     """
-    out = []
-    for s_lo, s_hi, r_lo, r_hi in candidates:
-        s_mid = (s_lo + s_hi + 1) // 2
-        r_mid = (r_lo + r_hi + 1) // 2
-        for a, b in ((s_lo, s_mid), (s_mid, s_hi)):
-            if a < b:
-                for c, d in ((r_lo, r_mid), (r_mid, r_hi)):
-                    if c < d:
-                        out.append((a, b, c, d))
-    return out
-
-
-def _pairs(candidates, senders, receivers):
-    """The SRPair of every candidate, built only for the returned links."""
-    return [SRPair(senders=senders[a:b], receivers=receivers[c:d])
-            for a, b, c, d in candidates]
+    c = np.asarray(candidates, dtype=np.int64).reshape(-1, 4)
+    ends = np.concatenate([c, (c[:, ::2] + c[:, 1::2] + 1) // 2], axis=1)  # c, s_mid, r_mid
+    s_lo, s_hi, r_lo, r_hi, s_mid, r_mid = range(6)  # the columns of ends
+    children = ends[:, [(s_lo, s_mid, r_lo, r_mid),    # (S1,R1)
+                        (s_lo, s_mid, r_mid, r_hi),    # (S1,R2)
+                        (s_mid, s_hi, r_lo, r_mid),    # (S2,R1)
+                        (s_mid, s_hi, r_mid, r_hi)]]   # (S2,R2)
+    children = children.reshape(-1, 4)  # parent-major
+    return children[(children[:, 0] < children[:, 1]) & (children[:, 2] < children[:, 3])]
 
 
 def _score_all(candidates, score_blocks):
-    """(scores, failures) of a list of candidate blocks from one
-    ``score_blocks`` call.
+    """(scores, failures) of an (n, 4) array of candidate blocks from one
+    ``score_blocks`` call; the scores are a float64 array.
 
     If that call fails, each block is scored alone, and a block that still
     fails scores 0 (fail closed for that block only).
     """
     try:
-        return [float(s) for s in score_blocks(candidates)], 0
+        return np.asarray(score_blocks(candidates), dtype=np.float64), 0
     except Exception as exc:
         logger.warning("scorer failed on %d blocks: %s; scoring them one by one",
                        len(candidates), exc)
-    scores = []
+    scores = np.zeros(len(candidates))
     failures = 0
-    for block in candidates:
+    for i in range(len(candidates)):
         try:
-            (score_val,) = score_blocks([block])
-            scores.append(float(score_val))
+            (scores[i],) = score_blocks(candidates[i:i + 1])
         except Exception as exc:
-            logger.warning("scorer failed on block %s: %s", block, exc)
-            scores.append(0.0)
+            logger.warning("scorer failed on block %s: %s", tuple(candidates[i].tolist()), exc)
             failures += 1
     return scores, failures
 
@@ -122,18 +113,19 @@ def _score_all(candidates, score_blocks):
 def filter_step(candidates, keep_count, score_blocks):
     """Keep the top ``keep_count`` candidates by score (stable on ties).
 
-    Lists already within budget pass through unscored. Otherwise every
-    candidate is scored in one ``score_blocks`` call, and the kept
-    candidates come back in score order without their scores. Returns
-    (candidates, pairs_scored, failures).
+    Lists already within budget pass through unscored, as the same object.
+    Otherwise every candidate is scored in one ``score_blocks`` call, and
+    the kept ones come back in score order as an (n, 4) int64 array.
+    Returns (candidates, pairs_scored, failures).
     """
     if keep_count < 1:
         raise ValueError("keep_count must be >= 1")
     if len(candidates) <= keep_count:
         return candidates, 0, 0
+    candidates = np.asarray(candidates, dtype=np.int64)
     scores, failures = _score_all(candidates, score_blocks)
-    order = np.argsort(-np.asarray(scores), kind="stable")[:keep_count]
-    return [candidates[i] for i in order], len(candidates), failures
+    order = np.argsort(-scores, kind="stable")[:keep_count]
+    return candidates[order], len(candidates), failures
 
 
 def keep_schedule(config: FilterConfig, t: int, total: int) -> int:
@@ -160,12 +152,12 @@ def rev_filter(initial: SRPair, config: FilterConfig, scorer) -> FilterResult:
     the fixed sides (see ``PairScorer.blocks``, which takes a ds block's rho
     pre-activation from per-side prefix sums projected by rho once per
     query, so a round costs O(blocks), not O(rows), and no rho product); the
-    function it returns maps a list of blocks to the probabilities of their
-    pairs, and each round over budget and the final ranking call it once.
-    If the initial product holds fewer than k links, all are returned. ``classifier_calls`` counts
-    the pairs scored. A block that function fails on, even alone, scores 0
-    and counts in ``scorer_failures``. Only the k returned links become
-    SRPairs.
+    function it returns maps an (n, 4) int64 array of blocks to the
+    probabilities of their pairs, and each round over budget and the final
+    ranking call it once. If the initial product holds fewer than k links,
+    all are returned. ``classifier_calls`` counts the pairs scored. A block
+    that function fails on, even alone, scores 0 and counts in
+    ``scorer_failures``. Only the k returned links become SRPairs.
     """
     senders, receivers = initial.senders, initial.receivers
     if not senders or not receivers:
@@ -180,9 +172,9 @@ def rev_filter(initial: SRPair, config: FilterConfig, scorer) -> FilterResult:
     depths = [math.ceil(math.log2(len(side))) for side in (senders, receivers)]
     horizon, max_iterations = max(depths), sum(depths) + 1
 
-    candidates = [(0, len(senders), 0, len(receivers))]
+    candidates = np.array([(0, len(senders), 0, len(receivers))], dtype=np.int64)
     iteration = calls = failures = 0
-    while not all(b - a == 1 and d - c == 1 for a, b, c, d in candidates):
+    while (candidates[:, 1::2] - candidates[:, ::2] != 1).any():  # until all are 1 x 1
         if iteration >= max_iterations:
             raise RuntimeError("bisection failed to terminate within its bound")
         candidates = expand(candidates)
@@ -195,10 +187,11 @@ def rev_filter(initial: SRPair, config: FilterConfig, scorer) -> FilterResult:
     final_scores, failed = _score_all(candidates, score_blocks)
     calls += len(candidates)
     failures += failed
-    order = np.argsort(-np.asarray(final_scores), kind="stable")[: config.k].tolist()
-    pairs = _pairs([candidates[i] for i in order], senders, receivers)
+    order = np.argsort(-final_scores, kind="stable")[: config.k]
     return FilterResult(
-        links=[(sr, final_scores[i]) for sr, i in zip(pairs, order)],
+        links=[(SRPair(senders=senders[a:b], receivers=receivers[c:d]), score)
+               for (a, b, c, d), score in zip(candidates[order].tolist(),
+                                              final_scores[order].tolist())],
         iterations=iteration,
         classifier_calls=calls,
         scorer_failures=failures,

@@ -65,14 +65,20 @@ def default_class_means(feature_dim, separation=2.0):
     }
 
 
+def _number(value, kind):
+    """True if ``value`` is a ``kind`` (a ``numbers`` class) and not a bool,
+    which JSON's true and false load as and ``numbers`` counts as Integral."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass
 class SynthConfig:
     """Generator settings. Raises ValueError on a negative count or seed, a
     num_entities or feature_dim below 1, a negative or non-finite sigma or
-    shift, a
+    shift, a bool in any of these, a
     scheme_mix with an unknown name, a negative weight or a sum other than 1
     (a missing name weighs 0), class_means that do not give all three labels,
-    or a range that is not two integers 1 <= lo <= hi."""
+    or a range that is not two integers (not bools) 1 <= lo <= hi."""
 
     num_entities: int = 5000
     feature_dim: int = 8
@@ -94,11 +100,11 @@ class SynthConfig:
                          ("num_licit_subgraphs", 0), ("background_noise_edges", 0),
                          ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < lo:
+            if not _number(value, numbers.Integral) or value < lo:
                 raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
         for name in ("feature_noise_sigma", "scheme_signature_sigma", "risky_receiver_shift"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+            if not (_number(value, numbers.Real) and math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.class_means is None:
             self.class_means = default_class_means(self.feature_dim)
@@ -124,7 +130,7 @@ class SynthConfig:
         for name in _RANGES:
             pair = getattr(self, name)
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                    and all(isinstance(x, numbers.Integral) for x in pair)
+                    and all(_number(x, numbers.Integral) for x in pair)
                     and 1 <= pair[0] <= pair[1]):
                 raise ValueError(f"{name} must satisfy 1 <= lo <= hi, got {pair}")
 

@@ -426,6 +426,23 @@ def expand_reference(candidates, rule="sorted_id", rng=None):
     return out
 
 
+def expand_ranges_reference(candidates):
+    """``rev_filter.expand`` as a loop over ``(s_lo, s_hi, r_lo, r_hi)``
+    range tuples: each side splits at its ceiling half, and the nonempty
+    children replace their parent, in a list, in (S1,R1), (S1,R2), (S2,R1),
+    (S2,R2) order."""
+    out = []
+    for s_lo, s_hi, r_lo, r_hi in candidates:
+        s_mid = (s_lo + s_hi + 1) // 2
+        r_mid = (r_lo + r_hi + 1) // 2
+        for a, b in ((s_lo, s_mid), (s_mid, s_hi)):
+            if a < b:
+                for c, d in ((r_lo, r_mid), (r_mid, r_hi)):
+                    if c < d:
+                        out.append((a, b, c, d))
+    return out
+
+
 def _score_all(pairs, scorer):
     """(scores, failures) of a list of SRPairs from one scorer call.
 

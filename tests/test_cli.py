@@ -385,9 +385,14 @@ def test_generation_error_exit_code(tmp_path, capsys):
     (dict(tiny_config(), class_means={"licit": 0, "illicit": 1, "unknown": 0, "other": 2}),
      "class_means must"),
     (dict(tiny_config(), fanin_range=3), "fanin_range must satisfy"),
+    (dict(tiny_config(), seed=True), "seed must be an integer >= 0, got True"),
+    (dict(tiny_config(), background_noise_edges=True), "background_noise_edges must be"),
+    (dict(tiny_config(), feature_noise_sigma=False), "feature_noise_sigma must be"),
+    (dict(tiny_config(), chain_length_range=[True, 3]), "chain_length_range must satisfy"),
 ], ids=["feature-dim-0", "no-entities", "negative-count", "negative-noise-edges",
         "nan-sigma", "unknown-key", "not-an-object", "unknown-scheme", "negative-weight",
-        "missing-class-mean", "unknown-class-mean", "scalar-range"])
+        "missing-class-mean", "unknown-class-mean", "scalar-range", "bool-seed",
+        "bool-noise-edges", "bool-sigma", "bool-range"])
 def test_bad_generate_config_exits_1(tmp_path, capsys, config, shown):
     out_dir = tmp_path / "x"
     rc = main(["generate", "--config", write_json(tmp_path / "c.json", config),
@@ -602,7 +607,13 @@ def test_classify_rejects_subgraph_ids_outside_graph(pipeline, tmp_path, capsys,
     ({"id": "x", "label": None, "nodes": [0, 3.7], "edges": []}, "node id 3.7 "),
     ({"id": "x", "label": None, "nodes": [0, True], "edges": []}, "node id True "),
     ({"id": "x", "label": None, "nodes": [0, 1], "edges": [[0, 1.0]]}, "node id 1.0 "),
-], ids=["missing-key", "float-node", "bool-node", "float-edge-end"])
+    ({"id": "a", "label": None, "nodes": [0, 1], "edges": [[1, 3]]},
+     "subgraph 'a' edge (1,3) has endpoint outside node set"),
+    ({"id": "b", "label": "shady", "nodes": [0, 1], "edges": []},
+     "subgraph 'b' has unknown label 'shady'"),
+    ({"id": "c", "label": None, "nodes": [], "edges": []}, "subgraph 'c' has no nodes"),
+], ids=["missing-key", "float-node", "bool-node", "float-edge-end", "edge-off-nodes",
+        "unknown-label", "no-nodes"])
 def test_classify_rejects_malformed_subgraph_records(pipeline, tmp_path, capsys, record, shown):
     _, data, model, _ = pipeline
     sub_path = tmp_path / "subgraphs.jsonl"
@@ -683,15 +694,20 @@ def test_train_rejects_bad_settings_before_loading(tmp_path, capsys, flag, value
     ("finetune", "--gamma", "gamma"),
     ("finetune", "--lr", "lr"),
     ("filter", "--alpha-keep", "alpha_keep"),
+    ("classify", "--threshold", "threshold"),
+    ("eval-cls", "--threshold", "threshold"),
 ])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_settings_exit_1_before_loading(tmp_path, capsys, command, flag, field,
                                                    value):
     missing = str(tmp_path / "missing")
-    argv = [command, "--model", missing, "--data-dir", missing,
-            "--out", str(tmp_path / "out"), flag, value]
-    if command == "filter":
-        argv += ["--senders", missing, "--receivers", missing, "--k", "3"]
+    out = ["--out", str(tmp_path / "out")]
+    argv = [command, "--model", missing, "--data-dir", missing, flag, value] + {
+        "finetune": out,
+        "filter": out + ["--senders", missing, "--receivers", missing, "--k", "3"],
+        "classify": out + ["--subgraphs", missing],
+        "eval-cls": [],  # prints to stdout: no --out
+    }[command]
     assert main(argv) == 1
     assert f"error: {field} must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

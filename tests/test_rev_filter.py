@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from revtrack import rev_filter as rf
 
+from revtrack import classifier
 from revtrack import neural_core as nc
 from revtrack.classifier import (
     LabeledPair,
@@ -35,7 +36,8 @@ from revtrack.rev_filter import (
     truncated_exp_pmf,
 )
 from revtrack.synth_gen import SynthConfig, generate
-from oracles import ListScorer, mlp_forward_reference, rev_filter_reference
+from oracles import (ListScorer, expand_ranges_reference, mlp_forward_reference,
+                     rev_filter_reference)
 
 
 class OracleScorer(ListScorer):
@@ -81,14 +83,14 @@ def test_split_pair_sorted_rule():
 
 
 def test_split_pair_singleton_side():
-    assert expand([(0, 1, 0, 2)]) == [(0, 1, 0, 1), (0, 1, 1, 2)]
-    assert expand([(3, 4, 5, 7)]) == [(3, 4, 5, 6), (3, 4, 6, 7)]
+    assert expand([(0, 1, 0, 2)]).tolist() == [[0, 1, 0, 1], [0, 1, 1, 2]]
+    assert expand([(3, 4, 5, 7)]).tolist() == [[3, 4, 5, 6], [3, 4, 6, 7]]
 
 
 def test_split_pair_odd_side():
     # the odd side's first half takes the ceiling
-    assert expand([(2, 5, 0, 1)]) == [(2, 4, 0, 1), (4, 5, 0, 1)]
-    assert expand([(0, 1, 3, 10)]) == [(0, 1, 3, 7), (0, 1, 7, 10)]
+    assert expand([(2, 5, 0, 1)]).tolist() == [[2, 4, 0, 1], [4, 5, 0, 1]]
+    assert expand([(0, 1, 3, 10)]).tolist() == [[0, 1, 3, 7], [0, 1, 7, 10]]
 
 
 def test_expand_quadrants():
@@ -97,10 +99,10 @@ def test_expand_quadrants():
 
 
 def test_expand_carries_one_one():
-    assert expand([(3, 4, 7, 8)]) == [(3, 4, 7, 8)]
+    assert expand([(3, 4, 7, 8)]).tolist() == [[3, 4, 7, 8]]
     # in place, between the children of its neighbours
-    assert expand([(0, 2, 0, 1), (2, 3, 0, 1), (3, 5, 0, 1)]) == [
-        (0, 1, 0, 1), (1, 2, 0, 1), (2, 3, 0, 1), (3, 4, 0, 1), (4, 5, 0, 1)
+    assert expand([(0, 2, 0, 1), (2, 3, 0, 1), (3, 5, 0, 1)]).tolist() == [
+        [0, 1, 0, 1], [1, 2, 0, 1], [2, 3, 0, 1], [3, 4, 0, 1], [4, 5, 0, 1]
     ]
 
 
@@ -125,6 +127,21 @@ def test_expand_children_partition_parent_exhaustive():
                     assert seen == {(s, r) for s in range(s_lo, s_lo + ns)
                                     for r in range(r_lo, r_lo + nr)}
                     assert len(children) == (1 + (ns > 1)) * (1 + (nr > 1))
+
+
+side_slices = st.builds(lambda lo, n: (lo, lo + n), st.integers(0, 50), st.integers(1, 9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(side_slices, side_slices).map(lambda sr: sr[0] + sr[1]),
+                max_size=300))
+def test_expand_matches_loop_reference(candidates):
+    # empty lists, 1 x 1 blocks, odd and singleton sides, up to 300 blocks
+    want = [list(block) for block in expand_ranges_reference(candidates)]
+    for given_as in (candidates, np.array(candidates, dtype=np.int64).reshape(-1, 4)):
+        got = expand(given_as)
+        assert got.dtype == np.int64 and got.shape == (len(want), 4)
+        assert got.tolist() == want
 
 
 def first_round_pairs(split_rule, seed):
@@ -168,7 +185,7 @@ def test_filter_step_stable_ties():
     kept, calls, failures = filter_step(
         DIAGONAL, 2, ListScorer(lambda srs: [table[sr] for sr in srs]).blocks(*SIDES))
     # score order first, then list order among ties
-    assert kept == [DIAGONAL[1], DIAGONAL[0]]
+    assert list(map(tuple, kept.tolist())) == [DIAGONAL[1], DIAGONAL[0]]
     assert calls == 3 and failures == 0
 
 
@@ -190,7 +207,7 @@ def test_filter_step_scorer_failure_scores_zero():
 
     kept, _, failures = filter_step(DIAGONAL, 2, ListScorer(flaky).blocks(*SIDES))
     assert failures == 1
-    assert kept == [DIAGONAL[0], DIAGONAL[2]]
+    assert list(map(tuple, kept.tolist())) == [DIAGONAL[0], DIAGONAL[2]]
 
 
 def test_keep_schedule_examples():
@@ -433,24 +450,29 @@ def test_rev_filter_matches_reference_when_scorer_raises(senders, receivers, k, 
     assert got.scorer_failures >= 1
 
 
-def test_rev_filter_matches_reference_with_trained_scorer():
+def test_rev_filter_matches_reference_with_trained_scorer(monkeypatch):
     # PairScorer.blocks takes a slice's rho pre-activation as a difference of
     # two rows of rho-projected prefix sums of phi (mean: divided after the
     # projection), the SRPair-list call pools first and projects after:
-    # links and counts are exact, scores agree up to rounding order
+    # links and counts are exact, scores agree up to rounding order. With
+    # 7-block chunks, the k = 40 rounds concatenate several chunks' scores.
     for pool in ("sum", "mean"):
         model, pairs, fmap = small_trained_model(pool)
         scorer = PairScorer(model, fmap)
         rng = np.random.default_rng(13)
-        for n_merge, k in ((3, 1), (6, 5), (12, 10)):
+        for n_merge, k, chunk in ((3, 1, None), (6, 5, None), (12, 10, None), (12, 40, 7)):
             for _ in range(4):
                 chosen = [pairs[int(i)].sr
                           for i in rng.choice(len(pairs), n_merge, replace=False)]
                 initial = SRPair(senders=tuple({s for sr in chosen for s in sr.senders}),
                                  receivers=tuple({r for sr in chosen for r in sr.receivers}))
                 cfg = FilterConfig(k=k)
-                got = rev_filter(initial, cfg, scorer)
-                want = rev_filter_reference(initial, cfg, scorer)
+                with monkeypatch.context() as patched:
+                    if chunk:
+                        patched.setattr(classifier, "SCORE_CHUNK", chunk)
+                        assert len(initial.senders) * len(initial.receivers) > 2 * k
+                    got = rev_filter(initial, cfg, scorer)
+                    want = rev_filter_reference(initial, cfg, scorer)
                 assert [sr for sr, _ in got.links] == [sr for sr, _ in want.links]
                 assert (got.iterations, got.classifier_calls, got.scorer_failures) == (
                     want.iterations, want.classifier_calls, want.scorer_failures)
