@@ -45,7 +45,11 @@ def digest(data_dir):
                 graph.features, graph.node_labels):
         if arr is not None:
             h.update(arr.tobytes())
-    h.update(repr(graph.id_remap).encode())
+    if hasattr(graph, "node_ids"):
+        ids = None if graph.node_ids is None else graph.node_ids.tolist()
+    else:  # a checkout older than node_ids: the keys of its id dict, ascending
+        ids = None if graph.id_remap is None else list(graph.id_remap)
+    h.update(repr(ids).encode())
     h.update(repr(subgraphs).encode())
     return h.hexdigest()
 

@@ -201,7 +201,7 @@ def cmd_classify(args):
     _check_threshold(args.threshold)
     model = load_checkpoint(args.model)
     graph, _ = load_dataset(args.data_dir, require_subgraphs=False)
-    subgraphs = read_subgraphs_jsonl(args.subgraphs, graph.id_remap, graph.num_nodes)
+    subgraphs = read_subgraphs_jsonl(args.subgraphs, graph)
     ids, srs = [], []
     for sg, (s, r) in zip(subgraphs, boundary_sides(graph, subgraphs)):
         if s and r:
@@ -253,7 +253,7 @@ def _read_id_file(path, graph):
         if n in seen:
             raise GraphLoadError(f"{path}: duplicate node id {n}")
         seen.add(n)
-    return dense_node_ids(ids, path, graph.id_remap, graph.num_nodes)
+    return dense_node_ids(ids, path, graph)
 
 
 def cmd_filter(args):
@@ -262,17 +262,14 @@ def cmd_filter(args):
     graph, _ = load_dataset(args.data_dir, require_subgraphs=False)
     senders = _read_id_file(args.senders, graph)
     receivers = _read_id_file(args.receivers, graph)
-    remap = graph.id_remap or {}
-    inverse = {dense: orig for orig, dense in remap.items()}
-    to_orig = (lambda n: inverse[n]) if remap else (lambda n: n)
     scorer = PairScorer(model, graph.features)
     result = rev_filter(SRPair(senders=tuple(senders), receivers=tuple(receivers)),
                         config, scorer)
+    orig = range(graph.num_nodes) if graph.node_ids is None else graph.node_ids
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("rank,sender,receiver,score\n")
         for rank, (sr, score_val) in enumerate(result.links, start=1):
-            fh.write(f"{rank},{to_orig(sr.senders[0])},"
-                     f"{to_orig(sr.receivers[0])},{repr(score_val)}\n")
+            fh.write(f"{rank},{orig[sr.senders[0]]},{orig[sr.receivers[0]]},{repr(score_val)}\n")
     _log(f"{result.iterations} iterations, {result.classifier_calls} classifier calls")
     if result.scorer_failures:
         _log(f"warning: scorer failed on {result.scorer_failures} pairs (scored 0)")

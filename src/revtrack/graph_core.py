@@ -71,8 +71,8 @@ class BackgroundGraph:
     in_indices: np.ndarray
     features: np.ndarray
     node_labels: np.ndarray | None = None
-    # Populated when input node ids were not dense 0..n-1 (original -> dense).
-    id_remap: dict | None = None
+    # The ascending original node ids, one per row, when they were not 0..n-1.
+    node_ids: np.ndarray | None = None
 
     @property
     def num_edges(self) -> int:
@@ -171,12 +171,13 @@ class GraphletHistogram:
         }
 
 
-def build_graph(num_nodes, edges, features, node_labels=None, id_remap=None):
+def build_graph(num_nodes, edges, features, node_labels=None, node_ids=None):
     """Assemble a BackgroundGraph from (src, dst) pairs of dense node ids.
 
     ``edges`` is an (m, 2) integer array or an iterable of pairs with
     endpoints in [0, num_nodes). Duplicates collapse to one edge; a
     self-loop or a feature that is nan or infinite is an error.
+    ``node_ids``, if given, are the rows' original ids: ascending, int64.
     """
     features = np.array(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != num_nodes:
@@ -204,10 +205,19 @@ def build_graph(num_nodes, edges, features, node_labels=None, id_remap=None):
         if labels_arr.shape != (num_nodes,):
             raise GraphLoadError("node_labels length must equal num_nodes")
         arrays.append(labels_arr)
+    if node_ids is not None:
+        arrays.append(node_ids)
     for arr in arrays:
         arr.setflags(write=False)
     return BackgroundGraph(num_nodes, out_indptr, dst, in_indptr, in_indices, features,
-                           labels_arr, id_remap)
+                           labels_arr, node_ids)
+
+
+def id_rows(node_ids, ids):
+    """(rows, held): the rows where ``ids`` sit in the ascending int64 array
+    ``node_ids`` and its ids at those rows; an id is in ``node_ids`` iff held."""
+    rows = node_ids.searchsorted(ids)
+    return rows, node_ids.take(rows, mode="clip")
 
 
 def load_graph(edges, node_ids, features, node_labels=None):
@@ -216,9 +226,9 @@ def load_graph(edges, node_ids, features, node_labels=None):
     ``edges`` is an (m, 2) array of original node ids, one row per edge
     row; ``node_ids``, ``features`` (n, d) and ``node_labels`` (n label
     codes, or None) are the node table's columns in row order. Node ids
-    need not be dense: they are densified by ascending original id and the
-    mapping is retained on the graph. Duplicate edges collapse to one;
-    self-loops are dropped.
+    need not be dense: row i holds the i-th smallest id, and unless the ids
+    are 0..n-1 the graph keeps them as ``node_ids``. Duplicate edges
+    collapse to one; self-loops are dropped.
 
     Returns (graph, stats) where stats counts dropped duplicates/self-loops.
     """
@@ -230,13 +240,10 @@ def load_graph(edges, node_ids, features, node_labels=None):
     if np.any(ids[1:] == ids[:-1]):
         raise GraphLoadError("duplicate node ids in node stream")
     num_nodes = len(ids)
-    id_remap = None
-    if ids[0] != 0 or ids[-1] != num_nodes - 1:
-        id_remap = dict(zip(ids.tolist(), range(num_nodes)))
 
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    dense = np.searchsorted(ids, edges)
-    dangling = ids[np.minimum(dense, num_nodes - 1)] != edges
+    dense, held = id_rows(ids, edges)
+    dangling = held != edges
     if dangling.any():
         row, col = divmod(int(np.argmax(dangling)), 2)
         raise GraphLoadError(f"dangling endpoint {edges[row, col]} at edges row {row}")
@@ -244,7 +251,8 @@ def load_graph(edges, node_ids, features, node_labels=None):
     kept = dense[~loops]
 
     labels = None if node_labels is None else np.asarray(node_labels)[order]
-    graph = build_graph(num_nodes, kept, np.asarray(features)[order], labels, id_remap)
+    graph = build_graph(num_nodes, kept, np.asarray(features)[order], labels,
+                        None if ids[0] == 0 and ids[-1] == num_nodes - 1 else ids)
     stats = {"duplicate_edges": len(kept) - graph.num_edges,
              "self_loops_dropped": int(loops.sum())}
     return graph, stats
@@ -322,8 +330,7 @@ def _outside_neighbors(indptr, indices, nodes, owner, member_keys, n, k):
     offsets = np.cumsum(lens) - lens
     nbrs = indices[np.repeat(starts - offsets, lens) + np.arange(total)]
     keys = np.repeat(owner, lens) * n + nbrs
-    pos = np.minimum(np.searchsorted(member_keys, keys), len(member_keys) - 1)
-    keys = np.unique(keys[member_keys[pos] != keys])
+    keys = np.unique(keys[id_rows(member_keys, keys)[1] != keys])
     return _ragged(keys // n, keys % n, k)
 
 

@@ -23,6 +23,7 @@ from .graph_core import (
     UNKNOWN,
     GraphLoadError,
     Subgraph,
+    id_rows,
     load_graph,
 )
 
@@ -162,27 +163,40 @@ def write_subgraphs_jsonl(path, subgraphs):
             for sg in subgraphs)
 
 
-def dense_node_ids(ids, source, id_remap=None, num_nodes=None):
-    """Dense row indices of the original node ids ``ids``, in order.
+def dense_node_ids(ids, source, graph=None):
+    """Dense row indices of the original node ids ``ids`` (a list), in order.
 
-    With ``id_remap`` (original -> dense) an id must be one of its keys;
-    otherwise, given ``num_nodes``, it must lie in [0, num_nodes), so a
-    negative id cannot alias a row from the end. With neither, ids pass
-    through unchecked. Raises GraphLoadError naming ``source`` and the
-    first id that is not an integer or not a node of the graph.
+    Given ``graph``, an id must be a node of it: one of ``graph.node_ids``,
+    or in [0, num_nodes) when that is None, so a negative id cannot alias a
+    row from the end. Without a graph, ids pass through unchecked. Raises
+    GraphLoadError naming ``source`` and the first id that is not an
+    integer or not a node of the graph.
     """
-    out = []
-    for n in ids:
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise GraphLoadError(f"{source}: node id {n!r} is not an integer")
-        dense = id_remap.get(n) if id_remap else n
-        if dense is None or (num_nodes is not None and not 0 <= dense < num_nodes):
-            raise GraphLoadError(f"{source}: node id {n} is not a node of the graph")
-        out.append(dense)
-    return out
+    rows = _node_rows(ids, graph)
+    if rows is None:  # name the first id at fault
+        for n in ids:
+            if type(n) is not int:
+                raise GraphLoadError(f"{source}: node id {n!r} is not an integer")
+            if _node_rows([n], graph) is None:
+                raise GraphLoadError(f"{source}: node id {n} is not a node of the graph")
+    return rows
 
 
-def read_subgraphs_jsonl(path, id_remap=None, num_nodes=None):
+def _node_rows(ids, graph):
+    """``dense_node_ids`` of ``ids``, or None if one is not an integer or not a node."""
+    if not set(map(type, ids)) <= {int}:  # bool is an int subclass, not an id
+        return None
+    if graph is None or not ids:
+        return ids
+    if graph.node_ids is None:
+        return ids if 0 <= min(ids) and max(ids) < graph.num_nodes else None
+    if min(ids) < -2**63 or max(ids) >= 2**63:  # no node, and beyond what int64 holds
+        return None
+    rows, held = id_rows(graph.node_ids, ids)
+    return rows.tolist() if held.tolist() == ids else None
+
+
+def read_subgraphs_jsonl(path, graph=None):
     """Subgraphs of a JSONL file, node ids mapped by ``dense_node_ids``."""
     subgraphs = []
     with open(path, encoding="utf-8") as fh:
@@ -200,14 +214,16 @@ def read_subgraphs_jsonl(path, id_remap=None, num_nodes=None):
             nodes, edges = record["nodes"], record["edges"]
             if not isinstance(nodes, list) or not isinstance(edges, list):
                 raise GraphLoadError(f"{where}: 'nodes' and 'edges' must be lists")
+            ids = list(nodes)  # then each edge's two endpoints
             for e in edges:
                 if not isinstance(e, list) or len(e) != 2:
                     raise GraphLoadError(f"{where}: edge {e!r} is not a [src, dst] pair")
-            nodes = dense_node_ids(nodes, where, id_remap, num_nodes)
-            edges = tuple(dense_node_ids(e, where, id_remap, num_nodes) for e in edges)
+                ids += e
+            rows = dense_node_ids(ids, where, graph)
+            pairs = iter(rows[len(nodes):])
             try:
-                subgraphs.append(Subgraph(id=str(record["id"]), nodes=nodes, edges=edges,
-                                          label=record.get("label")))
+                subgraphs.append(Subgraph(id=str(record["id"]), nodes=rows[:len(nodes)],
+                                          edges=zip(pairs, pairs), label=record.get("label")))
             except ValueError as exc:  # no nodes, an edge off them, an unknown label
                 raise GraphLoadError(f"{where}: {exc}") from exc
     return subgraphs
@@ -237,7 +253,7 @@ def load_dataset(data_dir, require_subgraphs=True):
     sub_path = os.path.join(data_dir, SUBGRAPHS_FILE)
     if not os.path.exists(sub_path):
         raise GraphLoadError(f"missing {sub_path}")
-    return graph, read_subgraphs_jsonl(sub_path, graph.id_remap, graph.num_nodes)
+    return graph, read_subgraphs_jsonl(sub_path, graph)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,14 @@ class AugmentConfig:
             raise ValueError("merge_range must satisfy 1 <= lo <= hi")
 
 
+# The columns of ``expand``'s table [s_lo, s_hi, r_lo, r_hi, s_mid, r_mid]
+# that bound each child, built once: an index list is converted on every use.
+_QUADRANTS = np.array([(0, 4, 2, 5),    # (S1,R1): s_lo:s_mid, r_lo:r_mid
+                       (0, 4, 5, 3),    # (S1,R2): s_lo:s_mid, r_mid:r_hi
+                       (4, 1, 2, 5),    # (S2,R1): s_mid:s_hi, r_lo:r_mid
+                       (4, 1, 5, 3)])   # (S2,R2): s_mid:s_hi, r_mid:r_hi
+
+
 def expand(candidates):
     """Replace every non-1-1 candidate with its nonempty quadrant children.
 
@@ -78,12 +86,7 @@ def expand(candidates):
     """
     c = np.asarray(candidates, dtype=np.int64).reshape(-1, 4)
     ends = np.concatenate([c, (c[:, ::2] + c[:, 1::2] + 1) // 2], axis=1)  # c, s_mid, r_mid
-    s_lo, s_hi, r_lo, r_hi, s_mid, r_mid = range(6)  # the columns of ends
-    children = ends[:, [(s_lo, s_mid, r_lo, r_mid),    # (S1,R1)
-                        (s_lo, s_mid, r_mid, r_hi),    # (S1,R2)
-                        (s_mid, s_hi, r_lo, r_mid),    # (S2,R1)
-                        (s_mid, s_hi, r_mid, r_hi)]]   # (S2,R2)
-    children = children.reshape(-1, 4)  # parent-major
+    children = ends[:, _QUADRANTS].reshape(-1, 4)  # parent-major
     return children[(children[:, 0] < children[:, 1]) & (children[:, 2] < children[:, 3])]
 
 

@@ -49,6 +49,7 @@ def load_graph_rows(edge_rows, node_rows):
     id_remap = None
     if set(ids) != set(range(num_nodes)):
         id_remap = {orig: i for i, orig in enumerate(sorted(ids))}
+    node_ids = None if id_remap is None else np.array(sorted(ids), dtype=np.int64)
 
     def to_dense(orig):
         return orig if id_remap is None else id_remap[orig]
@@ -90,7 +91,7 @@ def load_graph_rows(edge_rows, node_rows):
         in_indices=edge_arr[np.lexsort((edge_arr[:, 0], edge_arr[:, 1])), 0],
         features=features,
         node_labels=labels,
-        id_remap=id_remap,
+        node_ids=node_ids,
     )
     return graph, {"duplicate_edges": duplicates, "self_loops_dropped": self_loops}
 

@@ -109,7 +109,7 @@ def test_boundary_stages_match_reference_on_remapped_ids(tmp_path):
         **r, "nodes": [sparse(v) for v in r["nodes"]],
         "edges": [[sparse(u), sparse(v)] for u, v in r["edges"]]}) + "\n" for r in records))
     graph, subgraphs = io_utils.load_dataset(str(tmp_path))
-    assert graph.id_remap is not None and len(subgraphs) == 80
+    assert graph.node_ids is not None and len(subgraphs) == 80
     assert_boundary_stages_match_reference(graph, subgraphs)
 
 

@@ -91,17 +91,16 @@ def test_save_is_byte_deterministic(tmp_path):
     for name in ("out_indptr", "out_indices", "in_indptr", "in_indices", "node_labels"):
         assert np.array_equal(getattr(loaded, name), getattr(graph, name)), name
     assert loaded.features.view(np.int64).tolist() == graph.features.view(np.int64).tolist()
-    assert loaded.id_remap is None
+    assert loaded.node_ids is None
     assert loaded_subgraphs == subgraphs
 
 
 def test_subgraph_file_with_sparse_ids(tmp_path):
-    graph = build_graph(2, [(0, 1)], np.zeros((2, 2)))
+    graph = build_graph(2, [(0, 1)], np.zeros((2, 2)), node_ids=np.array([10, 30]))
     # write with original sparse ids, read back densified
     sub_path = tmp_path / "subgraphs.jsonl"
     sub_path.write_text('{"id":"x","label":null,"nodes":[10,30],"edges":[[10,30]]}\n')
-    remap = {10: 0, 30: 1}
-    (sg,) = io_utils.read_subgraphs_jsonl(sub_path, remap)
+    (sg,) = io_utils.read_subgraphs_jsonl(sub_path, graph)
     assert sg.nodes == (0, 1)
     assert sg.edges == ((0, 1),)
     validate_against(sg, graph)
@@ -662,6 +661,92 @@ def test_filter_exits_2_when_scorer_fails_on_a_pair(pipeline, tmp_path, capsys, 
     assert "warning: scorer failed on" in capsys.readouterr().err
     assert len(links_csv.read_text().strip().splitlines()) == 4
     assert os.path.exists(str(links_csv) + ".manifest.json")
+
+
+def sparse(v):
+    """The node id renaming of ``test_boundary_stages_match_reference_on_remapped_ids``:
+    injective below 10007, not monotone."""
+    return 10**9 + (v * 7919) % 10007 * 3
+
+
+@pytest.fixture(scope="module")
+def sparse_data(pipeline):
+    """The pipeline's dataset with every node id v renamed ``sparse(v)``."""
+    root, data, _, _ = pipeline
+    out = root / "sparse"
+    out.mkdir()
+    edges = io_utils.read_edges_csv(data / "edges.csv")
+    io_utils.write_edges_csv(out / "edges.csv", np.vectorize(sparse)(edges))
+    head, *rows = (data / "nodes.csv").read_text().splitlines()
+    renamed = [f"{sparse(int(node_id))},{rest}" for node_id, rest in (r.split(",", 1) for r in rows)]
+    (out / "nodes.csv").write_text("\n".join([head, *renamed]) + "\n")
+    records = [json.loads(line) for line in (data / "subgraphs.jsonl").read_text().splitlines()]
+    (out / "subgraphs.jsonl").write_text("".join(json.dumps({
+        **r, "nodes": [sparse(v) for v in r["nodes"]],
+        "edges": [[sparse(u), sparse(v)] for u, v in r["edges"]]}) + "\n" for r in records))
+    return out
+
+
+@pytest.mark.parametrize("split", ["sorted", "random"])
+def test_sparse_ids_give_the_dense_run_in_original_ids(pipeline, sparse_data, tmp_path, split):
+    _, data, model, tuned = pipeline
+    # The filter bisects a side in ascending row order, which on the sparse
+    # copy is ascending sparse id: the ids 9i and 9i + 4 keep their order
+    # under ``sparse``, so both runs bisect the same node sequences.
+    s_ids, r_ids = list(range(0, 72, 9)), list(range(4, 67, 9))
+    assert sorted(s_ids, key=sparse) == s_ids and sorted(r_ids, key=sparse) == r_ids
+    out = {}
+    for name, data_dir, rename in (("dense", data, int), ("sparse", sparse_data, sparse)):
+        senders, receivers = tmp_path / f"{name}-s.txt", tmp_path / f"{name}-r.txt"
+        senders.write_text("".join(f"{rename(s)}\n" for s in s_ids))
+        receivers.write_text("".join(f"{rename(r)}\n" for r in r_ids))
+        links, scores = tmp_path / f"{name}-links.csv", tmp_path / f"{name}-scores.csv"
+        assert main([
+            "filter", "--model", str(tuned), "--data-dir", str(data_dir),
+            "--senders", str(senders), "--receivers", str(receivers),
+            "--k", "3", "--split", split, "--seed", "5", "--out", str(links),
+        ]) == 0
+        assert main([
+            "classify", "--model", str(model), "--data-dir", str(data_dir),
+            "--subgraphs", str(data_dir / "subgraphs.jsonl"), "--out", str(scores),
+        ]) == 0
+        out[name] = links.read_text(), [row.split(",") for row in scores.read_text().splitlines()]
+    header, *rows = out["dense"][0].splitlines()
+    renamed = [f"{rank},{sparse(int(s))},{sparse(int(r))},{score}"
+               for rank, s, r, score in (row.split(",") for row in rows)]
+    assert len(rows) == 3
+    assert out["sparse"][0].splitlines() == [header] + renamed
+    # A subgraph's senders come in ascending row order, which the renaming
+    # permutes, so a pooled sum may round differently in its last bits.
+    (head, *dense), (sparse_head, *sparse_rows) = out["dense"][1], out["sparse"][1]
+    assert sparse_head == head and len(sparse_rows) == len(dense) == 50
+    for (sg_id, score, pred), (sparse_id, sparse_score, sparse_pred) in zip(dense, sparse_rows):
+        assert (sparse_id, sparse_pred) == (sg_id, pred)
+        assert abs(float(sparse_score) - float(score)) <= 1e-12
+
+
+@pytest.mark.parametrize("where", ["node", "edge", "senders"])
+@pytest.mark.parametrize("ids", ["dense", "sparse"])
+def test_id_beyond_int64_is_not_a_node(pipeline, sparse_data, tmp_path, capsys, ids, where):
+    _, data, model, tuned = pipeline
+    data_dir, rename = (data, int) if ids == "dense" else (sparse_data, sparse)
+    a, b, huge = rename(0), rename(4), 2**70
+    if where == "senders":
+        senders, receivers = tmp_path / "s.txt", tmp_path / "r.txt"
+        senders.write_text(f"{a}\n{huge}\n")
+        receivers.write_text(f"{b}\n")
+        argv = ["filter", "--model", str(tuned), "--senders", str(senders),
+                "--receivers", str(receivers), "--k", "1"]
+        shown = f"{senders}: node id {huge} is not a node of the graph"
+    else:
+        record = ({"id": "x", "label": None, "nodes": [a, huge], "edges": []} if where == "node"
+                  else {"id": "x", "label": None, "nodes": [a, b], "edges": [[a, huge]]})
+        sub_path = tmp_path / "subgraphs.jsonl"
+        sub_path.write_text(json.dumps(record) + "\n")
+        argv = ["classify", "--model", str(model), "--subgraphs", str(sub_path)]
+        shown = f"subgraphs.jsonl:1: node id {huge} is not a node of the graph"
+    assert main(argv + ["--data-dir", str(data_dir), "--out", str(tmp_path / "out.csv")]) == 1
+    assert shown in capsys.readouterr().err
 
 
 def test_train_rejects_max_pool_for_ds_before_loading(tmp_path, capsys):

@@ -161,7 +161,7 @@ def test_load_graph_densifies_sparse_ids():
         np.array([(10, 30)]), [10, 30, 20], [[1.0], [2.0], [3.0]],
         [LICIT, ILLICIT, UNKNOWN],
     )
-    assert graph.id_remap == {10: 0, 20: 1, 30: 2}
+    assert graph.node_ids.tolist() == [10, 20, 30]
     assert list(graph.out_neighbors(0)) == [2]
     assert graph.features[2, 0] == 2.0
     assert list(graph.node_labels) == [LICIT, UNKNOWN, ILLICIT]
@@ -247,7 +247,9 @@ def test_array_loader_matches_row_reference(tables, label_column):
     assert (g.node_labels is None) == (r.node_labels is None)
     if r.node_labels is not None:
         assert np.array_equal(g.node_labels, r.node_labels)
-    assert g.id_remap == r.id_remap
+    assert (g.node_ids is None) == (r.node_ids is None)
+    if r.node_ids is not None:
+        assert np.array_equal(g.node_ids, r.node_ids)
 
 
 def test_transpose_consistency_random():
