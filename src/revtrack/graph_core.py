@@ -191,7 +191,7 @@ def build_graph(num_nodes, edges, features, node_labels=None, node_ids=None):
         raise GraphLoadError("edge endpoint outside [0, num_nodes)")
     # The distinct pairs in (src, dst) order, through one int64 key per pair:
     # dst is then the out-adjacency and a stable sort by dst the in-adjacency.
-    src, dst = np.divmod(np.unique(edges[:, 0] * num_nodes + edges[:, 1]), num_nodes)
+    src, dst = np.divmod(unique_ints(edges[:, 0] * num_nodes + edges[:, 1]), num_nodes)
     if np.any(src == dst):
         raise GraphLoadError("self-loops are not allowed in the background graph")
     out_indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=num_nodes))))
@@ -211,6 +211,15 @@ def build_graph(num_nodes, edges, features, node_labels=None, node_ids=None):
         arr.setflags(write=False)
     return BackgroundGraph(num_nodes, out_indptr, dst, in_indptr, in_indices, features,
                            labels_arr, node_ids)
+
+
+def unique_ints(keys):
+    """``np.unique`` of a 1-d integer array, by a sort and a neighbour mask:
+    numpy 2 takes a hash path for integer keys that is many times slower."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def id_rows(node_ids, ids):
@@ -330,7 +339,7 @@ def _outside_neighbors(indptr, indices, nodes, owner, member_keys, n, k):
     offsets = np.cumsum(lens) - lens
     nbrs = indices[np.repeat(starts - offsets, lens) + np.arange(total)]
     keys = np.repeat(owner, lens) * n + nbrs
-    keys = np.unique(keys[id_rows(member_keys, keys)[1] != keys])
+    keys = unique_ints(keys[id_rows(member_keys, keys)[1] != keys])
     return _ragged(keys // n, keys % n, k)
 
 
@@ -379,7 +388,7 @@ def boundary_table(graph: BackgroundGraph, subgraphs) -> BoundaryTable:
         live = live[kept]
     keep = np.ones(len(src), dtype=bool)
     edge_ptr = np.concatenate(([0], np.cumsum(edge_counts)))
-    for i in np.unique(node_owner[src[live]]).tolist():
+    for i in unique_ints(node_owner[src[live]]).tolist():
         sg = subgraphs[i]
         acyclic = set(break_cycles(sg).edges)
         keep[edge_ptr[i]:edge_ptr[i + 1]] = [e in acyclic for e in sg.edges]

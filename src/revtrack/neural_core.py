@@ -197,6 +197,13 @@ class Model:
     def arch(self):
         return self.config["arch"]
 
+    def copy(self):
+        """An independent copy: a new config dict and copies of every array."""
+        return Model(dict(self.config), {
+            name: MlpParams([w.copy() for w in mlp.weights], [b.copy() for b in mlp.biases],
+                            list(mlp.activations))
+            for name, mlp in self.mlps.items()})
+
 
 def layer_table(config):
     """(name, widths, activations) of each layer stack of the config's arch.
@@ -488,28 +495,41 @@ class AdamState:
 
 
 def init_adam(params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-    return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-    )
+    """Zero first and second moments shaped like ``params``, as float64 views
+    of one zeroed buffer (one allocation, not one per array)."""
+    buffer = np.zeros(2 * sum(p.size for p in params))
+    moments, start = [], 0
+    for p in list(params) * 2:
+        moments.append(buffer[start:start + p.size].reshape(p.shape))
+        start += p.size
+    return AdamState(m=moments[:len(params)], v=moments[len(params):],
+                     lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
 def adam_step(state: AdamState, params, grads):
-    """Bias-corrected Adam update; returns the new parameter arrays."""
+    """Bias-corrected Adam update; returns new parameter arrays.
+
+    The moments are updated in place, with the operations of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    ``p - (lr*m_hat) / (sqrt(v_hat) + eps)`` in that order, so every bit
+    equals that out-of-place form's.
+    """
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
-        m_hat = state.m[i] / (1 - b1**t)
-        v_hat = state.v[i] / (1 - b2**t)
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        step = m / (1 - b1**t)
+        step *= state.lr
+        denom = v / (1 - b2**t)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        out.append(p - step)
     return out
 
 
@@ -585,6 +605,5 @@ def load_checkpoint(path):
 
 
 def assert_finite(model):
-    for p in parameters(model):
-        if not np.all(np.isfinite(p)):
-            raise FloatingPointError("non-finite value in model parameters")
+    if not np.isfinite(np.concatenate(parameters(model), axis=None)).all():
+        raise FloatingPointError("non-finite value in model parameters")

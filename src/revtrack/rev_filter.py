@@ -16,9 +16,9 @@ Two robustness enhancements for sparse instances:
   start and decays linearly to k, reducing accidental eliminations.
 """
 
-import copy
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,19 +52,34 @@ class FilterResult:
     scorer_failures: int
 
 
+def _integer(value):
+    """True for an integer that is not a bool (``numbers`` counts bools)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class AugmentConfig:
+    """Merge augmentation settings. Raises ValueError on a gamma that is not a
+    finite positive number (or is a bool), a merge_range that is not two
+    integers 1 <= lo <= hi, or a num_outputs that is neither None nor an
+    integer >= 1 (bools are not integers here)."""
+
     gamma: float = 0.4
     merge_range: tuple = (1, 20)
     seed: int = 0
     num_outputs: int | None = None  # default: size of the input list
 
     def __post_init__(self):
-        lo, hi = self.merge_range
-        if not 0.0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
-        if lo < 1 or hi < lo:
-            raise ValueError("merge_range must satisfy 1 <= lo <= hi")
+        if isinstance(self.gamma, bool) or not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")
+        pair = self.merge_range
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                and all(map(_integer, pair)) and 1 <= pair[0] <= pair[1]):
+            raise ValueError(f"merge_range must be two integers 1 <= lo <= hi, got {pair!r}")
+        if self.num_outputs is not None and not (_integer(self.num_outputs)
+                                                 and self.num_outputs >= 1):
+            raise ValueError(f"num_outputs must be None or an integer >= 1, "
+                             f"got {self.num_outputs!r}")
 
 
 # The columns of ``expand``'s table [s_lo, s_hi, r_lo, r_hi, s_mid, r_mid]
@@ -221,13 +236,16 @@ def make_finetune_set(pairs, config: AugmentConfig):
     if not pairs:
         raise ValueError("cannot augment an empty pair list")
     lo, hi = config.merge_range
-    pmf = truncated_exp_pmf(config.gamma, lo, hi)
     sizes = np.arange(lo, hi + 1)
+    # rng.choice(sizes, p=pmf) searches this CDF for one rng.random() draw;
+    # built once, it gives the same sizes and leaves the same RNG state
+    cdf = truncated_exp_pmf(config.gamma, lo, hi).cumsum()
+    cdf /= cdf[-1]
     rng = np.random.default_rng(config.seed)
     n_out = config.num_outputs if config.num_outputs is not None else len(pairs)
     out = []
     for _ in range(n_out):
-        n_merge = min(int(rng.choice(sizes, p=pmf)), len(pairs))
+        n_merge = min(int(sizes[cdf.searchsorted(rng.random(), side="right")]), len(pairs))
         chosen = rng.choice(len(pairs), size=n_merge, replace=False)
         senders, receivers = set(), set()
         label = 0
@@ -268,7 +286,7 @@ def finetune(model, augmented_pairs, features, config: TrainConfig):
     stratified tenth of the augmented set is held out for early stopping.
     With epochs=0 the returned model equals the input.
     """
-    start = copy.deepcopy(model)
+    start = model.copy()
     if config.epochs == 0:
         return start, []
     train_p, valid_p = _holdout_split(augmented_pairs, 0.1, config.seed)

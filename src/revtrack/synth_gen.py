@@ -196,7 +196,11 @@ def generate(config: SynthConfig) -> SynthDataset:
     """Generate a dataset; deterministic for a given config (seed included)."""
     rng = np.random.default_rng(config.seed)
     n, d = config.num_entities, config.feature_dim
-    mix_probs = np.array([config.scheme_mix.get(s, 0.0) for s in SCHEME_NAMES])
+    # rng.choice(len(SCHEME_NAMES), p=weights) searches this CDF for one
+    # rng.random() draw; built once, it gives the same kinds and RNG state
+    mix_cdf = np.array([config.scheme_mix.get(s, 0.0) for s in SCHEME_NAMES],
+                       dtype=np.float64).cumsum()
+    mix_cdf /= mix_cdf[-1]
 
     all_edges = set()
     subgraphs = []
@@ -205,7 +209,7 @@ def generate(config: SynthConfig) -> SynthDataset:
     plan = ([(True, i) for i in range(config.num_suspicious)]
             + [(False, i) for i in range(config.num_licit_subgraphs)])
     for suspicious, idx in plan:
-        scheme = SCHEME_NAMES[int(rng.choice(len(SCHEME_NAMES), p=mix_probs))]
+        scheme = SCHEME_NAMES[int(mix_cdf.searchsorted(rng.random(), side="right"))]
         nodes, internal, boundary, senders, receivers, next_id = _build_scheme(
             rng, next_id, scheme, config
         )

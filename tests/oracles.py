@@ -26,9 +26,10 @@ from revtrack.graph_core import (
     break_cycles,
     build_graph,
 )
-from revtrack.neural_core import ShapeError
+from revtrack.neural_core import AdamState, ShapeError
 from revtrack.rec_eval import RecTestInstance, _instance_from_pools, boundary_pools
-from revtrack.rev_filter import FilterConfig, FilterResult, keep_schedule
+from revtrack.rev_filter import (AugmentConfig, FilterConfig, FilterResult, keep_schedule,
+                                 truncated_exp_pmf)
 from revtrack.synth_gen import SCHEME_NAMES, GenerationError, SynthConfig, SynthDataset
 
 
@@ -671,7 +672,72 @@ def generate_reference(config: SynthConfig) -> SynthDataset:
 
 
 # ---------------------------------------------------------------------------
-# neural_core references: out-of-place dense layers and the masked sigmoid
+# merge augmentation: the draws as rng.choice calls
+
+
+def make_finetune_set_reference(pairs, config: AugmentConfig):
+    """``rev_filter.make_finetune_set`` drawing each merge size with
+    ``rng.choice(sizes, p=pmf)``, numpy's own weighted draw."""
+    if not pairs:
+        raise ValueError("cannot augment an empty pair list")
+    lo, hi = config.merge_range
+    pmf = truncated_exp_pmf(config.gamma, lo, hi)
+    sizes = np.arange(lo, hi + 1)
+    rng = np.random.default_rng(config.seed)
+    n_out = config.num_outputs if config.num_outputs is not None else len(pairs)
+    out = []
+    for _ in range(n_out):
+        n_merge = min(int(rng.choice(sizes, p=pmf)), len(pairs))
+        chosen = rng.choice(len(pairs), size=n_merge, replace=False)
+        senders, receivers = set(), set()
+        label = 0
+        origins = []
+        for i in chosen:
+            p = pairs[int(i)]
+            senders.update(p.sr.senders)
+            receivers.update(p.sr.receivers)
+            label = max(label, p.label)
+            origins.append(p.origin)
+        out.append(
+            LabeledPair(
+                sr=SRPair(senders=tuple(senders), receivers=tuple(receivers)),
+                label=label,
+                origin="+".join(origins),
+            )
+        )
+    return out
+
+
+# ---------------------------------------------------------------------------
+# neural_core references: out-of-place dense layers, the masked sigmoid and
+# an allocating Adam
+
+
+def init_adam_reference(params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """``neural_core.init_adam`` with one ``zeros_like`` array per moment."""
+    return AdamState(
+        m=[np.zeros_like(p) for p in params],
+        v=[np.zeros_like(p) for p in params],
+        lr=lr,
+        beta1=beta1,
+        beta2=beta2,
+        eps=eps,
+    )
+
+
+def adam_step_reference(state: AdamState, params, grads):
+    """``neural_core.adam_step`` replacing each moment by a new array."""
+    state.step += 1
+    t = state.step
+    b1, b2 = state.beta1, state.beta2
+    out = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        state.m[i] = b1 * state.m[i] + (1 - b1) * g
+        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
+        m_hat = state.m[i] / (1 - b1**t)
+        v_hat = state.v[i] / (1 - b2**t)
+        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+    return out
 
 
 def mlp_forward_reference(params, x, cache=None):

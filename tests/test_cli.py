@@ -402,6 +402,28 @@ def test_bad_generate_config_exits_1(tmp_path, capsys, config, shown):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("config, shown", [
+    ({"merge_min": 0}, "merge_range must be two integers 1 <= lo <= hi, got (0, 20)"),
+    ({"merge_min": 4, "merge_max": 3}, "merge_range must be two integers 1 <= lo <= hi"),
+    ({"merge_min": 1.5}, "argument --merge-min: invalid int value: '1.5'"),
+    ({"gamma": True}, "argument --gamma: invalid float value: 'True'"),
+    ({"gamma": 0}, "gamma must be finite and positive, got 0.0"),
+], ids=["zero-min", "min-above-max", "fractional-min", "bool-gamma", "zero-gamma"])
+def test_bad_finetune_config_exits_1(tmp_path, capsys, config, shown):
+    out = tmp_path / "tuned.json"
+    argv = ["finetune", "--config", write_json(tmp_path / "c.json", config),
+            "--model", str(tmp_path / "missing.json"), "--data-dir", str(tmp_path),
+            "--out", str(out)]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects a value its flag's type cannot read
+        rc = exc.code
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") and shown in line for line in err.splitlines())
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 

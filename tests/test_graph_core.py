@@ -23,6 +23,7 @@ from revtrack.graph_core import (
     extract_boundary,
     graphlet_census,
     load_graph,
+    unique_ints,
 )
 from revtrack.io_utils import read_edges_csv, read_nodes_csv
 from revtrack import graph_core
@@ -55,6 +56,22 @@ def rand_background(rng, n, m):
     for u, v in edges:
         adj[u].add(v)
     return make_graph(n, edges), sorted(edges), adj
+
+
+@pytest.mark.parametrize("keys", [
+    [], [7], [5, 5, 5, 5], [-3, 2**62, -3, 0, 2**62, 1],
+    *(np.random.default_rng(seed).integers(-50, 50, size) for seed, size in
+      [(0, 2), (1, 10), (2, 500), (3, 4000)]),
+    np.random.default_rng(4).integers(0, 2**40, 3000),
+], ids=["empty", "single", "all-equal", "extremes", "random-2", "random-10", "random-500",
+        "random-4000", "wide-3000"])
+def test_unique_ints_matches_numpy_unique(keys):
+    keys = np.asarray(keys, dtype=np.int64)
+    before = keys.copy()
+    got, want = unique_ints(keys), np.unique(keys)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(keys, before)
 
 
 def rand_subgraph(rng, adj, n_total, size, sg_id="s"):

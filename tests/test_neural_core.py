@@ -13,7 +13,8 @@ from revtrack import classifier
 from revtrack import neural_core as nc
 from revtrack.classifier import PairScorer, SRPair
 from revtrack.rev_filter import expand
-from oracles import mlp_forward_reference, sigmoid_reference
+from oracles import (adam_step_reference, init_adam_reference, mlp_forward_reference,
+                     sigmoid_reference)
 
 
 def identity_mlp(dim):
@@ -341,6 +342,43 @@ def test_adam_monotone_descent_constant_gradient():
         params = nc.adam_step(state, params, [np.ones(1)])
         assert params[0][0] < prev
         prev = params[0][0]
+
+
+# gradient entries that stress the moment updates: signed zeros, subnormals
+# and values whose square overflows
+ADAM_GRADS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2e-308, 1e300, -1e300]) \
+    | st.floats(-10, 10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       shapes=st.lists(st.sampled_from([(1,), (3,), (2, 3), (4, 1)]), min_size=1, max_size=4),
+       steps=st.integers(5, 8), lr=st.sampled_from([1e-3, 1e-4, 0.5]),
+       betas=st.sampled_from([(0.9, 0.999), (0.5, 0.9)]))
+def test_adam_matches_allocating_reference_bitwise(data, shapes, steps, lr, betas):
+    def arrays(elements):
+        return [np.array(data.draw(st.lists(elements, min_size=int(np.prod(shape)),
+                                            max_size=int(np.prod(shape)))),
+                         dtype=np.float64).reshape(shape) for shape in shapes]
+
+    params = ref_params = arrays(st.floats(-5, 5))
+    state = nc.init_adam(params, lr=lr, beta1=betas[0], beta2=betas[1])
+    ref_state = init_adam_reference(params, lr=lr, beta1=betas[0], beta2=betas[1])
+    for _ in range(steps):
+        grads = arrays(ADAM_GRADS)
+        before = bits(*params, *grads)
+        with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e300
+            new = nc.adam_step(state, params, grads)
+            ref_params = adam_step_reference(ref_state, ref_params, grads)
+        assert bits(*params, *grads) == before  # inputs are not written
+        for p in new:
+            assert not any(np.shares_memory(p, other)
+                           for other in [*params, *grads, *state.m, *state.v])
+        assert bits(*new) == bits(*ref_params)
+        assert bits(*state.m) == bits(*ref_state.m)
+        assert bits(*state.v) == bits(*ref_state.v)
+        assert state.step == ref_state.step
+        params = new
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import zlib
 from contextlib import contextmanager
 
@@ -36,8 +37,9 @@ from revtrack.rev_filter import (
     truncated_exp_pmf,
 )
 from revtrack.synth_gen import SynthConfig, generate
-from oracles import (ListScorer, expand_ranges_reference, mlp_forward_reference,
-                     rev_filter_reference)
+from oracles import (ListScorer, adam_step_reference, expand_ranges_reference,
+                     init_adam_reference, make_finetune_set_reference,
+                     mlp_forward_reference, rev_filter_reference)
 
 
 class OracleScorer(ListScorer):
@@ -400,10 +402,27 @@ def test_filter_config_rejects_bad_alpha_keep(alpha):
         FilterConfig(k=3, alpha_keep=alpha)
 
 
-@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, True])
 def test_augment_config_rejects_bad_gamma(gamma):
     with pytest.raises(ValueError, match="gamma"):
         AugmentConfig(gamma=gamma)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("merge_range", (1.5, 3)), ("merge_range", (1, 2.5)), ("merge_range", (True, 3)),
+    ("merge_range", (0, 3)), ("merge_range", (4, 3)), ("merge_range", (1, 2, 3)),
+    ("merge_range", 3), ("merge_range", "12"),
+    ("num_outputs", 0), ("num_outputs", -2), ("num_outputs", 2.5), ("num_outputs", True),
+])
+def test_augment_config_rejects_bad_range_and_output_count(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be .*, got {re.escape(repr(value))}$"):
+        AugmentConfig(**{field: value})
+
+
+def test_augment_config_accepts_integer_ranges_and_counts():
+    for merge_range, num_outputs in [([2, 2], 1), ((np.int64(1), np.int64(3)), np.int64(4))]:
+        cfg = AugmentConfig(merge_range=merge_range, num_outputs=num_outputs)
+        assert (cfg.merge_range, cfg.num_outputs) == (merge_range, num_outputs)
 
 
 def table_scorer(seed, fail_link=None):
@@ -511,16 +530,17 @@ def test_merge_label_any_suspicious():
         assert set(m.sr.receivers) == {500, 700}
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.sets(st.integers(0, 30), min_size=1, max_size=4),
-                  st.sets(st.integers(0, 30), min_size=1, max_size=4),
-                  st.integers(0, 1)),
-        min_size=1, max_size=12,
-    ),
-    st.integers(1, 6), st.integers(0, 6), st.integers(0, 2**32 - 1),
+# (senders, receivers, label) rows of a small labeled pair list
+PAIR_ROWS = st.lists(
+    st.tuples(st.sets(st.integers(0, 30), min_size=1, max_size=4),
+              st.sets(st.integers(0, 30), min_size=1, max_size=4),
+              st.integers(0, 1)),
+    min_size=1, max_size=12,
 )
+
+
+@settings(max_examples=100, deadline=None)
+@given(PAIR_ROWS, st.integers(1, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
 def test_merge_label_and_sides_follow_components(rows, lo, extra, seed):
     pairs = [LabeledPair(sr=SRPair(tuple(s), tuple(r)), label=y, origin=f"c{i}")
              for i, (s, r, y) in enumerate(rows)]
@@ -532,6 +552,41 @@ def test_merge_label_and_sides_follow_components(rows, lo, extra, seed):
         assert m.label == int(any(p.label == 1 for p in parts))
         assert set(m.sr.senders) == set().union(*(p.sr.senders for p in parts))
         assert set(m.sr.receivers) == set().union(*(p.sr.receivers for p in parts))
+
+
+@contextmanager
+def recorded_rngs():
+    """Collect every generator ``np.random.default_rng`` makes in the block."""
+    made, real = [], np.random.default_rng
+
+    def recording(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", recording)
+        yield made
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    PAIR_ROWS, st.sampled_from([0.4, 2.0]) | st.floats(1e-3, 10), st.integers(1, 8),
+    st.sampled_from([0, 0, 30]) | st.integers(0, 20),
+    st.none() | st.integers(1, 40), st.integers(0, 2**32 - 1),
+)
+def test_make_finetune_set_matches_choice_reference(rows, gamma, lo, extra, n_out, seed):
+    # extra = 0 makes lo == hi; 30 puts hi past every list's length
+    pairs = [LabeledPair(sr=SRPair(tuple(s), tuple(r)), label=y, origin=f"c{i}")
+             for i, (s, r, y) in enumerate(rows)]
+    cfg = AugmentConfig(gamma=gamma, merge_range=(lo, lo + extra), seed=seed,
+                        num_outputs=n_out)
+    results = []
+    for build in (make_finetune_set, make_finetune_set_reference):
+        with recorded_rngs() as made:
+            merged = build(pairs, cfg)
+        (rng,) = made
+        results.append(([(m.sr, m.label, m.origin) for m in merged], rng.bit_generator.state))
+    assert results[0] == results[1]
 
 
 def test_merge_one_passthrough():
@@ -602,6 +657,29 @@ def test_train_finetune_checkpoints_match_out_of_place_layers(arch, pool, tmp_pa
 
     got = chain("in-place")
     monkeypatch.setattr(nc, "mlp_forward", mlp_forward_reference)
+    assert chain("reference") == got
+
+
+@pytest.mark.parametrize("arch, pool", [("ds", "sum"), ("bp", "max")])
+def test_train_finetune_checkpoints_match_choice_and_allocating_adam(arch, pool, tmp_path,
+                                                                     monkeypatch):
+    pairs, fmap = small_pairs()
+    train_p, valid_p, _ = split(pairs, SplitSpec(seed=1))
+
+    def chain(name):
+        model, _ = train(arch, train_p, valid_p, fmap,
+                         TrainConfig(hidden_dim=8, pool=pool, epochs=3, seed=0))
+        merged = rf.make_finetune_set(train_p, AugmentConfig(seed=5))
+        tuned, _ = finetune(model, merged, fmap, TrainConfig(epochs=2, lr=1e-3, seed=7))
+        paths = [tmp_path / f"{name}-{stage}.json" for stage in ("trained", "tuned")]
+        for path, m in zip(paths, (model, tuned)):
+            nc.save_checkpoint(str(path), m)
+        return [path.read_bytes() for path in paths]
+
+    got = chain("new")
+    monkeypatch.setattr(rf, "make_finetune_set", make_finetune_set_reference)
+    monkeypatch.setattr(nc, "init_adam", init_adam_reference)
+    monkeypatch.setattr(nc, "adam_step", adam_step_reference)
     assert chain("reference") == got
 
 

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revtrack.graph_core import (
@@ -240,8 +240,18 @@ def small_configs(draw):
     )
 
 
+def mixed_config(seed, **mix):
+    return SynthConfig(num_entities=1000, num_suspicious=25, num_licit_subgraphs=25,
+                       scheme_mix=mix, background_noise_edges=40, seed=seed)
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_configs())
+# a zero weight, first in the middle then last, and sums off 1 by less than 1e-9
+@example(mixed_config(3, peeling_chain=0.5, nested_service=0.0, random_path=0.5))
+@example(mixed_config(4, peeling_chain=0.3, nested_service=0.7, random_path=0.0))
+@example(mixed_config(5, peeling_chain=0.25, nested_service=0.55, random_path=0.2 + 9e-10))
+@example(mixed_config(6, peeling_chain=0.25, nested_service=0.55, random_path=0.2 - 9e-10))
 def test_generate_matches_reference(cfg):
     try:
         expected = generate_reference(cfg)
