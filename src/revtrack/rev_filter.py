@@ -19,6 +19,7 @@ Two robustness enhancements for sparse instances:
 import logging
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,31 +228,110 @@ def truncated_exp_pmf(gamma, lo, hi):
     return raw / raw.sum()
 
 
+_LOW = 0xFFFFFFFF
+
+
+def _merge_draws(rng, n, sizes, cdf, n_out):
+    """Each of ``n_out`` merges' pair indices, in the order drawn, as the loop
+    ``k = min(sizes[cdf.searchsorted(rng.random(), side="right")], n)``,
+    ``rng.choice(n, k, replace=False)`` draws them from numpy's PCG64
+    generator, computed in one pass over its raw 64-bit outputs; ``rng`` is
+    left where that loop leaves it. ``sizes`` and ``cdf`` are lists; n < 2**32.
+
+    The loop's draws, as numpy makes them and tests pin against it:
+
+    * ``random()`` is (w >> 11) / 2**53 of the next whole output w;
+    * a 32-bit draw is the low half of the next output, whose high half
+      serves the next 32-bit draw, a ``random()`` between them or not;
+    * an index below b > 1 is Lemire's floor(x b / 2**32) of a 32-bit draw
+      x, drawn again while x b mod 2**32 < (2**32 - b) mod b; below 1 is 0;
+    * ``choice`` picks k of n by Floyd's algorithm (for j = n - k, ..., n - 1,
+      t below j + 1, or j if t is taken) and shuffles them (for i = k - 1,
+      ..., 1, swap i with t below i + 1); for n > 10,000 and k > n // 50 it
+      instead swaps each i = n - 1, ..., n - k of range(n) with t below
+      i + 1 and takes the last k.
+    """
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    words, used = [], 0
+    spare = start["uinteger"] if start["has_uint32"] else None
+    high = start["uinteger"]  # numpy keeps the last high half in its state
+
+    def whole():
+        nonlocal used
+        if used == len(words):
+            words.extend(bitgen.random_raw(512).tolist())
+        used += 1
+        return words[used - 1]
+
+    def below(b):
+        nonlocal spare, high
+        if b == 1:
+            return 0
+        while True:
+            if spare is None:
+                x = whole()
+                spare = high = x >> 32
+                x &= _LOW
+            else:
+                x, spare = spare, None
+            m = x * b
+            if (m & _LOW) >= b or (m & _LOW) >= (_LOW + 1 - b) % b:
+                return m >> 32
+
+    draws = []
+    for _ in range(n_out):
+        k = min(sizes[bisect_right(cdf, (whole() >> 11) * 2.0**-53)], n)
+        if n > 10_000 and k > n // 50:
+            moved = {}  # the entries of range(n) that swaps have moved
+            for i in range(n - 1, n - k - 1, -1):
+                t = below(i + 1)
+                moved[i], moved[t] = moved.get(t, t), moved.get(i, i)
+            draws.append([moved.get(i, i) for i in range(n - k, n)])
+            continue
+        chosen, taken = [], set()
+        for j in range(n - k, n):
+            t = below(j + 1)
+            t = j if t in taken else t
+            taken.add(t)
+            chosen.append(t)
+        for i in range(k - 1, 0, -1):
+            t = below(i + 1)
+            chosen[i], chosen[t] = chosen[t], chosen[i]
+        draws.append(chosen)
+    # the words drawn past the last one used are drawn again by later calls
+    bitgen.state = start
+    bitgen.random_raw(used)
+    end = bitgen.state
+    end["has_uint32"], end["uinteger"] = int(spare is not None), high
+    bitgen.state = end
+    return draws
+
+
 def make_finetune_set(pairs, config: AugmentConfig):
     """Randomly merged pairs, merge count following a truncated exponential.
 
     A merged pair unions the sender sets and receiver sets of its components
-    and is suspicious iff any component is.
+    and is suspicious iff any component is. Per merge, the seeded generator
+    draws a count as ``rng.choice(sizes, p=pmf)`` does, then the components
+    as ``rng.choice(len(pairs), count, replace=False)`` does (count capped at
+    the list length); ``_merge_draws`` makes all of these draws in one pass.
     """
     if not pairs:
         raise ValueError("cannot augment an empty pair list")
     lo, hi = config.merge_range
-    sizes = np.arange(lo, hi + 1)
-    # rng.choice(sizes, p=pmf) searches this CDF for one rng.random() draw;
-    # built once, it gives the same sizes and leaves the same RNG state
+    # rng.choice(sizes, p=pmf) searches this CDF for one rng.random() draw
     cdf = truncated_exp_pmf(config.gamma, lo, hi).cumsum()
     cdf /= cdf[-1]
     rng = np.random.default_rng(config.seed)
     n_out = config.num_outputs if config.num_outputs is not None else len(pairs)
     out = []
-    for _ in range(n_out):
-        n_merge = min(int(sizes[cdf.searchsorted(rng.random(), side="right")]), len(pairs))
-        chosen = rng.choice(len(pairs), size=n_merge, replace=False)
+    for chosen in _merge_draws(rng, len(pairs), list(range(lo, hi + 1)), cdf.tolist(), n_out):
         senders, receivers = set(), set()
         label = 0
         origins = []
         for i in chosen:
-            p = pairs[int(i)]
+            p = pairs[i]
             senders.update(p.sr.senders)
             receivers.update(p.sr.receivers)
             label = max(label, p.label)

@@ -5,6 +5,7 @@ import math
 import re
 import zlib
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -568,6 +569,15 @@ def recorded_rngs():
         yield made
 
 
+def draws_and_end_state(build, pairs, cfg):
+    """(pair, label, origin) of each merged pair, and the end state of the one
+    generator ``build`` makes."""
+    with recorded_rngs() as made:
+        merged = build(pairs, cfg)
+    (rng,) = made
+    return [(m.sr, m.label, m.origin) for m in merged], rng.bit_generator.state
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     PAIR_ROWS, st.sampled_from([0.4, 2.0]) | st.floats(1e-3, 10), st.integers(1, 8),
@@ -580,13 +590,48 @@ def test_make_finetune_set_matches_choice_reference(rows, gamma, lo, extra, n_ou
              for i, (s, r, y) in enumerate(rows)]
     cfg = AugmentConfig(gamma=gamma, merge_range=(lo, lo + extra), seed=seed,
                         num_outputs=n_out)
-    results = []
-    for build in (make_finetune_set, make_finetune_set_reference):
-        with recorded_rngs() as made:
-            merged = build(pairs, cfg)
-        (rng,) = made
-        results.append(([(m.sr, m.label, m.origin) for m in merged], rng.bit_generator.state))
-    assert results[0] == results[1]
+    assert (draws_and_end_state(make_finetune_set, pairs, cfg)
+            == draws_and_end_state(make_finetune_set_reference, pairs, cfg))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_make_finetune_set_matches_choice_reference_past_ten_thousand_pairs(seed):
+    # of n > 10,000 pairs, numpy's choice draws more than n // 50 (200 here) by
+    # shuffling range(n) and fewer by Floyd's algorithm; gamma near 0 draws
+    # counts on both sides
+    pairs = fake_labeled(5001, 5001)
+    cfg = AugmentConfig(gamma=1e-3, merge_range=(190, 215), seed=seed, num_outputs=12)
+    got = draws_and_end_state(make_finetune_set, pairs, cfg)
+    counts = {len(origin.split("+")) for _, _, origin in got[0]}
+    assert min(counts) <= 200 < max(counts)
+    assert got == draws_and_end_state(make_finetune_set_reference, pairs, cfg)
+
+
+class ScriptedBits:
+    """A bit generator stand-in that hands out the given 64-bit outputs."""
+
+    def __init__(self, words):
+        self.words = words
+        self.state = {"used": 0, "has_uint32": 0, "uinteger": 0}
+
+    def random_raw(self, size):
+        used = self.state["used"]
+        self.state = dict(self.state, used=used + size)
+        return np.array((self.words + [0] * size)[used:used + size], dtype=np.uint64)
+
+
+def test_merge_draws_draw_again_on_a_lemire_rejection():
+    # one merge of all 3 pairs: the size takes output 0; Floyd draws nothing
+    # below 1, then 1 below 2 from output 1's low half (2**31); below 3, output
+    # 1's high half, 0, is rejected ((2**32 - 3) mod 3 = 1 > 0) and output 2's
+    # low half gives 2; the shuffle takes 1 below 3 (output 2's high half,
+    # 2**31) and 0 below 2 (output 3's low half), and output 3's high half
+    # stays for the next 32-bit draw
+    words = [0, 2**31, (2**31 << 32) | 0xFFFFFFFF, 7 << 32]
+    bits = ScriptedBits(words)
+    draws = rf._merge_draws(SimpleNamespace(bit_generator=bits), 3, [3], [1.0], 1)
+    assert draws == [[2, 0, 1]]  # [0, 1, 2], then swaps (2, 1) and (1, 0)
+    assert bits.state == {"used": 4, "has_uint32": 1, "uinteger": 7}
 
 
 def test_merge_one_passthrough():
