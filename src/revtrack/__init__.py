@@ -8,5 +8,30 @@ desk-scale experiments.
 
 __version__ = "0.1.0"
 
-from .graph_core import BackgroundGraph, BoundarySets, Subgraph  # noqa: F401
-from .synth_gen import SynthConfig, SynthDataset  # noqa: F401
+
+def _pin_blas_threads():
+    """Run numpy's bundled OpenBLAS on one thread.
+
+    A product split over more threads can round differently, so checkpoint
+    bytes would follow the core count (or ``OPENBLAS_NUM_THREADS``); the
+    products here are small, and a second thread bought no time end to end.
+    Does nothing when numpy ships no such library or it lacks the setter.
+    """
+    import ctypes
+    import glob
+    import os
+
+    import numpy
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            ctypes.CDLL(path).scipy_openblas_set_num_threads64_(1)
+        except (OSError, AttributeError):
+            pass
+
+
+_pin_blas_threads()
+
+from .graph_core import BackgroundGraph, BoundarySets, Subgraph  # noqa: E402,F401
+from .synth_gen import SynthConfig, SynthDataset  # noqa: E402,F401

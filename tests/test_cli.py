@@ -1,7 +1,10 @@
 """CLI and file-format round trips, pipeline chaining, run manifests."""
 
+import glob
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -939,3 +942,50 @@ def test_config_file_flags_win(pipeline, tmp_path, capsys):
     assert main(["eval-cls", "--config", str(cfg), "--split-seed", "0"]) == 0
     second = json.loads(capsys.readouterr().out)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+
+def test_checkpoints_do_not_follow_the_blas_thread_count(tmp_path):
+    # at 1,500 entities the products are large enough for OpenBLAS to split
+    # them over threads; unpinned, the fine-tuned bytes on one thread differ
+    # from those on two
+    cfg = dict(tiny_config(seed=4), num_entities=1500, num_suspicious=40,
+               num_licit_subgraphs=40, background_noise_edges=100)
+    data = tmp_path / "data"
+    assert main(["generate", "--config", write_json(tmp_path / "cfg.json", cfg),
+                 "--out-dir", str(data)]) == 0
+    src = os.path.dirname(os.path.dirname(classifier.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    chains = {}
+    for threads in (None, "1", "2", "4"):
+        run_env = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+        model, tuned = tmp_path / f"model-{threads}.json", tmp_path / f"tuned-{threads}.json"
+        for args in (["train", "--arch", "ds", "--data-dir", str(data), "--split-seed", "0",
+                      "--out", str(model), "--epochs", "4"],
+                     ["finetune", "--model", str(model), "--data-dir", str(data),
+                      "--out", str(tuned), "--epochs", "2"]):
+            proc = subprocess.run([sys.executable, "-m", "revtrack.cli", *args],
+                                  capture_output=True, text=True, env=run_env)
+            assert proc.returncode == 0, proc.stderr
+        chains[threads] = (model.read_bytes(), tuned.read_bytes())
+    assert all(chain == chains[None] for chain in chains.values())
+
+
+def test_blas_pin_skips_a_missing_library_or_setter(tmp_path, monkeypatch):
+    import revtrack
+
+    fake_numpy = tmp_path / "numpy"
+    fake_numpy.mkdir()
+    libs = tmp_path / "numpy.libs"
+    libs.mkdir()
+    (libs / "libscipy_openblas_not_a_library.so").write_text("not a library")
+    # a loadable library without the setter
+    real_libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for other in sorted(glob.glob(os.path.join(real_libs, "libquadmath*")))[:1]:
+        os.symlink(other, libs / "libscipy_openblas_no_setter.so")
+    monkeypatch.setattr(np, "__file__", str(fake_numpy / "__init__.py"))
+    revtrack._pin_blas_threads()
