@@ -105,7 +105,7 @@ def make_pairs(graph, subgraphs):
     return pairs, graph.features, stats
 
 
-def _round_half_up(x: float) -> int:
+def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
@@ -133,8 +133,8 @@ def split(pairs, spec: SplitSpec):
     for group in by_class(pairs):
         shuffled = [group[i] for i in rng.permutation(len(group))]
         n = len(group)
-        n_valid = max(_round_half_up(VALID_FRAC * n), int(n >= 3))
-        n_test = max(_round_half_up(TEST_FRAC * n), int(n >= 2))
+        n_valid = max(round_half_up(VALID_FRAC * n), int(n >= 3))
+        n_test = max(round_half_up(TEST_FRAC * n), int(n >= 2))
         valid.extend(shuffled[:n_valid])
         test.extend(shuffled[n_valid : n_valid + n_test])
         train.extend(shuffled[n_valid + n_test :])
@@ -147,7 +147,7 @@ def few_shot_subsample(train, fraction):
     """Per-class prefix of size round-half-up(fraction * class size), min 1."""
     out = []
     for group in by_class(train):
-        keep = min(len(group), max(1, _round_half_up(fraction * len(group))))
+        keep = min(len(group), max(1, round_half_up(fraction * len(group))))
         out.extend(group[:keep])
     return out
 

@@ -6,6 +6,7 @@ and carry their own edge lists; all boundary logic (sources, sinks, senders,
 receivers) is derived from those.
 """
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -20,6 +21,13 @@ UNKNOWN = 2
 
 NODE_LABEL_NAMES = {LICIT: "licit", ILLICIT: "illicit", UNKNOWN: "unknown"}
 NODE_LABEL_CODES = {v: k for k, v in NODE_LABEL_NAMES.items()}
+
+
+def is_number(value, kind=numbers.Integral):
+    """True if ``value`` is a ``kind`` (a ``numbers`` class) and not a bool,
+    which JSON's true and false load as and ``numbers`` counts as Integral."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
 
 SUBGRAPH_LICIT = "licit"
 SUBGRAPH_SUSPICIOUS = "suspicious"

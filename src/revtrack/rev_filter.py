@@ -18,13 +18,14 @@ Two robustness enhancements for sparse instances:
 
 import logging
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import LabeledPair, SRPair, TrainConfig, by_class, train_model
+from .classifier import (LabeledPair, SRPair, TrainConfig, by_class, round_half_up,
+                         train_model)
+from .graph_core import is_number
 
 logger = logging.getLogger(__name__)
 
@@ -53,11 +54,6 @@ class FilterResult:
     scorer_failures: int
 
 
-def _integer(value):
-    """True for an integer that is not a bool (``numbers`` counts bools)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass
 class AugmentConfig:
     """Merge augmentation settings. Raises ValueError on a gamma that is not a
@@ -75,9 +71,9 @@ class AugmentConfig:
             raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")
         pair = self.merge_range
         if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                and all(map(_integer, pair)) and 1 <= pair[0] <= pair[1]):
+                and all(map(is_number, pair)) and 1 <= pair[0] <= pair[1]):
             raise ValueError(f"merge_range must be two integers 1 <= lo <= hi, got {pair!r}")
-        if self.num_outputs is not None and not (_integer(self.num_outputs)
+        if self.num_outputs is not None and not (is_number(self.num_outputs)
                                                  and self.num_outputs >= 1):
             raise ValueError(f"num_outputs must be None or an integer >= 1, "
                              f"got {self.num_outputs!r}")
@@ -347,13 +343,14 @@ def make_finetune_set(pairs, config: AugmentConfig):
 
 
 def _holdout_split(pairs, valid_frac, seed):
-    """Stratified seeded (train, valid) split: valid takes round(valid_frac * n)
-    (half to even) of each shuffled class of n, at least one when n >= 2."""
+    """Stratified seeded (train, valid) split: valid takes valid_frac * n,
+    rounded half up as ``split`` rounds, of each shuffled class of n, and at
+    least one when n >= 2."""
     rng = np.random.default_rng(seed)
     train, valid = [], []
     for group in by_class(pairs):
         shuffled = [group[i] for i in rng.permutation(len(group))]
-        n_valid = max(int(round(valid_frac * len(group))), int(len(group) >= 2))
+        n_valid = max(round_half_up(valid_frac * len(group)), int(len(group) >= 2))
         valid.extend(shuffled[:n_valid])
         train.extend(shuffled[n_valid:])
     return train, valid

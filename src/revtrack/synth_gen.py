@@ -45,6 +45,7 @@ from .graph_core import (
     Subgraph,
     build_graph,
     extract_boundary,  # noqa: F401  (the benchmark's tracer wraps synth_gen.extract_boundary)
+    is_number,
 )
 
 SCHEME_NAMES = ("peeling_chain", "nested_service", "random_path")
@@ -63,12 +64,6 @@ def default_class_means(feature_dim, separation=2.0):
         ILLICIT: np.full(feature_dim, offset),
         UNKNOWN: np.zeros(feature_dim),
     }
-
-
-def _number(value, kind):
-    """True if ``value`` is a ``kind`` (a ``numbers`` class) and not a bool,
-    which JSON's true and false load as and ``numbers`` counts as Integral."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -100,11 +95,11 @@ class SynthConfig:
                          ("num_licit_subgraphs", 0), ("background_noise_edges", 0),
                          ("seed", 0)):
             value = getattr(self, name)
-            if not _number(value, numbers.Integral) or value < lo:
+            if not is_number(value) or value < lo:
                 raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
         for name in ("feature_noise_sigma", "scheme_signature_sigma", "risky_receiver_shift"):
             value = getattr(self, name)
-            if not (_number(value, numbers.Real) and math.isfinite(value) and value >= 0):
+            if not (is_number(value, numbers.Real) and math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.class_means is None:
             self.class_means = default_class_means(self.feature_dim)
@@ -130,7 +125,7 @@ class SynthConfig:
         for name in _RANGES:
             pair = getattr(self, name)
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                    and all(_number(x, numbers.Integral) for x in pair)
+                    and all(is_number(x) for x in pair)
                     and 1 <= pair[0] <= pair[1]):
                 raise ValueError(f"{name} must satisfy 1 <= lo <= hi, got {pair}")
 

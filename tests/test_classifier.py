@@ -196,8 +196,8 @@ def test_split_minimum_size_and_positives():
 
 
 def test_per_class_split_sizes_follow_their_rules_for_every_class_size():
-    # in exact integers, round-half-up(n / 10) is (n + 5) // 10, and
-    # round-half-even(n / 10) rounds q + r / 10 up when r > 5, or r == 5 and q is odd
+    # split, few_shot_subsample and _holdout_split all round half up: in exact
+    # integers, round-half-up(n / 10) is (n + 5) // 10
     pos, neg = fake_pairs(2000, 0), fake_pairs(0, 9)
     for n in range(1, 2001):
         group = pos[:n]
@@ -207,8 +207,7 @@ def test_per_class_split_sizes_follow_their_rules_for_every_class_size():
         assert [sum(p.label for p in part) for part in parts] == [
             n - n_valid - n_test, n_valid, n_test]
         assert n - n_valid - n_test >= 1
-        q, r = divmod(n, 10)
-        n_held = max(q + int(r > 5 or (r == 5 and q % 2 == 1)), int(n >= 2))
+        n_held = max((n + 5) // 10, int(n >= 2))
         train_p, valid_p = rf._holdout_split(group, 0.1, seed=n)
         assert (len(train_p), len(valid_p)) == (n - n_held, n_held) and train_p
         for fraction, kept in ((0.25, (n + 2) // 4), (0.5, (n + 1) // 2)):
