@@ -26,9 +26,11 @@ def _pin_blas_threads():
     libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
     for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
         try:
-            ctypes.CDLL(path).scipy_openblas_set_num_threads64_(1)
+            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
-            pass
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
 
 
 _pin_blas_threads()

@@ -295,7 +295,7 @@ def _merge_draws(rng, n, sizes, cdf, n_out):
             t = below(i + 1)
             chosen[i], chosen[t] = chosen[t], chosen[i]
         draws.append(chosen)
-    # the words drawn past the last one used are drawn again by later calls
+    # rewind past the words drawn ahead, so that the next draw takes the first unused one
     bitgen.state = start
     bitgen.random_raw(used)
     end = bitgen.state

@@ -969,7 +969,7 @@ def test_checkpoints_do_not_follow_the_blas_thread_count(tmp_path):
                      ["finetune", "--model", str(model), "--data-dir", str(data),
                       "--out", str(tuned), "--epochs", "2"]):
             proc = subprocess.run([sys.executable, "-m", "revtrack.cli", *args],
-                                  capture_output=True, text=True, env=run_env)
+                                  capture_output=True, text=True, env=run_env, timeout=300)
             assert proc.returncode == 0, proc.stderr
         chains[threads] = (model.read_bytes(), tuned.read_bytes())
     assert all(chain == chains[None] for chain in chains.values())
