@@ -300,9 +300,10 @@ def train_model(model, train_pairs, valid_pairs, features, config: TrainConfig):
     s_end, r_end = np.cumsum(ns), np.cumsum(nr)
     labels = np.array([p.label for p in train_pairs], dtype=np.float64)
 
-    state = nc.init_adam(nc.parameters(model), lr=config.lr)
+    params = nc.parameters(model)
+    state = nc.init_adam(params, lr=config.lr)
     best_metric = -np.inf
-    best_params = [p.copy() for p in nc.parameters(model)]
+    best_params = [p.copy() for p in params]
     best_epoch = -1
     history = []
 
@@ -321,7 +322,7 @@ def train_model(model, train_pairs, valid_pairs, features, config: TrainConfig):
                     f"last finite epoch {epoch - 1}"
                 )
             epoch_loss += loss * len(batch)
-            nc.set_parameters(model, nc.adam_step(state, nc.parameters(model), grads))
+            nc.adam_step(state, params, grads)
         metric = (
             _validation_metric(model, valid_pairs, features)
             if valid_pairs
@@ -335,13 +336,14 @@ def train_model(model, train_pairs, valid_pairs, features, config: TrainConfig):
         # saturates early on separable data while margins (and the
         # rarely-exercised feature channels) keep improving
         if metric >= best_metric:
-            best_params = [p.copy() for p in nc.parameters(model)]
+            best_params = [p.copy() for p in params]
         if metric > best_metric:
             best_metric = metric
             best_epoch = epoch
         elif epoch - best_epoch >= config.patience:
             break
-    nc.set_parameters(model, best_params)
+    for p, best in zip(params, best_params):
+        p[...] = best
     nc.assert_finite(model)
     return model, history
 

@@ -20,10 +20,10 @@ rho's bias, and no block runs rho's product. Dense layers add the bias and
 apply the ReLU in place on each fresh matmul output.
 
 A ``Model`` is its config (the dict a checkpoint records) plus its named
-layer stacks, which ``layer_table`` lists once per architecture. Training
-snapshots the best epoch's weights in memory (``parameters`` /
-``set_parameters``); JSON appears only in ``save_checkpoint`` and
-``load_checkpoint``.
+layer stacks, which ``layer_table`` lists once per architecture. Adam updates
+the live arrays that ``parameters`` lists; training snapshots the best
+epoch's weights in memory and copies them back. JSON appears only in
+``save_checkpoint`` and ``load_checkpoint``.
 """
 
 import json
@@ -453,15 +453,6 @@ def parameters(model):
     return out
 
 
-def set_parameters(model, arrays):
-    i = 0
-    for mlp in model.mlps.values():
-        for j in range(len(mlp.weights)):
-            mlp.weights[j] = arrays[i]
-            mlp.biases[j] = arrays[i + 1]
-            i += 2
-
-
 def backward(model, xs, xr, ns, nr, y, pos_weight=1.0):
     """Mean-BCE loss and its exact gradients over a batch of pairs.
 
@@ -507,17 +498,16 @@ def init_adam(params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 def adam_step(state: AdamState, params, grads):
-    """Bias-corrected Adam update; returns new parameter arrays.
+    """Bias-corrected Adam update of ``params`` in place.
 
-    The moments are updated in place, with the operations of
+    The moments and parameters are updated in place, with the operations of
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
-    ``p - (lr*m_hat) / (sqrt(v_hat) + eps)`` in that order, so every bit
+    ``p = p - (lr*m_hat) / (sqrt(v_hat) + eps)`` in that order, so every bit
     equals that out-of-place form's.
     """
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    out = []
     for p, g, m, v in zip(params, grads, state.m, state.v):
         m *= b1
         m += (1 - b1) * g
@@ -529,8 +519,7 @@ def adam_step(state: AdamState, params, grads):
         np.sqrt(denom, out=denom)
         denom += state.eps
         step /= denom
-        out.append(p - step)
-    return out
+        p -= step
 
 
 # ---------------------------------------------------------------------------

@@ -198,8 +198,8 @@ def dyadic_ds_model(rng, dim):
     """A ds model whose weights and biases are multiples of 1/8: on features
     that are multiples of 1/2 every sum is exact, whatever its order."""
     model = nc.build_ds_model(rng, dim, 8)
-    nc.set_parameters(model, [np.round(rng.normal(scale=0.5, size=p.shape) * 8) / 8
-                              for p in nc.parameters(model)])
+    for p in nc.parameters(model):
+        p[...] = np.round(rng.normal(scale=0.5, size=p.shape) * 8) / 8
     return model
 
 

@@ -721,10 +721,14 @@ def test_train_finetune_checkpoints_match_choice_and_allocating_adam(arch, pool,
             nc.save_checkpoint(str(path), m)
         return [path.read_bytes() for path in paths]
 
+    def adam_step_writing_reference(state, params, grads):
+        for p, new in zip(params, adam_step_reference(state, params, grads)):
+            p[...] = new
+
     got = chain("new")
     monkeypatch.setattr(rf, "make_finetune_set", make_finetune_set_reference)
     monkeypatch.setattr(nc, "init_adam", init_adam_reference)
-    monkeypatch.setattr(nc, "adam_step", adam_step_reference)
+    monkeypatch.setattr(nc, "adam_step", adam_step_writing_reference)
     assert chain("reference") == got
 
 
