@@ -7,6 +7,7 @@ every function here indexes directly.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from .graph_core import (
     SUBGRAPH_SUSPICIOUS,
     boundary_sides,
     extract_boundary,  # noqa: F401  (the benchmark's tracer wraps classifier.extract_boundary)
+    is_number,
 )
 
 
@@ -81,11 +83,13 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in (("hidden_dim", 1), ("batch_size", 1), ("epochs", 0), ("patience", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (is_number(value) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("lr", "pos_weight"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (is_number(value, numbers.Real) and 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def make_pairs(graph, subgraphs):

@@ -11,6 +11,7 @@ manifest records: seeds and input paths (eval-cls: None, no manifest).
 """
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -68,17 +69,19 @@ def _log(msg):
 def _inject_config(argv, parser):
     """Expand --config file entries into argv; explicit flags win.
 
-    The generate command is excluded: there --config is the dataset
-    recipe itself, not a bag of flag values.
+    The file's flags go before the command's own, and argparse keeps the
+    last value of a flag, so an explicit flag wins however it is
+    abbreviated. The generate command is excluded: there --config is the
+    dataset recipe itself, not a bag of flag values.
     """
     if not argv or argv[0] not in parser.sub_map or argv[0] == "generate":
         return argv
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")
+    try:
+        path = finder.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:  # no value: the command's parser reports it
+        return argv
     if not path:
         return argv
     with open(path, encoding="utf-8") as fh:
@@ -87,16 +90,14 @@ def _inject_config(argv, parser):
         raise ValueError(f"{path}: config must be a JSON object")
     sub = parser.sub_map[argv[0]]
     valid = {opt for action in sub._actions for opt in action.option_strings}
-    out = list(argv)
+    flags = []
     for key, value in data.items():
         flag = "--" + str(key).replace("_", "-")
         if flag not in valid:
             _log(f"warning: config key {key!r} does not match any flag; ignored")
             continue
-        if any(tok == flag or tok.startswith(flag + "=") for tok in argv):
-            continue
-        out.extend([flag, str(value)])
-    return out
+        flags.extend([flag, str(value)])
+    return argv[:1] + flags + argv[1:]
 
 
 def _resolved_config(args, skip=("func", "config")):
@@ -210,9 +211,9 @@ def cmd_classify(args):
     skipped = len(subgraphs) - len(srs)
     scores = PairScorer(model, graph.features)(srs)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("subgraph_id,score,label_pred\n")
-        for sg_id, s in zip(ids, scores):
-            fh.write(f"{sg_id},{repr(s)},{int(s >= args.threshold)}\n")
+        rows = csv.writer(fh, lineterminator="\n")
+        rows.writerow(["subgraph_id", "score", "label_pred"])
+        rows.writerows([sg_id, repr(s), int(s >= args.threshold)] for sg_id, s in zip(ids, scores))
     if skipped:
         _log(f"skipped {skipped} subgraphs with empty boundary")
     return 0, {"seeds": {}, "input_paths": _dataset_paths(args.data_dir, subgraphs=False)

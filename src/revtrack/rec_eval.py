@@ -18,7 +18,7 @@ from .graph_core import (
     boundary_sides,
     extract_boundary,  # noqa: F401  (the benchmark's tracer wraps rec_eval.extract_boundary)
 )
-from .rev_filter import FilterConfig, rev_filter
+from .rev_filter import FilterConfig, check_k, rev_filter
 
 
 @dataclass(frozen=True)
@@ -94,16 +94,11 @@ def _instance_from_pools(plus_pool, minus_pool, n_plus, n_minus, seed):
 # metrics
 
 
-def _check_k(k):
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-
 def hit_ratio(recommended, truth, k) -> float:
     """Fraction of ground-truth links present in the top-k recommendations."""
     if not truth:
         raise ValueError("hit ratio undefined for empty truth set")
-    _check_k(k)
+    check_k(k)
     top = list(recommended)[:k]
     return len(set(top) & set(truth)) / len(truth)
 
@@ -112,7 +107,7 @@ def ndcg(recommended, truth, k) -> float:
     """Binary-relevance NDCG@k with a log2 rank discount."""
     if not truth:
         raise ValueError("ndcg undefined for empty truth set")
-    _check_k(k)
+    check_k(k)
     truth = set(truth)
     top = list(recommended)[:k]
     dcg = sum(
@@ -151,7 +146,7 @@ def one_pass_topk(instance: RecTestInstance, k, scorer):
 
     Ties keep sender-major link order (stable sort); no link list is built.
     """
-    _check_k(k)
+    check_k(k)
     p = np.asarray(scorer.grid(instance.senders, instance.receivers))
     n_r = len(instance.receivers)
     return [(instance.senders[i // n_r], instance.receivers[i % n_r])

@@ -18,6 +18,7 @@ Two robustness enhancements for sparse instances:
 
 import logging
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -30,6 +31,12 @@ from .graph_core import is_number
 logger = logging.getLogger(__name__)
 
 
+def check_k(k):
+    """Raise ValueError unless ``k`` is an integer >= 1 (bools are not)."""
+    if not (is_number(k) and k >= 1):
+        raise ValueError(f"k must be >= 1 and an integer, got {k!r}")
+
+
 @dataclass
 class FilterConfig:
     k: int
@@ -38,10 +45,9 @@ class FilterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not 1.0 <= self.alpha_keep < math.inf:
-            raise ValueError(f"alpha_keep must be finite and >= 1, got {self.alpha_keep}")
+        check_k(self.k)
+        if not (is_number(self.alpha_keep, numbers.Real) and 1.0 <= self.alpha_keep < math.inf):
+            raise ValueError(f"alpha_keep must be finite and >= 1, got {self.alpha_keep!r}")
         if self.split_rule not in ("sorted_id", "seeded_random"):
             raise ValueError(f"unknown split rule {self.split_rule!r}")
 
@@ -58,8 +64,9 @@ class FilterResult:
 class AugmentConfig:
     """Merge augmentation settings. Raises ValueError on a gamma that is not a
     finite positive number (or is a bool), a merge_range that is not two
-    integers 1 <= lo <= hi, or a num_outputs that is neither None nor an
-    integer >= 1 (bools are not integers here)."""
+    integers 1 <= lo <= hi, a gamma so large that every merge-size weight
+    underflows to 0, or a num_outputs that is neither None nor an integer
+    >= 1 (bools are not integers here)."""
 
     gamma: float = 0.4
     merge_range: tuple = (1, 20)
@@ -67,12 +74,15 @@ class AugmentConfig:
     num_outputs: int | None = None  # default: size of the input list
 
     def __post_init__(self):
-        if isinstance(self.gamma, bool) or not 0.0 < self.gamma < math.inf:
+        if not (is_number(self.gamma, numbers.Real) and 0.0 < self.gamma < math.inf):
             raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")
         pair = self.merge_range
         if not (isinstance(pair, (tuple, list)) and len(pair) == 2
                 and all(map(is_number, pair)) and 1 <= pair[0] <= pair[1]):
             raise ValueError(f"merge_range must be two integers 1 <= lo <= hi, got {pair!r}")
+        if self.gamma * np.exp(-self.gamma * pair[0]) == 0.0:
+            raise ValueError(f"gamma {self.gamma!r} is too large for merge_range {pair!r}: "
+                             f"every merge-size weight gamma * exp(-gamma * n) underflows to 0")
         if self.num_outputs is not None and not (is_number(self.num_outputs)
                                                  and self.num_outputs >= 1):
             raise ValueError(f"num_outputs must be None or an integer >= 1, "

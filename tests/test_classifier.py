@@ -1,6 +1,7 @@
 """Classifier pipeline: pairs, splits, metrics, training determinism."""
 
 import json
+import re
 from itertools import product
 
 import numpy as np
@@ -331,6 +332,21 @@ def test_train_model_trains_in_place_and_keeps_best_epoch():
     assert len(history) == 12 and metrics[-1] < max(metrics)  # peaks early
     assert out is model
     assert classifier._validation_metric(model, valid_p, fmap) == max(metrics)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hidden_dim", 2.5), ("hidden_dim", True), ("batch_size", 2.5), ("batch_size", True),
+    ("epochs", 2.5), ("epochs", True), ("patience", 2.5), ("patience", False),
+    ("lr", True), ("lr", "0.1"), ("pos_weight", True), ("pos_weight", 0.0),
+])
+def test_train_config_rejects_bools_fractions_and_strings(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be .*, got {re.escape(repr(value))}$"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_numpy_numbers():
+    cfg = TrainConfig(hidden_dim=np.int64(4), epochs=np.int64(0), lr=np.float64(0.5))
+    assert (cfg.hidden_dim, cfg.epochs, cfg.lr) == (4, 0, 0.5)
 
 
 def test_train_requires_both_classes():

@@ -1,5 +1,6 @@
 """CLI and file-format round trips, pipeline chaining, run manifests."""
 
+import csv
 import glob
 import json
 import os
@@ -411,7 +412,9 @@ def test_bad_generate_config_exits_1(tmp_path, capsys, config, shown):
     ({"merge_min": 1.5}, "argument --merge-min: invalid int value: '1.5'"),
     ({"gamma": True}, "argument --gamma: invalid float value: 'True'"),
     ({"gamma": 0}, "gamma must be finite and positive, got 0.0"),
-], ids=["zero-min", "min-above-max", "fractional-min", "bool-gamma", "zero-gamma"])
+    ({"gamma": 800}, "gamma 800.0 is too large for merge_range (1, 20)"),
+], ids=["zero-min", "min-above-max", "fractional-min", "bool-gamma", "zero-gamma",
+        "underflowing-gamma"])
 def test_bad_finetune_config_exits_1(tmp_path, capsys, config, shown):
     out = tmp_path / "tuned.json"
     argv = ["finetune", "--config", write_json(tmp_path / "c.json", config),
@@ -609,6 +612,25 @@ def test_filter_rejects_bad_sender_ids(pipeline, tmp_path, capsys, defect):
     assert rc == 1
     err = capsys.readouterr().err
     assert str(senders) in err and f"node id {bad}" in err
+
+
+def test_classify_quotes_subgraph_ids(pipeline, tmp_path):
+    _, data, model, _ = pipeline
+
+    def classify(sub_path, out):
+        assert main(["classify", "--model", str(model), "--data-dir", str(data),
+                     "--subgraphs", str(sub_path), "--out", str(out)]) == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))
+
+    records = [json.loads(line) for line in (data / "subgraphs.jsonl").read_text().splitlines()]
+    by_id = {row[0]: row[1:] for row in classify(data / "subgraphs.jsonl", tmp_path / "a.csv")}
+    odd = ['a,b"c', "two\nlines", "plain"]
+    renamed = tmp_path / "renamed.jsonl"
+    renamed.write_text("".join(json.dumps(dict(r, id=i)) + "\n" for r, i in zip(records, odd)))
+    rows = classify(renamed, tmp_path / "b.csv")
+    assert rows[0] == ["subgraph_id", "score", "label_pred"]
+    assert rows[1:] == [[i, *by_id[r["id"]]] for r, i in zip(records, odd)]
 
 
 @pytest.mark.parametrize("bad", [99999, -3])
@@ -934,14 +956,53 @@ def test_config_file_must_hold_an_object(tmp_path, capsys, data):
 
 def test_config_file_flags_win(pipeline, tmp_path, capsys):
     _, data, model, _ = pipeline
+
+    def eval_cls(*argv):
+        assert main(["eval-cls", *argv]) == 0
+        return json.loads(capsys.readouterr().out)
+
     cfg = write_json(tmp_path / "eval.json",
-                     {"model": str(model), "data-dir": str(data), "split-seed": 0})
-    assert main(["eval-cls", "--config", str(cfg)]) == 0
-    first = json.loads(capsys.readouterr().out)
-    # flag overrides the config value (same here, but exercises the path)
-    assert main(["eval-cls", "--config", str(cfg), "--split-seed", "0"]) == 0
-    second = json.loads(capsys.readouterr().out)
-    assert first == second
+                     {"model": str(model), "data-dir": str(data), "split-seed": 1})
+    plain = ["--model", str(model), "--data-dir", str(data), "--split-seed"]
+    seed_1, seed_0 = eval_cls(*plain, "1"), eval_cls(*plain, "0")
+    assert seed_1 != seed_0  # the two split seeds give different test splits
+    assert eval_cls("--config", cfg) == seed_1
+    assert eval_cls("--config", cfg, "--split-seed", "0") == seed_0
+
+
+@pytest.fixture
+def train_configs(pipeline, monkeypatch):
+    """The TrainConfig of every cli train run, which trains nothing."""
+    _, _, model, _ = pipeline
+    trained = load_checkpoint(str(model))
+    seen = []
+    monkeypatch.setattr(classifier, "train",
+                        lambda arch, tr, va, features, config: seen.append(config) or (trained, []))
+    return seen
+
+
+def test_abbreviated_config_flag_is_read(pipeline, tmp_path, train_configs):
+    _, data, _, _ = pipeline
+    cfg = write_json(tmp_path / "c.json", {"epochs": 1, "seed": 5})
+    assert main(["train", "--arch", "ds", "--conf", cfg, "--data-dir", str(data),
+                 "--out", str(tmp_path / "m.json")]) == 0
+    assert (train_configs[0].epochs, train_configs[0].seed) == (1, 5)
+
+
+def test_abbreviated_flag_beats_config_file(pipeline, tmp_path, train_configs):
+    _, data, _, _ = pipeline
+    cfg = write_json(tmp_path / "c.json", {"data_dir": str(tmp_path / "missing"), "seed": 5})
+    assert main(["train", "--arch", "ds", "--config", cfg, "--data", str(data),
+                 "--se", "2", "--out", str(tmp_path / "m.json")]) == 0
+    assert train_configs[0].seed == 2
+
+
+def test_config_flag_without_value_exits_1(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--arch", "ds", "--data-dir", str(tmp_path), "--out",
+              str(tmp_path / "m.json"), "--config"])
+    assert exc.value.code == 1
+    assert "argument --config: expected one argument" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

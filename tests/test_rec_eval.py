@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -115,9 +115,9 @@ def test_ndcg_examples():
 
 
 def test_metrics_reject_k_below_one():
-    for metric in (hit_ratio, ndcg):
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            metric([("a", "b")], {("a", "b")}, 0)
+    for metric, k in product((hit_ratio, ndcg), (0, 2.5, True)):
+        with pytest.raises(ValueError, match=f"k must be >= 1 and an integer, got {k!r}"):
+            metric([("a", "b")], {("a", "b")}, k)
 
 
 def test_metric_errors_on_empty_truth():
@@ -190,8 +190,9 @@ def instance_of(n_senders, n_receivers):
 
 def test_one_pass_topk_rejects_k_below_one():
     inst = instance_of(2, 2)
-    with pytest.raises(ValueError, match="k must be >= 1"):
-        one_pass_topk(inst, 0, OracleScorer(inst.truth_links))
+    for k in (0, 2.5, True):
+        with pytest.raises(ValueError, match=f"k must be >= 1 and an integer, got {k!r}"):
+            one_pass_topk(inst, k, OracleScorer(inst.truth_links))
 
 
 def dyadic_ds_model(rng, dim):

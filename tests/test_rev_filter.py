@@ -397,13 +397,14 @@ def test_rev_filter_rejects_ids_outside_the_feature_rows(bad):
         rev_filter(SRPair((bad, 4), (0, 1)), FilterConfig(k=2), scorer)
 
 
-@pytest.mark.parametrize("alpha", [0.5, math.nan, math.inf])
+@pytest.mark.parametrize("alpha", [0.5, math.nan, math.inf, True, "2"])
 def test_filter_config_rejects_bad_alpha_keep(alpha):
     with pytest.raises(ValueError, match="alpha_keep"):
         FilterConfig(k=3, alpha_keep=alpha)
 
 
-@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, True])
+# at 800 every merge-size weight gamma * exp(-gamma * n) underflows to 0
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, True, "0.4", 800.0])
 def test_augment_config_rejects_bad_gamma(gamma):
     with pytest.raises(ValueError, match="gamma"):
         AugmentConfig(gamma=gamma)
@@ -418,6 +419,20 @@ def test_augment_config_rejects_bad_gamma(gamma):
 def test_augment_config_rejects_bad_range_and_output_count(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be .*, got {re.escape(repr(value))}$"):
         AugmentConfig(**{field: value})
+
+
+def test_make_finetune_set_takes_the_smallest_merge_at_a_large_gamma():
+    # 700 * exp(-700) is still a normal double; every larger size underflows
+    pairs, _ = small_pairs()
+    merged = rf.make_finetune_set(pairs, AugmentConfig(gamma=700.0, merge_range=(1, 3), seed=2))
+    assert {(p.sr, p.label) for p in merged} <= {(p.sr, p.label) for p in pairs}
+
+
+@pytest.mark.parametrize("k", [0, 2.5, True, "3"])
+def test_filter_config_rejects_k_that_is_not_an_integer_from_one(k):
+    shown = f"^k must be >= 1 and an integer, got {re.escape(repr(k))}$"
+    with pytest.raises(ValueError, match=shown):
+        FilterConfig(k=k)
 
 
 def test_augment_config_accepts_integer_ranges_and_counts():
