@@ -48,11 +48,6 @@ class LabeledPair:
     origin: str = ""
 
 
-# shares of each class held out by ``split``; train takes the rest
-VALID_FRAC = 0.1
-TEST_FRAC = 0.1
-
-
 @dataclass
 class SplitSpec:
     seed: int = 0
@@ -119,29 +114,39 @@ def by_class(pairs):
     return [group for group in groups if group]
 
 
+def deal(pairs, seed, min_sizes):
+    """Stratified seeded hold-outs: (part 0, part 1, ..., rest).
+
+    Each class of n pairs, positives first, is shuffled once by
+    ``default_rng(seed)``; part i then takes the next round-half-up(0.1 n)
+    pairs from the front, and at least one when n >= ``min_sizes[i]``.
+    """
+    rng = np.random.default_rng(seed)
+    parts = [[] for _ in range(len(min_sizes) + 1)]
+    for group in by_class(pairs):
+        shuffled = [group[i] for i in rng.permutation(len(group))]
+        n, start = len(group), 0
+        for part, low in zip(parts, min_sizes):
+            take = max(round_half_up(0.1 * n), int(n >= low))
+            part.extend(shuffled[start:start + take])
+            start += take
+        parts[-1].extend(shuffled[start:])
+    return parts
+
+
 def split(pairs, spec: SplitSpec):
     """Stratified seeded split into (train, valid, test).
 
-    Each class of n pairs is shuffled once; validation and test take
-    round-half-up(0.1 n) each, at least one each when n >= 3 (test takes
-    one of a class of two). The few-shot fraction then keeps a prefix of
-    each class of train, so smaller fractions are nested inside larger ones
-    under the same seed.
+    ``deal`` holds out validation, at least one pair of a class of three or
+    more, then test, at least one of a class of two or more. The few-shot
+    fraction then keeps a prefix of each class of train, so smaller
+    fractions are nested inside larger ones under the same seed.
     """
     if len(pairs) < 10:
         raise ValueError(f"need at least 10 pairs to split, got {len(pairs)}")
     if not any(p.label == 1 for p in pairs):
         raise ValueError("no positive pairs; cannot build a labeled split")
-    rng = np.random.default_rng(spec.seed)
-    train, valid, test = [], [], []
-    for group in by_class(pairs):
-        shuffled = [group[i] for i in rng.permutation(len(group))]
-        n = len(group)
-        n_valid = max(round_half_up(VALID_FRAC * n), int(n >= 3))
-        n_test = max(round_half_up(TEST_FRAC * n), int(n >= 2))
-        valid.extend(shuffled[:n_valid])
-        test.extend(shuffled[n_valid : n_valid + n_test])
-        train.extend(shuffled[n_valid + n_test :])
+    valid, test, train = deal(pairs, spec.seed, (3, 2))
     if spec.few_shot_fraction < 1.0:
         train = few_shot_subsample(train, spec.few_shot_fraction)
     return train, valid, test

@@ -90,12 +90,6 @@ class BackgroundGraph:
     def feature_dim(self) -> int:
         return int(self.features.shape[1])
 
-    def out_neighbors(self, v: int) -> np.ndarray:
-        return self.out_indices[self.out_indptr[v] : self.out_indptr[v + 1]]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        return self.in_indices[self.in_indptr[v] : self.in_indptr[v + 1]]
-
     def edge_list(self) -> np.ndarray:
         """All edges as an (m, 2) array of (src, dst) rows in ascending order."""
         src = np.repeat(np.arange(self.num_nodes), np.diff(self.out_indptr))
@@ -145,11 +139,6 @@ class BoundarySets:
     sinks: frozenset
     senders: frozenset
     receivers: frozenset
-
-    @property
-    def has_empty_boundary(self) -> bool:
-        """True when either external side is empty; such subgraphs are skipped downstream."""
-        return not self.senders or not self.receivers
 
 
 @dataclass
@@ -235,6 +224,12 @@ def id_rows(node_ids, ids):
     ``node_ids`` and its ids at those rows; an id is in ``node_ids`` iff held."""
     rows = node_ids.searchsorted(ids)
     return rows, node_ids.take(rows, mode="clip")
+
+
+def segment_rows(lo, hi):
+    """Indices of the row ranges ``lo[i]:hi[i]``, concatenated in order."""
+    lengths = hi - lo
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - lo, lengths)
 
 
 def load_graph(edges, node_ids, features, node_labels=None):
@@ -341,12 +336,8 @@ def _ragged(owner, values, k):
 def _outside_neighbors(indptr, indices, nodes, owner, member_keys, n, k):
     """Each owner's sorted neighbors of ``nodes`` (through one CSR side of
     the graph) that are not members of that owner's subgraph."""
-    starts = indptr[nodes]
-    lens = indptr[nodes + 1] - starts
-    total = int(lens.sum())
-    offsets = np.cumsum(lens) - lens
-    nbrs = indices[np.repeat(starts - offsets, lens) + np.arange(total)]
-    keys = np.repeat(owner, lens) * n + nbrs
+    starts, ends = indptr[nodes], indptr[nodes + 1]
+    keys = np.repeat(owner, ends - starts) * n + indices[segment_rows(starts, ends)]
     keys = unique_ints(keys[id_rows(member_keys, keys)[1] != keys])
     return _ragged(keys // n, keys % n, k)
 

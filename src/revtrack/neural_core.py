@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph_core import segment_rows
+
 PROB_CLAMP = 1e-7
 CHECKPOINT_VERSION = 1
 
@@ -109,12 +111,6 @@ def mlp_backward(params: MlpParams, cache, d_out):
 
 # ---------------------------------------------------------------------------
 # set pooling
-
-
-def segment_rows(lo, hi):
-    """Indices of the row ranges ``lo[i]:hi[i]``, concatenated in order."""
-    lengths = hi - lo
-    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - lo, lengths)
 
 
 def _segment_pool(kind, rows, lengths):

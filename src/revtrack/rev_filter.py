@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import (LabeledPair, SRPair, TrainConfig, by_class, round_half_up,
-                         train_model)
+from .classifier import LabeledPair, SRPair, TrainConfig, deal, train_model
 from .graph_core import is_number
 
 logger = logging.getLogger(__name__)
@@ -352,31 +351,18 @@ def make_finetune_set(pairs, config: AugmentConfig):
     return out
 
 
-def _holdout_split(pairs, valid_frac, seed):
-    """Stratified seeded (train, valid) split: valid takes valid_frac * n,
-    rounded half up as ``split`` rounds, of each shuffled class of n, and at
-    least one when n >= 2."""
-    rng = np.random.default_rng(seed)
-    train, valid = [], []
-    for group in by_class(pairs):
-        shuffled = [group[i] for i in rng.permutation(len(group))]
-        n_valid = max(round_half_up(valid_frac * len(group)), int(len(group) >= 2))
-        valid.extend(shuffled[:n_valid])
-        train.extend(shuffled[n_valid:])
-    return train, valid
-
-
 def finetune(model, augmented_pairs, features, config: TrainConfig):
     """Continue training a copy of ``model`` on merged pairs.
 
-    Returns (tuned, history); the input model is left unchanged. A
-    stratified tenth of the augmented set is held out for early stopping.
+    Returns (tuned, history); the input model is left unchanged. ``deal``
+    holds out a stratified tenth of the augmented set, at least one pair of
+    a class of two or more, for early stopping.
     With epochs=0 the returned model equals the input.
     """
     start = model.copy()
     if config.epochs == 0:
         return start, []
-    train_p, valid_p = _holdout_split(augmented_pairs, 0.1, config.seed)
+    valid_p, train_p = deal(augmented_pairs, config.seed, (2,))
     if not train_p:
         raise ValueError("augmented set too small to fine-tune")
     return train_model(start, train_p, valid_p, features, config)

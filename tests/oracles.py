@@ -169,8 +169,21 @@ def read_nodes_csv_text(path):
     return rows["id"], rows["f"], codes.astype(np.int8)
 
 
+def out_neighbors(graph: BackgroundGraph, v: int) -> np.ndarray:
+    return graph.out_indices[graph.out_indptr[v] : graph.out_indptr[v + 1]]
+
+
+def in_neighbors(graph: BackgroundGraph, v: int) -> np.ndarray:
+    return graph.in_indices[graph.in_indptr[v] : graph.in_indptr[v + 1]]
+
+
+def has_empty_boundary(b: BoundarySets) -> bool:
+    """True when either external side is empty; such subgraphs are skipped downstream."""
+    return not b.senders or not b.receivers
+
+
 def has_edge(graph: BackgroundGraph, u: int, v: int) -> bool:
-    nbrs = graph.out_neighbors(u)
+    nbrs = out_neighbors(graph, u)
     i = int(np.searchsorted(nbrs, v))
     return i < len(nbrs) and nbrs[i] == v
 
@@ -259,12 +272,12 @@ def extract_boundary_reference(graph: BackgroundGraph, subgraph: Subgraph) -> Bo
 
     senders = set()
     for s in sources:
-        for u in graph.in_neighbors(s):
+        for u in in_neighbors(graph, s):
             if int(u) not in node_set:
                 senders.add(int(u))
     receivers = set()
     for t in sinks:
-        for v in graph.out_neighbors(t):
+        for v in out_neighbors(graph, t):
             if int(v) not in node_set:
                 receivers.add(int(v))
 
@@ -285,7 +298,7 @@ def make_pairs_reference(graph, subgraphs):
             stats["unlabeled"] += 1
             continue
         b = extract_boundary_reference(graph, sg)
-        if b.has_empty_boundary:
+        if has_empty_boundary(b):
             stats["empty_boundary"] += 1
             continue
         sr = SRPair(senders=tuple(b.senders), receivers=tuple(b.receivers))
@@ -302,7 +315,7 @@ def boundary_pools_reference(subgraphs, graph):
         if sg.label is None:
             continue
         b = extract_boundary_reference(graph, sg)
-        if b.has_empty_boundary:
+        if has_empty_boundary(b):
             continue
         senders = tuple(sorted(b.senders))
         receivers = tuple(sorted(b.receivers))
@@ -324,7 +337,7 @@ def infer_label(graph: BackgroundGraph, subgraph: Subgraph):
     if graph.node_labels is None:
         return None
     b = extract_boundary_reference(graph, subgraph)
-    if b.has_empty_boundary:
+    if has_empty_boundary(b):
         return None
     sender_labels = {int(graph.node_labels[s]) for s in b.senders}
     receiver_labels = {int(graph.node_labels[r]) for r in b.receivers}

@@ -19,6 +19,7 @@ from revtrack.classifier import (
     SRPair,
     TrainConfig,
     average_precision,
+    deal,
     evaluate,
     f1_at_threshold,
     few_shot_subsample,
@@ -197,7 +198,7 @@ def test_split_minimum_size_and_positives():
 
 
 def test_per_class_split_sizes_follow_their_rules_for_every_class_size():
-    # split, few_shot_subsample and _holdout_split all round half up: in exact
+    # split, few_shot_subsample and the fine-tune deal all round half up: in exact
     # integers, round-half-up(n / 10) is (n + 5) // 10
     pos, neg = fake_pairs(2000, 0), fake_pairs(0, 9)
     for n in range(1, 2001):
@@ -209,7 +210,7 @@ def test_per_class_split_sizes_follow_their_rules_for_every_class_size():
             n - n_valid - n_test, n_valid, n_test]
         assert n - n_valid - n_test >= 1
         n_held = max((n + 5) // 10, int(n >= 2))
-        train_p, valid_p = rf._holdout_split(group, 0.1, seed=n)
+        valid_p, train_p = deal(group, n, (2,))
         assert (len(train_p), len(valid_p)) == (n - n_held, n_held) and train_p
         for fraction, kept in ((0.25, (n + 2) // 4), (0.5, (n + 1) // 2)):
             assert len(few_shot_subsample(group, fraction)) == max(1, kept)

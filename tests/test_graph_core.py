@@ -30,7 +30,10 @@ from revtrack import graph_core
 from oracles import (
     extract_boundary_reference,
     graphlet_census_bruteforce,
+    has_empty_boundary,
+    in_neighbors,
     load_graph_rows,
+    out_neighbors,
     topological_order,
 )
 
@@ -151,7 +154,7 @@ def test_load_graph_basic_degrees():
     graph, stats = load_graph(
         np.array([(0, 1), (1, 2)]), [0, 1, 2], [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]],
     )
-    degs = [len(graph.out_neighbors(v)) for v in range(3)]
+    degs = [len(out_neighbors(graph, v)) for v in range(3)]
     assert degs == [1, 1, 0]
     assert stats == {"duplicate_edges": 0, "self_loops_dropped": 0}
 
@@ -179,7 +182,7 @@ def test_load_graph_densifies_sparse_ids():
         [LICIT, ILLICIT, UNKNOWN],
     )
     assert graph.node_ids.tolist() == [10, 20, 30]
-    assert list(graph.out_neighbors(0)) == [2]
+    assert list(out_neighbors(graph, 0)) == [2]
     assert graph.features[2, 0] == 2.0
     assert list(graph.node_labels) == [LICIT, UNKNOWN, ILLICIT]
 
@@ -279,7 +282,7 @@ def test_transpose_consistency_random():
         in_edges = {
             (int(u), v)
             for v in range(n)
-            for u in graph.in_neighbors(v)
+            for u in in_neighbors(graph, v)
         }
         assert out_edges == set(edge_list) == in_edges
 
@@ -347,7 +350,7 @@ def test_extract_boundary_chain():
     assert b.sinks == {3}
     assert b.senders == {0}
     assert b.receivers == {4}
-    assert not b.has_empty_boundary
+    assert not has_empty_boundary(b)
 
 
 def test_extract_boundary_after_cycle_breaking():
@@ -366,7 +369,7 @@ def test_extract_boundary_isolated_subgraph():
     b = extract_boundary(graph, sg)
     assert b.senders == frozenset()
     assert b.receivers == frozenset()
-    assert b.has_empty_boundary
+    assert has_empty_boundary(b)
 
 
 def test_extract_boundary_matches_naive_oracle():
