@@ -16,6 +16,7 @@ from . import neural_core as nc
 from .graph_core import (
     SUBGRAPH_SUSPICIOUS,
     boundary_sides,
+    check_seed,
     extract_boundary,  # noqa: F401  (the benchmark's tracer wraps classifier.extract_boundary)
     is_number,
 )
@@ -54,7 +55,9 @@ class SplitSpec:
     few_shot_fraction: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.few_shot_fraction <= 1.0:
+        check_seed(self.seed)
+        fraction = self.few_shot_fraction
+        if not (is_number(fraction, numbers.Real) and 0.0 < fraction <= 1.0):
             raise ValueError("few_shot_fraction must be in (0, 1]")
 
 
@@ -77,7 +80,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("hidden_dim", 1), ("batch_size", 1), ("epochs", 0), ("patience", 1)):
+        for name, low in (("hidden_dim", 1), ("batch_size", 1), ("epochs", 0), ("patience", 1),
+                          ("seed", 0)):
             value = getattr(self, name)
             if not (is_number(value) and value >= low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")

@@ -29,6 +29,12 @@ def is_number(value, kind=numbers.Integral):
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def check_seed(seed):
+    """Raise ValueError unless ``seed`` is an integer >= 0 (bools are not)."""
+    if not (is_number(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 SUBGRAPH_LICIT = "licit"
 SUBGRAPH_SUSPICIOUS = "suspicious"
 

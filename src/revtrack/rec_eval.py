@@ -138,7 +138,8 @@ class BenchmarkConfig:
         if self.variant not in ("full", "no-iter"):
             raise ValueError(f"unknown benchmark variant {self.variant!r}")
         # reject bad filter settings before any instance is built
-        FilterConfig(k=1, alpha_keep=self.alpha_keep, split_rule=self.split_rule)
+        FilterConfig(k=1, alpha_keep=self.alpha_keep, split_rule=self.split_rule,
+                     seed=self.seed)
 
 
 def one_pass_topk(instance: RecTestInstance, k, scorer):

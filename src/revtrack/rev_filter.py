@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import LabeledPair, SRPair, TrainConfig, deal, train_model
-from .graph_core import is_number
+from .graph_core import check_seed, is_number
 
 logger = logging.getLogger(__name__)
 
@@ -49,6 +49,7 @@ class FilterConfig:
             raise ValueError(f"alpha_keep must be finite and >= 1, got {self.alpha_keep!r}")
         if self.split_rule not in ("sorted_id", "seeded_random"):
             raise ValueError(f"unknown split rule {self.split_rule!r}")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -64,8 +65,9 @@ class AugmentConfig:
     """Merge augmentation settings. Raises ValueError on a gamma that is not a
     finite positive number (or is a bool), a merge_range that is not two
     integers 1 <= lo <= hi, a gamma so large that every merge-size weight
-    underflows to 0, or a num_outputs that is neither None nor an integer
-    >= 1 (bools are not integers here)."""
+    underflows to 0, a num_outputs that is neither None nor an integer
+    >= 1, or a seed that is not an integer >= 0 (bools are not integers
+    here)."""
 
     gamma: float = 0.4
     merge_range: tuple = (1, 20)
@@ -86,6 +88,7 @@ class AugmentConfig:
                                                  and self.num_outputs >= 1):
             raise ValueError(f"num_outputs must be None or an integer >= 1, "
                              f"got {self.num_outputs!r}")
+        check_seed(self.seed)
 
 
 # The columns of ``expand``'s table [s_lo, s_hi, r_lo, r_hi, s_mid, r_mid]

@@ -345,6 +345,27 @@ def test_train_config_rejects_bools_fractions_and_strings(field, value):
         TrainConfig(**{field: value})
 
 
+BAD_SEEDS = [2.5, True, "3", -1]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_train_config_rejects_a_seed_that_is_not_an_integer_from_zero(seed):
+    shown = f"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=shown):
+        TrainConfig(seed=seed)
+
+
+@pytest.mark.parametrize("field, value", [
+    *(("seed", seed) for seed in BAD_SEEDS),
+    ("few_shot_fraction", True), ("few_shot_fraction", "0.5"), ("few_shot_fraction", None),
+])
+def test_split_spec_rejects_bad_seeds_and_fractions(field, value):
+    shown = (f"^seed must be an integer >= 0, got {re.escape(repr(value))}$" if field == "seed"
+             else r"^few_shot_fraction must be in \(0, 1\]$")
+    with pytest.raises(ValueError, match=shown):
+        SplitSpec(**{field: value})
+
+
 def test_train_config_accepts_numpy_numbers():
     cfg = TrainConfig(hidden_dim=np.int64(4), epochs=np.int64(0), lr=np.float64(0.5))
     assert (cfg.hidden_dim, cfg.epochs, cfg.lr) == (4, 0, 0.5)

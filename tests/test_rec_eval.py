@@ -1,6 +1,7 @@
 """Recommendation benchmark: instances, HR/NDCG, harness determinism."""
 
 import math
+import re
 import tracemalloc
 from itertools import combinations, product
 
@@ -290,6 +291,13 @@ def test_benchmark_variant_validation():
         BenchmarkConfig(scorer=None, alpha_keep=math.nan)
     with pytest.raises(ValueError, match="unknown split rule"):
         BenchmarkConfig(scorer=None, split_rule="random")
+
+
+@pytest.mark.parametrize("seed", [2.5, True, "3", -1])
+def test_benchmark_config_rejects_a_seed_that_is_not_an_integer_from_zero(seed):
+    shown = f"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=shown):
+        BenchmarkConfig(scorer=None, seed=seed)
 
 
 def test_parse_setting():

@@ -435,6 +435,20 @@ def test_filter_config_rejects_k_that_is_not_an_integer_from_one(k):
         FilterConfig(k=k)
 
 
+@pytest.mark.parametrize("seed", [2.5, True, "3", -1])
+def test_filter_config_rejects_a_seed_that_is_not_an_integer_from_zero(seed):
+    shown = f"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=shown):
+        FilterConfig(k=1, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [2.5, True, "3", -1])
+def test_augment_config_rejects_a_seed_that_is_not_an_integer_from_zero(seed):
+    shown = f"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=shown):
+        AugmentConfig(seed=seed)
+
+
 def test_augment_config_accepts_integer_ranges_and_counts():
     for merge_range, num_outputs in [([2, 2], 1), ((np.int64(1), np.int64(3)), np.int64(4))]:
         cfg = AugmentConfig(merge_range=merge_range, num_outputs=num_outputs)
