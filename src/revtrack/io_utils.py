@@ -9,6 +9,7 @@ holds a table's text; only a table that fails to parse is read again, to
 name the line at fault. A node feature that is nan or infinite is rejected.
 """
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -104,6 +105,8 @@ def read_edges_csv(path):
 
 
 def write_nodes_csv(path, graph):
+    """One row per node, in row order, under its original id (``node_ids``)."""
+    ids = range(graph.num_nodes) if graph.node_ids is None else graph.node_ids.tolist()
     header = ["id"] + [f"f_{i}" for i in range(graph.feature_dim)]
     labels = [[]] * graph.num_nodes
     if graph.node_labels is not None:
@@ -112,7 +115,7 @@ def write_nodes_csv(path, graph):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n" + "".join(
             ",".join([str(v), *map(repr, row), *label]) + "\n"
-            for v, (row, label) in enumerate(zip(graph.features.tolist(), labels))))
+            for v, row, label in zip(ids, graph.features.tolist(), labels)))
 
 
 def read_nodes_csv(path):
@@ -230,10 +233,20 @@ def read_subgraphs_jsonl(path, graph=None):
 
 
 def save_dataset(dataset, out_dir):
+    """Write the three files of ``load_dataset``'s layout. A graph that keeps
+    its original ids (``node_ids``) is written in them; being ascending, they
+    keep the order of rows, edges and subgraph nodes."""
+    graph, subgraphs = dataset.graph, dataset.subgraphs
+    edges = graph.edge_list()
+    if graph.node_ids is not None:
+        edges, ids = graph.node_ids[edges], graph.node_ids.tolist()
+        subgraphs = [dataclasses.replace(sg, nodes=[ids[v] for v in sg.nodes],
+                                         edges=[(ids[u], ids[v]) for u, v in sg.edges])
+                     for sg in subgraphs]
     os.makedirs(out_dir, exist_ok=True)
-    write_edges_csv(os.path.join(out_dir, EDGES_FILE), dataset.graph.edge_list())
-    write_nodes_csv(os.path.join(out_dir, NODES_FILE), dataset.graph)
-    write_subgraphs_jsonl(os.path.join(out_dir, SUBGRAPHS_FILE), dataset.subgraphs)
+    write_edges_csv(os.path.join(out_dir, EDGES_FILE), edges)
+    write_nodes_csv(os.path.join(out_dir, NODES_FILE), graph)
+    write_subgraphs_jsonl(os.path.join(out_dir, SUBGRAPHS_FILE), subgraphs)
     return [os.path.join(out_dir, name) for name in (EDGES_FILE, NODES_FILE, SUBGRAPHS_FILE)]
 
 

@@ -110,6 +110,24 @@ def test_subgraph_file_with_sparse_ids(tmp_path):
     validate_against(sg, graph)
 
 
+def test_save_dataset_keeps_sparse_node_ids(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    (first / "edges.csv").write_text("src,dst\n30,10\n10,20\n20,30\n")
+    (first / "nodes.csv").write_text("id,f_0,label\n20,0.5,licit\n10,1.5,illicit\n30,-2.0,\n")
+    (first / "subgraphs.jsonl").write_text(
+        '{"id":"a","label":"suspicious","nodes":[10,20],"edges":[[10,20]]}\n'
+        '{"id":"b","label":null,"nodes":[30],"edges":[]}\n')
+    graph, subgraphs = io_utils.load_dataset(first)
+    io_utils.save_dataset(SynthDataset(graph=graph, subgraphs=subgraphs), second)
+    loaded, loaded_subgraphs = io_utils.load_dataset(second)
+    assert loaded.node_ids.tolist() == graph.node_ids.tolist() == [10, 20, 30]
+    for name in ("out_indptr", "out_indices", "in_indptr", "in_indices", "features",
+                 "node_labels"):
+        assert np.array_equal(getattr(loaded, name), getattr(graph, name)), name
+    assert loaded_subgraphs == subgraphs
+
+
 def test_nodes_csv_rejects_bad_label(tmp_path):
     path = tmp_path / "nodes.csv"
     path.write_text("id,f_0,label\n0,1.0,weird\n")
