@@ -39,6 +39,7 @@ class SRPair:
 
     @property
     def is_one_one(self) -> bool:
+        """One sender and one receiver; only ``bench/workloads.py`` reads it."""
         return len(self.senders) == 1 and len(self.receivers) == 1
 
 
@@ -95,6 +96,8 @@ def make_pairs(graph, subgraphs):
     """Boundary pairs for every labeled subgraph with a nonempty boundary.
 
     Returns (pairs, graph.features, stats); stats counts skipped subgraphs.
+    The features are ``graph.features`` itself; ``bench/workloads.py``
+    reads them as ``fmap``, which keeps this return value alive.
     """
     labeled = [sg for sg in subgraphs if sg.label is not None]
     pairs = [
@@ -269,7 +272,8 @@ class PairScorer:
                                          _feature_rows(self.features, receivers), SCORE_CHUNK))
 
     def score(self, sr: SRPair) -> float:
-        """Probability that the pair bounds a suspicious flow."""
+        """Probability that the pair bounds a suspicious flow. No program code
+        calls it; ``bench/layers.py`` traces it, which keeps it alive."""
         return self([sr])[0]
 
 

@@ -139,7 +139,8 @@ class Subgraph:
 
 @dataclass(frozen=True)
 class BoundarySets:
-    """Sources/sinks of a cycle-broken subgraph plus its senders and receivers."""
+    """Sources/sinks of a cycle-broken subgraph plus its senders and receivers,
+    as ``extract_boundary`` returns them (which ``bench/layers.py`` keeps alive)."""
 
     sources: frozenset
     sinks: frozenset
@@ -421,7 +422,9 @@ def boundary_sides(graph: BackgroundGraph, subgraphs):
 
 
 def extract_boundary(graph: BackgroundGraph, subgraph: Subgraph) -> BoundarySets:
-    """``boundary_table`` of one subgraph, as sets."""
+    """``boundary_table`` of one subgraph, as sets. No program code calls it;
+    ``bench/layers.py`` traces it and ``bench/test_bench.py`` checks that
+    trace, which keeps it alive."""
     table = boundary_table(graph, [subgraph])
     return BoundarySets(*(frozenset(idx.tolist()) for idx, _ in table))
 

@@ -434,7 +434,8 @@ def grid_logits(model, xs, xr, chunk):
 
 
 def forward_logit(model, sender_feats, receiver_feats):
-    """Raw classifier output for one pair of feature-row sets."""
+    """Raw classifier output for one pair of feature-row sets. No program
+    code calls it; ``bench/layers.py`` traces it, which keeps it alive."""
     xs = np.atleast_2d(np.asarray(sender_feats, dtype=np.float64))
     xr = np.atleast_2d(np.asarray(receiver_feats, dtype=np.float64))
     return float(batch_logits(model, xs, xr, [len(xs)], [len(xr)])[0])
