@@ -250,15 +250,20 @@ class PairScorer:
     def blocks(self, senders, receivers):
         """Scorer of candidate blocks over the node-id sequences ``senders``
         and ``receivers``, whose feature rows are gathered and encoded here,
-        once (ds: into per-side prefix sums of rho's pre-activation, see
-        ``neural_core.encode_sides``): it maps an (n, 4) array of ``(s_lo,
-        s_hi, r_lo, r_hi)`` blocks to a float64 array of the probabilities of
-        the pairs ``(senders[s_lo:s_hi], receivers[r_lo:r_hi])``, in order,
-        as calling the scorer on those pairs does up to rounding order."""
+        once (ds: into one stacked table of both sides' prefix sums of rho's
+        pre-activation, sender rows first, see ``neural_core.encode_sides``):
+        it maps an (n, 4) array of ``(s_lo, s_hi, r_lo, r_hi)`` blocks to a
+        float64 array of the probabilities of the pairs ``(senders[s_lo:s_hi],
+        receivers[r_lo:r_hi])``, in order, as calling the scorer on those
+        pairs does up to rounding order. An array of at most ``SCORE_CHUNK``
+        blocks goes to ``neural_core.block_logits`` in one call (one bounds
+        check, one gather-subtract), a longer one in chunks of that size."""
         encoded = nc.encode_sides(self.model, _feature_rows(self.features, senders),
                                   _feature_rows(self.features, receivers))
 
         def score(candidates):
+            if len(candidates) <= SCORE_CHUNK:
+                return nc.sigmoid(nc.block_logits(self.model, encoded, candidates))
             return np.concatenate([
                 nc.sigmoid(nc.block_logits(self.model, encoded, candidates[i:i + SCORE_CHUNK]))
                 for i in range(0, len(candidates), SCORE_CHUNK)])

@@ -13,11 +13,13 @@ is its hand-written reverse pass; gradients are exact up to floating point
 (see the finite-difference tests). Two forward passes score many pairs over
 one sender set and one receiver set, encoding each node once (ds):
 ``grid_logits`` every 1-1 link, and ``block_logits`` candidate blocks of
-slices of the two sides. ``encode_sides`` builds per side the prefix sums
-of rho's pre-activation (rho's first layer is affine and commutes with a
-sum pool), so a slice's rho input is the difference of two table rows plus
-rho's bias, and no block runs rho's product. Dense layers add the bias and
-apply the ReLU in place on each fresh matmul output.
+slices of the two sides. ``encode_sides`` builds, once per query, one
+stacked table of both sides' prefix sums of rho's pre-activation, sender
+rows first (rho's first layer is affine and commutes with a sum pool), so a
+slice's rho input is the difference of two table rows plus rho's bias, and
+no block runs rho's product; ``block_logits`` makes one per-side bounds
+check and one gather-subtract per block array. Dense layers add the bias
+and apply the ReLU in place on each fresh matmul output.
 
 A ``Model`` is its config (the dict a checkpoint records) plus its named
 layer stacks, which ``layer_table`` lists once per architecture. Adam updates
@@ -70,10 +72,14 @@ def mlp_forward(params: MlpParams, x, cache=None):
     Each layer adds its bias to, and applies its ReLU on, the fresh matmul
     output in place. A list ``cache`` receives each layer's (input,
     activation): a ReLU output is > 0 exactly where its pre-activation is,
-    -0.0 and NaN included, which is all ``mlp_backward`` reads of it.
+    -0.0 and NaN included, which is all ``mlp_backward`` reads of it. A 2-D
+    float64 ndarray is used as it is, as the conversions would return it.
     """
-    single = np.ndim(x) == 1
-    a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64:
+        single, a = False, x
+    else:
+        single = np.ndim(x) == 1
+        a = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if a.shape[1] != params.weights[0].shape[1]:
         raise ShapeError(
             f"input dim {a.shape[1]} != expected {params.weights[0].shape[1]}"
@@ -286,28 +292,39 @@ def batch_logits(model, xs, xr, ns, nr, cache=None):
 
 
 def encode_sides(model, xs, xr):
-    """Per-side tables of a sender and a receiver feature-row set, for
-    ``block_logits``. ds: each side's prefix sums of rho's pre-activation,
-    ``[0; cumsum(phi(x))] @ W_rho.T``, an (n + 1, h) table whose row i is
-    rho's linear map of the sum of phi over the first i rows. A linear map
-    commutes with a sum, so a slice's sum pool, projected, is the
-    difference of two rows, and rho's product runs once per side here
-    instead of once per block. phi ends in a ReLU, so the sums of phi only
-    grow, but projected rows can be negative: a difference's rounding
-    error stays on the scale of machine epsilon times |W_rho| applied to
-    the side's phi total, which bounds the sum of |W_rho phi| over its
-    rows. bp: the raw rows, since a bp receiver's state depends on its
-    pair's sender sum."""
+    """What ``block_logits`` needs of a sender and a receiver feature-row
+    set, built once per query and opaque to callers: each side's row count
+    and, per arch, its tables.
+
+    ds: one stacked table of both sides' prefix sums of rho's
+    pre-activation, sender rows first, then the receiver rows from a row
+    offset of ``n_s + 1``. A side's rows are ``[0; cumsum(phi(x))] @
+    W_rho.T``, (n + 1, h), whose row i is rho's linear map of the sum of phi
+    over the first i rows, each side's product written into its part of the
+    table. A linear map commutes with a sum, so a slice's sum pool,
+    projected, is the difference of two rows, and rho's product runs once
+    per side here instead of once per block. phi ends in a ReLU, so the sums
+    of phi only grow, but projected rows can be negative: a difference's
+    rounding error stays on the scale of machine epsilon times |W_rho|
+    applied to the side's phi total, which bounds the sum of |W_rho phi|
+    over its rows. Next to the table: each side's row offset in it and the
+    two rho biases concatenated. bp: the raw rows, since a bp
+    receiver's state depends on its pair's sender sum."""
     xs, xr = (np.asarray(x, dtype=np.float64) for x in (xs, xr))
+    limits = np.array([len(xs), len(xr)])
     if model.arch == "bp":
-        return xs, xr
-    tables = []
-    for side, x in (("sender", xs), ("receiver", xr)):
+        return limits, (xs, xr)
+    sides = ("sender", "receiver")
+    offsets = np.array([0, len(xs) + 1])
+    table = np.empty((len(xs) + len(xr) + 2, model.config["hidden_dim"]))
+    for side, x, start in zip(sides, (xs, xr), offsets):
         u = mlp_forward(model.mlps[f"{side}_phi"], x)
         sums = np.zeros((len(u) + 1, u.shape[1]))
         np.cumsum(u, axis=0, out=sums[1:])
-        tables.append(sums @ model.mlps[f"{side}_rho"].weights[0].T)
-    return tuple(tables)
+        np.matmul(sums, model.mlps[f"{side}_rho"].weights[0].T,
+                  out=table[start:start + len(sums)])
+    bias = np.concatenate([model.mlps[f"{side}_rho"].biases[0] for side in sides])
+    return limits, (table, offsets, bias)
 
 
 def block_logits(model, encoded, blocks):
@@ -315,33 +332,34 @@ def block_logits(model, encoded, blocks):
 
     ``encoded`` is ``encode_sides`` of the sides' feature rows; block i,
     ``(s_lo, s_hi, r_lo, r_hi)``, is the pair of sender rows
-    ``s_lo:s_hi`` and receiver rows ``r_lo:r_hi``. ds: a slice's rho
-    pre-activation is the difference of two rows of its side's table
-    (divided by its length for ``mean``) plus rho's bias; both sides fill
-    one (blocks, 2h) array, which takes rho's ReLU in place and goes
-    through trunk and logit as in ``batch_logits``, so a block costs the
-    same however many rows it holds. bp: each block's rows are gathered
-    and go through ``batch_logits``. Either way a block scores as
-    ``batch_logits`` scores its pair, up to rounding order. Raises
+    ``s_lo:s_hi`` and receiver rows ``r_lo:r_hi``. One bounds check covers
+    both sides of every block. ds: a slice's rho pre-activation is the
+    difference of two rows of the stacked table (divided by its length for
+    ``mean``) plus rho's bias; one gather of the blocks' end rows and one
+    in-place subtract of their start rows fill a (blocks, 2h) array,
+    sender half first, which takes the bias and rho's ReLU in place and goes
+    through trunk and logit as ``batch_logits``'s joint embedding, so a
+    block costs the same however many rows it holds. bp: each block's rows
+    are gathered and go through ``batch_logits``. Either way a block scores
+    as ``batch_logits`` scores its pair, up to rounding order. Raises
     ValueError unless every block holds a nonempty slice of each side.
     """
+    limits, tables = encoded
     b = np.asarray(blocks, dtype=np.int64).reshape(-1, 4)
-    ds = model.arch == "ds"
-    slices = ((encoded[0], b[:, 0], b[:, 1]), (encoded[1], b[:, 2], b[:, 3]))
-    for table, lo, hi in slices:  # a ds table has a row more than its side
-        if not ((0 <= lo) & (lo < hi) & (hi <= len(table) - ds)).all():
-            raise ValueError("every block needs a nonempty slice of each side")
-    if not ds:
-        (us, ns), (ur, nr) = ((u[segment_rows(lo, hi)], hi - lo) for u, lo, hi in slices)
+    lo, hi = b[:, ::2], b[:, 1::2]  # (blocks, 2): sender column, receiver column
+    if not ((0 <= lo) & (lo < hi) & (hi <= limits)).all():
+        raise ValueError("every block needs a nonempty slice of each side")
+    if model.arch == "bp":
+        (us, ns), (ur, nr) = ((x[segment_rows(lo[:, i], hi[:, i])], hi[:, i] - lo[:, i])
+                              for i, x in enumerate(tables))
         return batch_logits(model, us, ur, ns, nr)
-    k = encoded[0].shape[1]
-    joint = np.empty((len(b), 2 * k))
-    for half, (table, lo, hi), side in zip((joint[:, :k], joint[:, k:]), slices,
-                                           ("sender", "receiver")):
-        np.subtract(table[hi], table[lo], out=half)
-        if model.config["pool"] == "mean":
-            half /= (hi - lo)[:, None]
-        half += model.mlps[f"{side}_rho"].biases[0]
+    table, offsets, bias = tables
+    joint = table[hi + offsets]
+    joint -= table[lo + offsets]
+    if model.config["pool"] == "mean":
+        joint /= (hi - lo)[:, :, None]
+    joint = joint.reshape(len(b), -1)
+    joint += bias
     np.maximum(joint, 0.0, out=joint)
     return mlp_forward(model.mlps["logit"], mlp_forward(model.mlps["trunk"], joint))[:, 0]
 

@@ -25,8 +25,9 @@ from revtrack.graph_core import (
     _classify_graphlet,
     break_cycles,
     build_graph,
+    segment_rows,
 )
-from revtrack.neural_core import AdamState, ShapeError
+from revtrack.neural_core import AdamState, ShapeError, batch_logits, mlp_forward
 from revtrack.rec_eval import RecTestInstance, _instance_from_pools, boundary_pools
 from revtrack.rev_filter import (AugmentConfig, FilterConfig, FilterResult, keep_schedule,
                                  truncated_exp_pmf)
@@ -722,8 +723,8 @@ def make_finetune_set_reference(pairs, config: AugmentConfig):
 
 
 # ---------------------------------------------------------------------------
-# neural_core references: out-of-place dense layers, the masked sigmoid and
-# an allocating Adam
+# neural_core references: out-of-place dense layers, the masked sigmoid, an
+# allocating Adam and per-side block tables
 
 
 def init_adam_reference(params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -781,3 +782,44 @@ def sigmoid_reference(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out if out.ndim else float(out)
+
+
+def encode_sides_reference(model, xs, xr):
+    """``neural_core.encode_sides`` with one table per side: ds, a tuple of
+    the sender and the receiver (n + 1, h) table ``[0; cumsum(phi(x))] @
+    W_rho.T``, each from its own product; bp, the raw rows."""
+    xs, xr = (np.asarray(x, dtype=np.float64) for x in (xs, xr))
+    if model.arch == "bp":
+        return xs, xr
+    tables = []
+    for side, x in (("sender", xs), ("receiver", xr)):
+        u = mlp_forward(model.mlps[f"{side}_phi"], x)
+        sums = np.zeros((len(u) + 1, u.shape[1]))
+        np.cumsum(u, axis=0, out=sums[1:])
+        tables.append(sums @ model.mlps[f"{side}_rho"].weights[0].T)
+    return tuple(tables)
+
+
+def block_logits_reference(model, encoded, blocks):
+    """``neural_core.block_logits`` over ``encode_sides_reference``'s tables:
+    one bounds check per side, and per side one difference of two table
+    gathers written into its half of the (blocks, 2h) rho input."""
+    b = np.asarray(blocks, dtype=np.int64).reshape(-1, 4)
+    ds = model.arch == "ds"
+    slices = ((encoded[0], b[:, 0], b[:, 1]), (encoded[1], b[:, 2], b[:, 3]))
+    for table, lo, hi in slices:  # a ds table has a row more than its side
+        if not ((0 <= lo) & (lo < hi) & (hi <= len(table) - ds)).all():
+            raise ValueError("every block needs a nonempty slice of each side")
+    if not ds:
+        (us, ns), (ur, nr) = ((u[segment_rows(lo, hi)], hi - lo) for u, lo, hi in slices)
+        return batch_logits(model, us, ur, ns, nr)
+    k = encoded[0].shape[1]
+    joint = np.empty((len(b), 2 * k))
+    for half, (table, lo, hi), side in zip((joint[:, :k], joint[:, k:]), slices,
+                                           ("sender", "receiver")):
+        np.subtract(table[hi], table[lo], out=half)
+        if model.config["pool"] == "mean":
+            half /= (hi - lo)[:, None]
+        half += model.mlps[f"{side}_rho"].biases[0]
+    np.maximum(joint, 0.0, out=joint)
+    return mlp_forward(model.mlps["logit"], mlp_forward(model.mlps["trunk"], joint))[:, 0]

@@ -13,8 +13,8 @@ from revtrack import classifier
 from revtrack import neural_core as nc
 from revtrack.classifier import PairScorer, SRPair
 from revtrack.rev_filter import expand
-from oracles import (adam_step_reference, init_adam_reference, mlp_forward_reference,
-                     sigmoid_reference)
+from oracles import (adam_step_reference, block_logits_reference, encode_sides_reference,
+                     init_adam_reference, mlp_forward_reference, sigmoid_reference)
 
 
 def identity_mlp(dim):
@@ -693,6 +693,61 @@ def test_prefix_sum_blocks_match_kernel_on_gathered_pairs(pool, n_s, n_r, seed):
     for bad in ((n_s - 1, n_s + 1, 0, 1), (0, 1, 0, n_r + 1), (n_s, n_s, 0, 1)):
         with pytest.raises(ValueError, match="nonempty slice"):
             nc.block_logits(model, encoded, [(0, 1, 0, 1), bad])
+
+
+@settings(max_examples=60, deadline=None)
+@given(arch_pool=st.sampled_from(POOLS), n_s=st.integers(1, 300), n_r=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_table_blocks_match_per_side_reference_bitwise(arch_pool, n_s, n_r, seed):
+    # ds sum and mean read the stacked table, bp its unchanged gather; the
+    # per-element subtract, divide, bias add and ReLU are the reference's
+    rng = np.random.default_rng(seed)
+    model = jiggled_model(rng, *arch_pool, hidden=16)
+    xs, xr = rng.normal(size=(n_s, 3)), rng.normal(size=(n_r, 3))
+
+    def slices(n, last_row):  # 40 random slices, then per flag the last row or the whole side
+        lo = rng.integers(0, n, 40)
+        hi = lo + 1 + (rng.random(40) * (n - lo)).astype(np.int64)
+        return np.append(lo, np.where(last_row, n - 1, 0)), np.append(hi, [n] * len(last_row))
+
+    (s_lo, s_hi), (r_lo, r_hi) = slices(n_s, [1, 1, 0, 0]), slices(n_r, [1, 0, 1, 0])
+    blocks = np.column_stack([s_lo, s_hi, r_lo, r_hi])
+    got = nc.block_logits(model, nc.encode_sides(model, xs, xr), blocks)
+    want = block_logits_reference(model, encode_sides_reference(model, xs, xr), blocks)
+    assert got.shape == (len(blocks),)
+    assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("arch, pool", [("ds", "sum"), ("ds", "mean"), ("bp", "sum")])
+def test_a_block_slice_cannot_cross_into_the_other_side(arch, pool):
+    # in the stacked ds table the sender rows end at row n_s, row n_s + 1 is
+    # the receiver's zero row and n_s + 2 its first prefix sum, so only the
+    # per-side limits stop a sender slice from reading receiver rows
+    rng = np.random.default_rng(97)
+    model = jiggled_model(rng, arch, pool)
+    n_s, n_r = 5, 4
+    encoded = nc.encode_sides(model, rng.normal(size=(n_s, 3)), rng.normal(size=(n_r, 3)))
+    assert nc.block_logits(model, encoded, [(0, n_s, 0, n_r)]).shape == (1,)
+    for bad in ((0, n_s + 1, 0, 1), (0, n_s + 2, 0, 1), (n_s, n_s + 1, 0, 1),
+                (n_s + 1, n_s + 2, 0, 1), (0, 1, n_r, n_r + 1), (0, 1, 0, n_r + 1),
+                (0, 1, n_r + 1, n_r + 2), (0, 1, 0, n_r + 2)):
+        with pytest.raises(ValueError, match="nonempty slice"):
+            nc.block_logits(model, encoded, [(0, 1, 0, 1), bad])
+
+
+def test_mlp_forward_converts_other_inputs_as_the_reference_does():
+    rng = np.random.default_rng(89)
+    stack = nc.MlpParams(weights=[rng.normal(size=(4, 3)), rng.normal(size=(2, 4))],
+                         biases=[rng.normal(size=4), rng.normal(size=2)],
+                         activations=["relu", "identity"])
+    x = rng.normal(size=(5, 3))
+    for given_x in (x, x.tolist(), x[0], x[0].tolist(), rng.integers(-3, 4, size=(5, 3)),
+                    x.astype(np.float32), x[:, ::-1]):
+        got_cache, want_cache = [], []
+        got = nc.mlp_forward(stack, given_x, got_cache)
+        want = mlp_forward_reference(stack, given_x, want_cache)
+        assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+        assert bits(got, got_cache[0][0]) == bits(want, want_cache[0][0])
 
 
 # ---------------------------------------------------------------------------

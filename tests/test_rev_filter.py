@@ -38,9 +38,10 @@ from revtrack.rev_filter import (
     truncated_exp_pmf,
 )
 from revtrack.synth_gen import SynthConfig, generate
-from oracles import (ListScorer, adam_step_reference, expand_ranges_reference,
-                     init_adam_reference, make_finetune_set_reference,
-                     mlp_forward_reference, rev_filter_reference)
+from oracles import (ListScorer, adam_step_reference, block_logits_reference,
+                     encode_sides_reference, expand_ranges_reference, init_adam_reference,
+                     make_finetune_set_reference, mlp_forward_reference,
+                     rev_filter_reference)
 
 
 class OracleScorer(ListScorer):
@@ -530,6 +531,33 @@ def test_rev_filter_matches_reference_with_trained_scorer(monkeypatch):
                 assert np.all(np.abs(got_scores - want_scores)
                               <= 1e-12 * np.maximum(1.0, np.abs(want_scores)))
                 assert got.scorer_failures == 0 and got.iterations >= 1
+
+
+@pytest.mark.parametrize("pool", ["sum", "mean"])
+def test_rev_filter_results_equal_with_the_per_side_block_kernel(pool, monkeypatch):
+    # the stacked table changes no bit of any score, so every result equals
+    # the one with the per-side tables of the reference kernel, float scores
+    # included; 7-block chunks send the k = 40 rounds through several calls
+    model, pairs, fmap = small_trained_model(pool)
+    scorer = PairScorer(model, fmap)
+    rng = np.random.default_rng(19)
+    for n_merge, k, chunk in ((3, 1, 1024), (6, 5, 1024), (12, 10, 1024), (12, 40, 7)):
+        for _ in range(2):
+            chosen = [pairs[int(i)].sr for i in rng.choice(len(pairs), n_merge, replace=False)]
+            initial = SRPair(senders=tuple({s for sr in chosen for s in sr.senders}),
+                             receivers=tuple({r for sr in chosen for r in sr.receivers}))
+            for rule in ("sorted_id", "seeded_random"):
+                for alpha in (1, 1.5, 5):
+                    cfg = FilterConfig(k=k, alpha_keep=alpha, split_rule=rule, seed=n_merge)
+                    with monkeypatch.context() as patched:
+                        patched.setattr(classifier, "SCORE_CHUNK", chunk)
+                        got = rev_filter(initial, cfg, scorer)
+                        patched.setattr(nc, "encode_sides", encode_sides_reference)
+                        patched.setattr(nc, "block_logits", block_logits_reference)
+                        want = rev_filter(initial, cfg, scorer)
+                    assert got == want
+                    assert [s.hex() for _, s in got.links] == [s.hex() for _, s in want.links]
+                    assert got.iterations >= 1 and got.scorer_failures == 0
 
 
 # ---------------------------------------------------------------------------
