@@ -182,9 +182,10 @@ def cmd_train(args):
 def cmd_finetune(args):
     augment = _config(AugmentConfig, args, merge_range=(args.merge_min, args.merge_max))
     config = _config(TrainConfig, args)
+    spec = SplitSpec(seed=args.split_seed)
     model = load_checkpoint(args.model)
     _, pairs, features = _load_pairs(args.data_dir)
-    train_pairs, _, _ = split(pairs, SplitSpec(seed=args.split_seed))
+    train_pairs, _, _ = split(pairs, spec)
     merged = make_finetune_set(train_pairs, augment)
     tuned, history = finetune_model(model, merged, features, config)
     save_checkpoint(args.out, tuned)
@@ -222,9 +223,10 @@ def cmd_classify(args):
 
 def cmd_eval_cls(args):
     _check_threshold(args.threshold)
+    spec = SplitSpec(seed=args.split_seed)
     _, pairs, features = _load_pairs(args.data_dir)
     model = load_checkpoint(args.model)
-    _, _, test_pairs = split(pairs, SplitSpec(seed=args.split_seed))
+    _, _, test_pairs = split(pairs, spec)
     metrics = evaluate(model, test_pairs, features, threshold=args.threshold)
     print(json.dumps({
         "pr_auc": metrics.pr_auc,

@@ -863,6 +863,22 @@ def test_non_finite_settings_exit_1_before_loading(tmp_path, capsys, command, fl
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "finetune", "eval-cls"])
+def test_bad_split_seed_exits_1_before_loading(tmp_path, capsys, command):
+    # the model and the data dir are both missing, so reading either first
+    # would exit 2 naming it
+    missing = str(tmp_path / "missing")
+    out = ["--out", str(tmp_path / "out")]
+    argv = [command, "--data-dir", missing, "--split-seed", "-1"] + {
+        "train": ["--arch", "ds"] + out,
+        "finetune": ["--model", missing] + out,
+        "eval-cls": ["--model", missing],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("setting", ["1+5@0", "1+-5@1", "0+5@1", "1+5"])
 def test_bench_rec_rejects_bad_settings_before_loading(tmp_path, capsys, setting):
     rc = main(["bench-rec", "--model", str(tmp_path / "missing.json"),
