@@ -177,8 +177,10 @@ def rev_filter(initial: SRPair, config: FilterConfig, scorer) -> FilterResult:
     uniform permutation is in uniform order, so each split is a uniform
     balanced one. ``scorer.blocks(senders, receivers)`` is called once, on
     the fixed sides (see ``PairScorer.blocks``, which takes a ds block's rho
-    pre-activation from per-side prefix sums projected by rho once per
-    query, so a round costs O(blocks), not O(rows), and no rho product); the
+    pre-activation from one stacked table of both sides' prefix sums,
+    projected by rho once per query, so a round costs one bounds check, one
+    gather-subtract and the trunk over its blocks, O(blocks), not O(rows),
+    and no rho product); the
     function it returns maps an (n, 4) int64 array of blocks to the
     probabilities of their pairs, and each round over budget and the final
     ranking call it once. If the initial product holds fewer than k links,
