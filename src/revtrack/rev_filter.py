@@ -2,8 +2,8 @@
 
 Starting from one (sender set, receiver set) pair, each round bisects both
 sides of every candidate block, replaces it by its nonempty quadrant
-children, scores all candidates with a pretrained pair classifier in one
-scorer call, and keeps only the best. Candidate blocks stay pairwise
+children, scores the new candidates with a pretrained pair classifier in
+one scorer call, and keeps only the best. Candidate blocks stay pairwise
 disjoint, so every (sender, receiver) link of the initial product lies in
 exactly one candidate at all times. The process ends when all survivors
 are 1-1 links.
@@ -137,22 +137,29 @@ def _score_all(candidates, score_blocks):
     return scores, failures
 
 
-def filter_step(candidates, keep_count, score_blocks):
+def filter_step(candidates, keep_count, score_blocks, known=None):
     """Keep the top ``keep_count`` candidates by score (stable on ties).
 
     Lists already within budget pass through unscored, as the same object.
-    Otherwise every candidate is scored in one ``score_blocks`` call, and
-    the kept ones come back in score order as an (n, 4) int64 array.
-    Returns (candidates, pairs_scored, failures).
+    Otherwise one ``score_blocks`` call scores them all, or only those whose
+    entry of ``known`` (a float64 array of scores so far) is NaN. Returns
+    (candidates, scores, pairs_scored, failures): the kept (n, 4) int64
+    array and its scores, in score order, or the input and None if unscored.
     """
     if keep_count < 1:
         raise ValueError("keep_count must be >= 1")
     if len(candidates) <= keep_count:
-        return candidates, 0, 0
+        return candidates, None, 0, 0
     candidates = np.asarray(candidates, dtype=np.int64)
-    scores, failures = _score_all(candidates, score_blocks)
+    if known is None:
+        scores, failures = _score_all(candidates, score_blocks)
+        made = len(candidates)
+    else:
+        scores, fresh = known.copy(), np.isnan(known)
+        scores[fresh], failures = _score_all(candidates[fresh], score_blocks)
+        made = int(np.count_nonzero(fresh))
     order = np.argsort(-scores, kind="stable")[:keep_count]
-    return candidates[order], len(candidates), failures
+    return candidates[order], scores[order], made, failures
 
 
 def keep_schedule(config: FilterConfig, t: int, total: int) -> int:
@@ -175,18 +182,14 @@ def rev_filter(initial: SRPair, config: FilterConfig, scorer) -> FilterResult:
     ``seeded_random``, each side permuted once by ``default_rng(seed)``;
     candidates are blocks of their slices (see ``expand``). A slice of a
     uniform permutation is in uniform order, so each split is a uniform
-    balanced one. ``scorer.blocks(senders, receivers)`` is called once, on
-    the fixed sides (see ``PairScorer.blocks``, which takes a ds block's rho
-    pre-activation from one stacked table of both sides' prefix sums,
-    projected by rho once per query, so a round costs one bounds check, one
-    gather-subtract and the trunk over its blocks, O(blocks), not O(rows),
-    and no rho product); the
-    function it returns maps an (n, 4) int64 array of blocks to the
-    probabilities of their pairs, and each round over budget and the final
-    ranking call it once. If the initial product holds fewer than k links,
-    all are returned. ``classifier_calls`` counts the pairs scored. A block
-    that function fails on, even alone, scores 0 and counts in
-    ``scorer_failures``. Only the k returned links become SRPairs.
+    balanced one. ``scorer.blocks(senders, receivers)``, called once on the
+    fixed sides, returns a function from an (n, 4) int64 array of blocks to
+    their pairs' probabilities. Each block is scored once: a round over
+    budget calls that function on its unscored blocks, the links are ranked
+    by the last round's scores, and only a final set no round scored gets a
+    call of its own. ``classifier_calls`` counts the blocks scored. If the
+    initial product holds fewer than k links, all are returned. A block that
+    function fails on, even alone, scores 0 and counts in ``scorer_failures``.
     """
     senders, receivers = initial.senders, initial.receivers
     if not senders or not receivers:
@@ -200,31 +203,36 @@ def rev_filter(initial: SRPair, config: FilterConfig, scorer) -> FilterResult:
     score_blocks = scorer.blocks(senders, receivers)
     depths = [math.ceil(math.log2(len(side))) for side in (senders, receivers)]
     horizon, max_iterations = max(depths), sum(depths) + 1
+    # a slice at depth t holds floor or ceil n / 2**t ids: no 1 x 1 block above this depth
+    unit_depth = max(len(senders).bit_length(), len(receivers).bit_length()) - 1
 
     candidates = np.array([(0, len(senders), 0, len(receivers))], dtype=np.int64)
+    scores = None  # the candidates' scores, in descending order, once a round scored them
     iteration = calls = failures = 0
-    while (candidates[:, 1::2] - candidates[:, ::2] != 1).any():  # until all are 1 x 1
+    # only a 1 x 1 block is its own only child, so a split that adds none ends the loop
+    while len(children := expand(candidates)) > len(candidates):
         if iteration >= max_iterations:
             raise RuntimeError("bisection failed to terminate within its bound")
-        candidates = expand(candidates)
+        known = None
+        if scores is not None and iteration >= unit_depth:  # a scored 1 x 1 keeps its score
+            counts = np.where(candidates[:, 1::2] - candidates[:, ::2] > 1, 2, 1).prod(axis=1)
+            known = np.repeat(np.where(counts == 1, scores, np.nan), counts)
         keep = keep_schedule(config, iteration, horizon)
         iteration += 1
-        candidates, made, failed = filter_step(candidates, keep, score_blocks)
-        calls += made
-        failures += failed
+        candidates, scores, made, failed = filter_step(children, keep, score_blocks, known)
+        calls, failures = calls + made, failures + failed
 
-    final_scores, failed = _score_all(candidates, score_blocks)
-    calls += len(candidates)
-    failures += failed
-    order = np.argsort(-final_scores, kind="stable")[: config.k]
+    # once a round scores, every later one is over budget (keep never grows, a split adds blocks)
+    if scores is None:
+        scores, failed = _score_all(candidates, score_blocks)
+        calls, failures = calls + len(candidates), failures + failed
+        order = np.argsort(-scores, kind="stable")
+        candidates, scores = candidates[order], scores[order]
+    top = zip(candidates[:config.k].tolist(), scores[:config.k].tolist())
     return FilterResult(
         links=[(SRPair(senders=senders[a:b], receivers=receivers[c:d]), score)
-               for (a, b, c, d), score in zip(candidates[order].tolist(),
-                                              final_scores[order].tolist())],
-        iterations=iteration,
-        classifier_calls=calls,
-        scorer_failures=failures,
-    )
+               for (a, b, c, d), score in top],
+        iterations=iteration, classifier_calls=calls, scorer_failures=failures)
 
 
 # ---------------------------------------------------------------------------

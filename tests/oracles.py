@@ -481,22 +481,42 @@ def _score_all(pairs, scorer):
     return scores, failures
 
 
+def _score_unscored(candidates, scorer):
+    """(entries, pairs scored, failures): the (SRPair, score) entries with each
+    score None filled from one scorer call over those pairs, in order."""
+    fresh = [i for i, (_, score_val) in enumerate(candidates) if score_val is None]
+    if not fresh:
+        return candidates, 0, 0
+    scores, failures = _score_all([candidates[i][0] for i in fresh], scorer)
+    filled = list(candidates)
+    for i, score_val in zip(fresh, scores):
+        filled[i] = (filled[i][0], score_val)
+    return filled, len(fresh), failures
+
+
+def _ranked(candidates):
+    """The (SRPair, score) entries in descending score order, stable on ties."""
+    order = np.argsort(-np.asarray([score_val for _, score_val in candidates]), kind="stable")
+    return [candidates[i] for i in order]
+
+
 def filter_step_reference(candidates, keep_count, scorer):
-    """Keep the top ``keep_count`` (SRPair, score) entries (stable on ties);
-    lists within budget pass through unscored."""
+    """Keep the top ``keep_count`` (SRPair, score) entries (stable on ties),
+    scoring only the entries whose score is None; lists within budget pass
+    through unscored."""
     if keep_count < 1:
         raise ValueError("keep_count must be >= 1")
     if len(candidates) <= keep_count:
         return candidates, 0, 0
-    scores, failures = _score_all([sr for sr, _ in candidates], scorer)
-    order = np.argsort(-np.asarray(scores), kind="stable")[:keep_count]
-    kept = [(candidates[i][0], scores[i]) for i in order]
-    return kept, len(candidates), failures
+    scored, made, failures = _score_unscored(candidates, scorer)
+    return _ranked(scored)[:keep_count], made, failures
 
 
 def rev_filter_reference(initial: SRPair, config: FilterConfig, scorer) -> FilterResult:
     """``rev_filter`` on (SRPair, score) entries with a per-split rule and RNG;
-    ``scorer`` maps a list of SRPairs to their scores."""
+    ``scorer`` maps a list of SRPairs to their scores. An entry is scored
+    once: a 1-1 pair carries its score through ``expand_reference``, and
+    the final links are ranked by the scores the rounds gave them."""
     if not initial.senders or not initial.receivers:
         raise ValueError("initial pair must have nonempty sender and receiver sets")
     rng = np.random.default_rng(config.seed)
@@ -521,13 +541,13 @@ def rev_filter_reference(initial: SRPair, config: FilterConfig, scorer) -> Filte
         calls += made
         failures += failed
 
-    final_scores, failed = _score_all([sr for sr, _ in candidates], scorer)
-    calls += len(candidates)
+    # rank by the last scored round; only a last round within budget leaves
+    # unscored entries, and scoring them is then their only scoring
+    candidates, made, failed = _score_unscored(candidates, scorer)
+    calls += made
     failures += failed
-    order = np.argsort(-np.asarray(final_scores), kind="stable")[: config.k]
-    links = [(candidates[i][0], final_scores[i]) for i in order]
     return FilterResult(
-        links=links,
+        links=_ranked(candidates)[: config.k],
         iterations=iteration,
         classifier_calls=calls,
         scorer_failures=failures,

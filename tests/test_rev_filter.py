@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revtrack import rev_filter as rf
@@ -186,19 +186,30 @@ DIAGONAL = [(i, i + 1, i, i + 1) for i in range(3)]
 
 def test_filter_step_stable_ties():
     table = {SRPair((0,), (100,)): 0.2, SRPair((1,), (101,)): 0.9, SRPair((2,), (102,)): 0.2}
-    kept, calls, failures = filter_step(
+    kept, scores, calls, failures = filter_step(
         DIAGONAL, 2, ListScorer(lambda srs: [table[sr] for sr in srs]).blocks(*SIDES))
     # score order first, then list order among ties
     assert list(map(tuple, kept.tolist())) == [DIAGONAL[1], DIAGONAL[0]]
+    assert scores.tolist() == [0.9, 0.2]
     assert calls == 3 and failures == 0
 
 
 def test_filter_step_within_budget_unchanged():
     calls = []
     scorer = ListScorer(lambda srs: calls.extend(srs) or [1.0] * len(srs))
-    kept, made, _ = filter_step(DIAGONAL, 5, scorer.blocks(*SIDES))
-    assert kept is DIAGONAL
+    kept, scores, made, _ = filter_step(DIAGONAL, 5, scorer.blocks(*SIDES))
+    assert kept is DIAGONAL and scores is None
     assert made == 0 and calls == []
+
+
+def test_filter_step_scores_only_the_blocks_without_a_known_score():
+    calls = []
+    scorer = ListScorer(lambda srs: calls.extend(srs) or [0.5] * len(srs))
+    known = np.array([np.nan, 0.7, np.nan])
+    kept, scores, made, _ = filter_step(DIAGONAL, 2, scorer.blocks(*SIDES), known)
+    assert calls == [SRPair((0,), (100,)), SRPair((2,), (102,))] and made == 2
+    assert list(map(tuple, kept.tolist())) == [DIAGONAL[1], DIAGONAL[0]]
+    assert scores.tolist() == [0.7, 0.5] and np.isnan(known).sum() == 2
 
 
 def test_filter_step_scorer_failure_scores_zero():
@@ -209,7 +220,7 @@ def test_filter_step_scorer_failure_scores_zero():
             raise RuntimeError("boom")
         return [0.5] * len(srs)
 
-    kept, _, failures = filter_step(DIAGONAL, 2, ListScorer(flaky).blocks(*SIDES))
+    kept, _, _, failures = filter_step(DIAGONAL, 2, ListScorer(flaky).blocks(*SIDES))
     assert failures == 1
     assert list(map(tuple, kept.tolist())) == [DIAGONAL[0], DIAGONAL[2]]
 
@@ -254,8 +265,8 @@ def partition_checked(initial):
     rounds = []
     original = rf.filter_step
 
-    def checked(candidates, keep_count, score_blocks):
-        out = original(candidates, keep_count, score_blocks)
+    def checked(*args):
+        out = original(*args)
         _assert_partition(out[0], initial)
         rounds.append(len(out[0]))
         return out
@@ -361,6 +372,40 @@ def test_rev_filter_termination_and_call_budget():
     budget += keep_schedule(cfg, res.iterations - 1, horizon)
     assert res.classifier_calls <= budget
     assert res.classifier_calls == scorer.calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ns=st.integers(1, 40),
+    nr=st.integers(1, 40),
+    k=st.integers(1, 25),
+    alpha=st.floats(1.0, 3.0),
+    rule=st.sampled_from(["sorted_id", "seeded_random"]),
+    seed=st.integers(0, 2**16),
+)
+# the last round within budget: 2 x 3 with k = 6 and 5 x 5 with k = 25 are
+# never scored by a round, 1 x 1 is not split at all
+@example(ns=2, nr=3, k=6, alpha=1.0, rule="sorted_id", seed=0)
+@example(ns=5, nr=5, k=25, alpha=1.0, rule="seeded_random", seed=1)
+@example(ns=1, nr=1, k=1, alpha=1.0, rule="sorted_id", seed=0)
+def test_rev_filter_scores_each_block_once(ns, nr, k, alpha, rule, seed):
+    # each call draws fresh random scores, so the links must carry the one
+    # score that their block got
+    initial = SRPair(senders=tuple(range(ns)), receivers=tuple(range(100, 100 + nr)))
+    rng = np.random.default_rng(seed)
+    scored = []
+
+    def scorer(srs):
+        scores = rng.random(len(srs)).tolist()
+        scored.extend(zip(srs, scores))
+        return scores
+
+    res = rev_filter(initial, FilterConfig(k=k, alpha_keep=alpha, split_rule=rule, seed=seed),
+                     ListScorer(scorer))
+    seen = dict(scored)
+    assert len(seen) == len(scored) == res.classifier_calls, "a block was scored twice"
+    assert [score_val for _, score_val in res.links] == [seen[sr] for sr, _ in res.links]
+    assert len(res.links) == min(k, ns * nr)
 
 
 def test_rev_filter_matches_one_pass_with_max_scorer():
