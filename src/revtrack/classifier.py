@@ -208,30 +208,31 @@ def f1_at_threshold(scores, labels, threshold=0.5):
 # call holds ~10 kB of activations per 1-1 pair (hidden_dim 64), so a large
 # classify file or a grid of |S|*|R| links must not go to the kernel whole.
 SCORE_CHUNK = 1024
+_ID_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})  # no bool
 
 
 def _feature_rows(features, ids):
-    """Feature rows of the node ids ``ids``, the one gather that scoring and
-    training use. Raises ValueError on an id that is not a feature row."""
-    ids = np.array(ids, dtype=np.intp)
-    if ((ids < 0) | (ids >= len(features))).any():
-        raise ValueError(f"node ids must index the {len(features)} feature rows")
-    return features[ids]
+    """Feature rows of node ids, the one gather that scoring and training use.
+    ValueError on an id not of ``_ID_TYPES`` (a float, a bool) or outside [0, rows)."""
+    try:
+        if (ids.dtype.kind in "iu" if isinstance(ids, np.ndarray)
+                else _ID_TYPES.issuperset(map(type, ids))):
+            rows = np.array(ids, dtype=np.intp)
+            if not (rows.view(np.uintp) >= len(features)).any():  # negative ids wrap high
+                return features[rows]
+    except OverflowError:  # an integer outside int64
+        pass
+    raise ValueError(f"node ids must index the {len(features)} feature rows")
 
 
 class PairScorer:
     """Scores SRPairs, candidate blocks of two node sets, or their 1-1 link
-    grid against a fixed model.
+    grid against a fixed model, with one kernel call per ``SCORE_CHUNK``
+    pairs, blocks, or about as many links.
 
-    ``features`` is the graph's feature array; node ids index its rows.
-    Calling the scorer on a list of pairs stacks their feature rows and
-    scores them with one ``neural_core.batch_logits`` call per
-    ``SCORE_CHUNK`` pairs; ``blocks`` encodes two node sets once and scores
-    slices of them with ``neural_core.block_logits``, ``SCORE_CHUNK`` blocks
-    per call; ``grid`` scores every sender-receiver link with
-    ``neural_core.grid_logits`` in blocks of about ``SCORE_CHUNK`` links.
-    Each of them gathers feature rows through ``_feature_rows``, so a node
-    id that is not a row raises ValueError on every path.
+    ``features`` is the graph's feature array; node ids index its rows, and
+    every path gathers them through ``_feature_rows``, so a node id that is
+    not a row raises ValueError.
     """
 
     def __init__(self, model, features):
@@ -250,14 +251,11 @@ class PairScorer:
     def blocks(self, senders, receivers):
         """Scorer of candidate blocks over the node-id sequences ``senders``
         and ``receivers``, whose feature rows are gathered and encoded here,
-        once (ds: into one stacked table of both sides' prefix sums of rho's
-        pre-activation, sender rows first, see ``neural_core.encode_sides``):
-        it maps an (n, 4) array of ``(s_lo, s_hi, r_lo, r_hi)`` blocks to a
-        float64 array of the probabilities of the pairs ``(senders[s_lo:s_hi],
-        receivers[r_lo:r_hi])``, in order, as calling the scorer on those
-        pairs does up to rounding order. An array of at most ``SCORE_CHUNK``
-        blocks goes to ``neural_core.block_logits`` in one call (one bounds
-        check, one gather-subtract), a longer one in chunks of that size."""
+        once (``neural_core.encode_sides``): it maps an (n, 4) array of
+        ``(s_lo, s_hi, r_lo, r_hi)`` blocks to a float64 array of the
+        probabilities of the pairs ``(senders[s_lo:s_hi], receivers[r_lo:r_hi])``,
+        in order, as calling the scorer on those pairs does up to rounding
+        order, with one ``neural_core.block_logits`` call per ``SCORE_CHUNK`` blocks."""
         encoded = nc.encode_sides(self.model, _feature_rows(self.features, senders),
                                   _feature_rows(self.features, receivers))
 
@@ -289,8 +287,8 @@ class PairScorer:
 def _stack(srs):
     """Sender ids, receiver ids and side sizes ``ns``, ``nr`` of the pairs
     ``srs``, stacked pair by pair as ``neural_core.batch_logits`` takes them."""
-    return (np.array([n for sr in srs for n in sr.senders], dtype=np.intp),
-            np.array([n for sr in srs for n in sr.receivers], dtype=np.intp),
+    return ([n for sr in srs for n in sr.senders],
+            [n for sr in srs for n in sr.receivers],
             np.array([len(sr.senders) for sr in srs], dtype=np.int64),
             np.array([len(sr.receivers) for sr in srs], dtype=np.int64))
 

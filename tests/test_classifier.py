@@ -427,6 +427,32 @@ def test_training_rejects_ids_outside_the_feature_table(bad):
             call()
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, np.float64(1.0), True, False, np.bool_(True),
+                                 2**63, 2**70, -2**70])
+def test_ids_that_are_not_int64_integers_fail_on_every_path(bad):
+    # each of these once cast to a row (1.5, 1.0 and True to row 1) or
+    # raised OverflowError; mixed with int ids, a bool used to pass as 0 or 1
+    rng = np.random.default_rng(4)
+    model, features = nc.build_ds_model(rng, 3, 4), rng.normal(size=(5, 3))
+    scorer = PairScorer(model, features)
+    pairs = [LabeledPair(SRPair((0, bad), (1,)), 1)] + [
+        LabeledPair(SRPair((i,), (i + 1,)), i % 2) for i in range(4)] * 5
+    config = TrainConfig(epochs=1)
+    for call in (
+        lambda: scorer([SRPair(senders=(0,), receivers=(1,)),
+                        SRPair(senders=(bad,), receivers=(0,))]),
+        lambda: scorer.score(SRPair(senders=(0,), receivers=(1, bad))),
+        lambda: scorer.grid([bad], [0]),
+        lambda: scorer.grid([0], np.array([bad])),
+        lambda: scorer.blocks([0, bad], [1]),
+        lambda: scorer.blocks([0], [bad]),
+        lambda: classifier.train_model(model, pairs[:1], [], features, config),
+        lambda: rf.finetune(model, pairs, features, config),
+    ):
+        with pytest.raises(ValueError, match="must index the 5 feature rows"):
+            call()
+
+
 def test_evaluate_single_class_errors():
     model, _, fmap, test_p = trained_small()
     pos_only = [p for p in test_p if p.label == 1]
