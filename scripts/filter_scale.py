@@ -16,9 +16,10 @@ workload does, and its time is the fastest repetition.
 Prints one line per setting (median over instances) and writes every
 instance's sizes, times, links, scores and counts to ``--out``.
 ``--compare OTHER.json`` then checks this run against another checkout's
-``--out`` file: it exits 1 unless both hold the same instances with
-identical links, iterations, classifier_calls and scorer_failures, and
-prints the largest score difference.
+``--out`` file: it prints both totals of classifier_calls, how many
+instance-rules differ in each of links, iterations, classifier_calls and
+scorer_failures, and the largest score difference where the links agree,
+and exits 1 unless both hold the same instances with no field differing.
 """
 
 import argparse
@@ -87,17 +88,19 @@ def main(argv=None):
         json.dump(rows, fh, indent=1)
         fh.write("\n")
     if args.compare:
-        worst = compare(rows, args.compare)
-        print(f"same links, iterations, classifier_calls and scorer_failures as "
-              f"{args.compare} on {len(rows)} instance-rules; "
-              f"largest score difference {worst:.3g}")
+        compare(rows, args.compare)
+
+
+FIELDS = ("links", "iterations", "classifier_calls", "scorer_failures")
 
 
 def compare(rows, other_path):
-    """Largest absolute score difference between ``rows`` and the rows of
-    another run saved at ``other_path``. Exits 1 unless both hold the same
-    instances with identical links, iterations, classifier_calls and
-    scorer_failures."""
+    """Check ``rows`` against the rows of another run saved at ``other_path``.
+
+    Prints both runs' total classifier_calls, how many instance-rules differ
+    in each of FIELDS, and the largest absolute score difference over the
+    instance-rules whose links agree. Exits 1 if the runs hold other
+    instances or any field differs anywhere."""
     def by_instance(table):
         return {(r["n_minus"], r["instance"], r["split_rule"]): r for r in table}
 
@@ -105,14 +108,17 @@ def compare(rows, other_path):
         mine, other = by_instance(rows), by_instance(json.load(fh))
     if mine.keys() != other.keys():
         sys.exit(f"error: {other_path} holds other instances than this run")
-    worst = 0.0
-    for key, row in mine.items():
-        for field in ("links", "iterations", "classifier_calls", "scorer_failures"):
-            if row[field] != other[key][field]:
-                sys.exit(f"error: 1+{key[0]} instance {key[1]} ({key[2]}): "
-                         f"{field} differ from {other_path}")
-        worst = max([worst] + [abs(a - b) for a, b in zip(row["scores"], other[key]["scores"])])
-    return worst
+    pairs = [(row, other[key]) for key, row in mine.items()]
+    print(f"classifier_calls: {sum(a['classifier_calls'] for a, _ in pairs)} in this run, "
+          f"{sum(b['classifier_calls'] for _, b in pairs)} in {other_path}")
+    differ = {field: sum(a[field] != b[field] for a, b in pairs) for field in FIELDS}
+    for field in FIELDS:
+        print(f"{field}: {differ[field]} of {len(pairs)} instance-rules differ")
+    worst = max([abs(x - y) for a, b in pairs if a["links"] == b["links"]
+                 for x, y in zip(a["scores"], b["scores"])], default=0.0)
+    print(f"largest score difference where the links agree: {worst:.3g}")
+    if any(differ.values()):
+        sys.exit(f"error: {', '.join(f for f in FIELDS if differ[f])} differ from {other_path}")
 
 
 if __name__ == "__main__":
