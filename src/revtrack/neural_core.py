@@ -13,13 +13,7 @@ is its hand-written reverse pass; gradients are exact up to floating point
 (see the finite-difference tests). Two forward passes score many pairs over
 one sender set and one receiver set, encoding each node once (ds):
 ``grid_logits`` every 1-1 link, and ``block_logits`` candidate blocks of
-slices of the two sides. ``encode_sides`` builds, once per query, one
-stacked table of both sides' prefix sums of rho's pre-activation, sender
-rows first (rho's first layer is affine and commutes with a sum pool), so a
-slice's rho input is the difference of two table rows plus rho's bias, and
-no block runs rho's product; ``block_logits`` makes one per-side bounds
-check and one gather-subtract per block array. Dense layers add the bias
-and apply the ReLU in place on each fresh matmul output.
+slices of the two sides, from what ``encode_sides`` builds once per query.
 
 A ``Model`` is its config (the dict a checkpoint records) plus its named
 layer stacks, which ``layer_table`` lists once per architecture. Adam updates
