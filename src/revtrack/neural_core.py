@@ -406,8 +406,9 @@ def grid_logits(model, xs, xr, chunk):
     through ``batch_logits`` as a unit-length pair. Either way the link
     grid goes through the rest of the network in blocks of whole sender
     rows, at most ``chunk`` links each (at least one row), so memory stays
-    bounded. Raises ValueError on an empty side and ShapeError on a
-    feature-dimension mismatch.
+    bounded. The chunk rule is part of the output: a link's bits follow
+    the row count of the product that scores it. Raises ValueError on an
+    empty side and ShapeError on a feature-dimension mismatch.
     """
     xs = np.asarray(xs, dtype=np.float64)
     xr = np.asarray(xr, dtype=np.float64)
@@ -424,14 +425,17 @@ def grid_logits(model, xs, xr, chunk):
                                 mlp_forward(model.mlps[f"{side}_phi"], x))
                     for side, x in (("sender", xs), ("receiver", xr)))
         z_s = h_s @ trunk.weights[0][:, :k].T
-        z_r = h_r @ trunk.weights[0][:, k:].T + trunk.biases[0]
-        rest = MlpParams(trunk.weights[1:], trunk.biases[1:], trunk.activations[1:])
+        z_r = (h_r @ trunk.weights[0][:, k:].T + trunk.biases[0]).ravel()
+        w, b = trunk.weights[1], np.tile(trunk.biases[1], n_r)
 
-        def block(lo, hi):
-            a = z_s[lo:hi, None] + z_r[None]
+        def block(lo, hi):  # (rows, n_r * h) layout: row i holds links (lo + i, j), every j
+            a = np.repeat(z_s[lo:hi], n_r, axis=0).reshape(hi - lo, -1)
+            a += z_r
             np.maximum(a, 0.0, out=a)  # the first trunk layer's ReLU
-            return mlp_forward(model.mlps["logit"],
-                               mlp_forward(rest, a.reshape(-1, a.shape[-1])))[:, 0]
+            z = (a.reshape(-1, w.shape[1]) @ w.T).reshape(hi - lo, -1)
+            z += b
+            np.maximum(z, 0.0, out=z)  # the second's
+            return mlp_forward(model.mlps["logit"], z.reshape(-1, w.shape[0]))[:, 0]
     else:
         def block(lo, hi):
             ones = np.ones((hi - lo) * n_r, dtype=np.int64)

@@ -145,13 +145,19 @@ class BenchmarkConfig:
 def one_pass_topk(instance: RecTestInstance, k, scorer):
     """The k best 1-1 links of S x R from one ``scorer.grid`` call (no iterations).
 
-    Ties keep sender-major link order (stable sort); no link list is built.
+    Ties keep sender-major link order, as a stable sort of the whole grid
+    would; only links scoring at least the k-th score are sorted, and no
+    link list is built. Raises ValueError if a side repeats a node id.
     """
     check_k(k)
-    p = np.asarray(scorer.grid(instance.senders, instance.receivers))
+    if any(len(set(side)) < len(side) for side in (instance.senders, instance.receivers)):
+        raise ValueError("initial pair repeats a node id within a side")
+    neg = -np.asarray(scorer.grid(instance.senders, instance.receivers)).ravel()
+    kth = np.partition(neg, k - 1)[k - 1] if k < len(neg) else np.nan
+    keep = np.arange(len(neg)) if np.isnan(kth) else np.flatnonzero(neg <= kth)
     n_r = len(instance.receivers)
     return [(instance.senders[i // n_r], instance.receivers[i % n_r])
-            for i in np.argsort(-p.ravel(), kind="stable")[:k].tolist()]
+            for i in keep[np.argsort(neg[keep], kind="stable")][:k].tolist()]
 
 
 def recommend_links(instance: RecTestInstance, k, config: BenchmarkConfig, seed):

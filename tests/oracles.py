@@ -27,7 +27,8 @@ from revtrack.graph_core import (
     build_graph,
     segment_rows,
 )
-from revtrack.neural_core import AdamState, ShapeError, batch_logits, mlp_forward
+from revtrack.neural_core import (AdamState, MlpParams, ShapeError, batch_logits,
+                                 mlp_forward)
 from revtrack.rec_eval import RecTestInstance, _instance_from_pools, boundary_pools
 from revtrack.rev_filter import (AugmentConfig, FilterConfig, FilterResult, keep_schedule,
                                  truncated_exp_pmf)
@@ -365,6 +366,15 @@ def one_pass_topk_reference(instance: RecTestInstance, k, scorer):
     scores = scorer([SRPair(senders=(s,), receivers=(r,)) for s, r in links])
     order = np.argsort(-np.asarray(scores), kind="stable")[:k]
     return [links[i] for i in order]
+
+
+def one_pass_topk_argsort_reference(instance: RecTestInstance, k, scorer):
+    """``rec_eval.one_pass_topk`` by a stable ``argsort`` of the whole grid,
+    keeping its first k links."""
+    p = np.asarray(scorer.grid(instance.senders, instance.receivers))
+    n_r = len(instance.receivers)
+    return [(instance.senders[i // n_r], instance.receivers[i % n_r])
+            for i in np.argsort(-p.ravel(), kind="stable")[:k].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -843,3 +853,44 @@ def block_logits_reference(model, encoded, blocks):
         half += model.mlps[f"{side}_rho"].biases[0]
     np.maximum(joint, 0.0, out=joint)
     return mlp_forward(model.mlps["logit"], mlp_forward(model.mlps["trunk"], joint))[:, 0]
+
+
+def grid_logits_reference(model, xs, xr, chunk):
+    """``neural_core.grid_logits`` with a ds block built as a 3-D broadcast
+    outer sum ``z_s[lo:hi, None] + z_r[None]`` and run through the trunk's
+    second layer by ``mlp_forward``; the same blocks, matmul shapes and per-block
+    logit call."""
+    xs = np.asarray(xs, dtype=np.float64)
+    xr = np.asarray(xr, dtype=np.float64)
+    if not len(xs) or not len(xr):
+        raise ValueError("every pair needs nonempty sender and receiver sets")
+    for x in (xs, xr):
+        if x.shape[1] != model.config["feature_dim"]:
+            raise ShapeError(f"input dim {x.shape[1]} != expected {model.config['feature_dim']}")
+    n_s, n_r = len(xs), len(xr)
+    if model.arch == "ds":
+        trunk = model.mlps["trunk"]
+        k = model.mlps["sender_rho"].weights[-1].shape[0]
+        h_s, h_r = (mlp_forward(model.mlps[f"{side}_rho"],
+                                mlp_forward(model.mlps[f"{side}_phi"], x))
+                    for side, x in (("sender", xs), ("receiver", xr)))
+        z_s = h_s @ trunk.weights[0][:, :k].T
+        z_r = h_r @ trunk.weights[0][:, k:].T + trunk.biases[0]
+        rest = MlpParams(trunk.weights[1:], trunk.biases[1:], trunk.activations[1:])
+
+        def block(lo, hi):
+            a = z_s[lo:hi, None] + z_r[None]
+            np.maximum(a, 0.0, out=a)  # the first trunk layer's ReLU
+            return mlp_forward(model.mlps["logit"],
+                               mlp_forward(rest, a.reshape(-1, a.shape[-1])))[:, 0]
+    else:
+        def block(lo, hi):
+            ones = np.ones((hi - lo) * n_r, dtype=np.int64)
+            return batch_logits(model, xs[np.repeat(np.arange(lo, hi), n_r)],
+                                xr[np.tile(np.arange(n_r), hi - lo)], ones, ones)
+    out = np.empty((n_s, n_r))
+    rows = max(1, chunk // n_r)
+    for lo in range(0, n_s, rows):
+        hi = min(lo + rows, n_s)
+        out[lo:hi] = block(lo, hi).reshape(hi - lo, n_r)
+    return out

@@ -14,7 +14,8 @@ from revtrack import neural_core as nc
 from revtrack.classifier import PairScorer, SRPair
 from revtrack.rev_filter import expand
 from oracles import (adam_step_reference, block_logits_reference, encode_sides_reference,
-                     init_adam_reference, mlp_forward_reference, sigmoid_reference)
+                     grid_logits_reference, init_adam_reference, mlp_forward_reference,
+                     sigmoid_reference)
 
 
 def identity_mlp(dim):
@@ -799,6 +800,25 @@ def test_grid_property_matches_kernel(arch_pool, n_s, n_r, chunk, seed):
     model = jiggled_model(rng, *arch_pool)
     xs, xr = rng.normal(size=(n_s, 3)), rng.normal(size=(n_r, 3))
     assert_close(nc.grid_logits(model, xs, xr, chunk), expanded_kernel_logits(model, xs, xr))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pool=st.sampled_from(["sum", "mean"]),
+    hidden=st.sampled_from([8, 64]),
+    n_s=st.integers(1, 60),
+    n_r=st.integers(1, 60),
+    chunk=st.integers(1, 2048),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_ds_bits_match_broadcast_reference(pool, hidden, n_s, n_r, chunk, seed):
+    # the flat-layout blocks add, multiply and take the ReLU element for
+    # element as the 3-D broadcast does, in products of the same shapes
+    rng = np.random.default_rng(seed)
+    model = jiggled_model(rng, "ds", pool, hidden=hidden)
+    xs, xr = rng.normal(size=(n_s, 3)), rng.normal(size=(n_r, 3))
+    got, want = nc.grid_logits(model, xs, xr, chunk), grid_logits_reference(model, xs, xr, chunk)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("arch, pool", [("ds", "sum"), ("bp", "max")])

@@ -7,6 +7,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revtrack import neural_core as nc
 from revtrack.classifier import PairScorer
@@ -17,10 +19,12 @@ from revtrack.rec_eval import (
     ndcg,
     one_pass_topk,
     parse_setting,
+    recommend_links,
     run_benchmark,
 )
 from revtrack.synth_gen import SynthConfig, generate
-from oracles import ListScorer, one_pass_topk_reference, plant_rec_instance
+from oracles import (ListScorer, one_pass_topk_argsort_reference, one_pass_topk_reference,
+                     plant_rec_instance)
 
 
 class OracleScorer:
@@ -228,6 +232,49 @@ def test_one_pass_topk_ranks_as_the_link_list_reference():
     inst = instance_of(30, 17)
     scorer = PairScorer(nc.build_ds_model(rng, 4, 16), rng.normal(size=(47, 4)))
     assert one_pass_topk(inst, 510, scorer) == one_pass_topk_reference(inst, 510, scorer)
+
+
+class GridStub:
+    """A scorer whose ``grid`` returns a fixed array and counts its calls."""
+
+    def __init__(self, p):
+        self.p, self.calls = p, 0
+
+    def grid(self, senders, receivers):
+        self.calls += 1
+        return self.p
+
+
+SPECIAL = [np.nan, 0.0, -0.0, np.inf, -np.inf, 0.5, 1.0, 1e-300]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_s=st.integers(1, 40),
+    n_r=st.integers(1, 40),
+    palette=st.lists(st.sampled_from(SPECIAL), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_one_pass_topk_selects_as_a_full_stable_sort(n_s, n_r, palette, seed, data):
+    # three values per grid give heavy ties; NaN, -0.0 against 0.0 and the
+    # infinities are where a selection and a sort could disagree
+    inst = instance_of(n_s, n_r)
+    picks = np.random.default_rng(seed).integers(0, 3, size=(n_s, n_r))
+    scorer = GridStub(np.array(palette)[picks])
+    k = data.draw(st.integers(1, n_s * n_r + 5))
+    assert one_pass_topk(inst, k, scorer) == one_pass_topk_argsort_reference(inst, k, scorer)
+
+
+def test_one_pass_topk_rejects_a_repeated_id_before_scoring():
+    for senders, receivers in (((1, 1, 2), (5,)), ((1, 2), (5, 6, 5))):
+        inst = RecTestInstance(senders=senders, receivers=receivers,
+                               truth_links=frozenset({(1, 5)}), n_plus=1, n_minus=0)
+        scorer = GridStub(np.ones((len(senders), len(receivers))))
+        for variant in ("no-iter", "full"):
+            with pytest.raises(ValueError, match="initial pair repeats a node id within a side"):
+                recommend_links(inst, 2, BenchmarkConfig(scorer=scorer, variant=variant), 0)
+        assert scorer.calls == 0
 
 
 def test_one_pass_topk_memory_stays_bounded():
